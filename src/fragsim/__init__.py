@@ -2,24 +2,15 @@
 allocation in non-replicated distributed databases.
 
 The package splits into a small set of composable layers: site graphs
-with precomputed routing (:mod:`~fragsim.topology`), shared allocation
-state (:mod:`~fragsim.allocation`), the four migration policies
-(:mod:`~fragsim.policies`), reproducible access streams
-(:mod:`~fragsim.workload`), the simulation loop (:mod:`~fragsim.engine`),
-the analytical steady-state model (:mod:`~fragsim.oracle`), and a JSON
-config layer plus CLI on top.
+with precomputed routing (:mod:`~fragsim.topology`), the four migration
+policies (:mod:`~fragsim.policies`), reproducible access streams
+(:mod:`~fragsim.workload`), the simulation loop and its fragments
+(:mod:`~fragsim.engine`), the analytical steady-state model
+(:mod:`~fragsim.oracle`), and a JSON config layer plus CLI on top.
 """
 
-from .allocation import (
-    AccessEvent,
-    Fragment,
-    MigrationDecision,
-    MigrationPolicy,
-    Placement,
-    apply_migration,
-)
 from .config import parse_policy_token
-from .engine import DecisionRecord, SimConfig, SimMetrics, estimate_os, run
+from .engine import DecisionRecord, Fragment, SimConfig, SimMetrics, estimate_os, run
 from .fixtures import reference_topology, reference_topology_dict, site_name, write_fixtures
 from .oracle import (
     ChainParams,
@@ -43,7 +34,6 @@ from .workload import EventStream, Oscillation, WorkloadSpec, symmetric_spec
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessEvent",
     "ChainParams",
     "DecisionRecord",
     "EventStream",
@@ -51,12 +41,9 @@ __all__ = [
     "FnaPolicy",
     "Fragment",
     "Link",
-    "MigrationDecision",
-    "MigrationPolicy",
     "NnaPolicy",
     "OptimalPolicy",
     "Oscillation",
-    "Placement",
     "PolicySpec",
     "SimConfig",
     "SimMetrics",
@@ -64,7 +51,6 @@ __all__ = [
     "ThresholdPolicy",
     "Topology",
     "WorkloadSpec",
-    "apply_migration",
     "brute_force_stationary",
     "build_policy",
     "build_topology",

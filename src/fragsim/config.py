@@ -39,8 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .allocation import Fragment
-from .engine import SimConfig
+from .engine import Fragment, SimConfig
 from .policies import FnaParams, PolicySpec
 from .topology import Topology, load_topology, topology_from_dict
 from .workload import Oscillation, WorkloadSpec, symmetric_spec

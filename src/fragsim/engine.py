@@ -2,8 +2,9 @@
 
 Per step, every fragment gets one chance to emit an access. For each
 event the engine samples residency at the current owner (before the
-policy reacts), charges a round-trip response cost, consults the policy,
-and applies any migration.
+policy reacts), charges a round-trip response cost, asks the policy's
+``decide`` for a destination, and applies any migration to its
+``owners`` list.
 
 Costs:
 
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .allocation import Fragment, Placement, apply_migration
 from .policies import PolicySpec, build_policy
 from .topology import SiteId, Topology
 from .workload import EventStream, WorkloadSpec
@@ -35,6 +35,18 @@ from .workload import EventStream, WorkloadSpec
 
 class NoAccessesError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Fragment:
+    """A unit of data; ``size`` scales migration transfer cost."""
+
+    id: int
+    size: float = 1.0
+
+    def __post_init__(self):
+        if self.size <= 0:
+            raise ValueError(f"fragment {self.id}: size must be positive, got {self.size}")
 
 
 class DecisionRecord(NamedTuple):
@@ -122,13 +134,12 @@ def run(cfg: SimConfig) -> SimMetrics:
     topo = cfg.topology
     n = topo.n
     num_fragments = len(cfg.fragments)
-    placement = Placement({f.id: o for f, o in zip(cfg.fragments, cfg.initial_owners)})
-    policy = build_policy(cfg.policy, num_fragments, n)
+    policy = build_policy(cfg.policy, num_fragments, n, topo.next_hop_matrix.tolist())
     stream = EventStream(cfg.workload)
 
     dist = topo.distance_matrix.tolist()  # plain lists are faster in the loop
     sizes = [f.size for f in cfg.fragments]
-    owners = placement.owner
+    owners = list(cfg.initial_owners)  # fragment ids are 0..num_fragments-1
     latency = cfg.per_hop_latency
     blocking = cfg.migration_blocking
     in_flight_until = [0] * num_fragments
@@ -138,7 +149,7 @@ def run(cfg: SimConfig) -> SimMetrics:
     log: Optional[list] = [] if cfg.record_decisions else None
 
     next_event = stream.next_event
-    on_access = policy.on_access
+    decide = policy.decide
     accesses = 0
     migrations = 0
     response_cost = 0.0
@@ -147,43 +158,44 @@ def run(cfg: SimConfig) -> SimMetrics:
 
     for step in range(cfg.num_steps):
         for f in fragment_range:
-            event = next_event(step, f)
-            if event is None:
+            requester = next_event(f)
+            if requester is None:
                 continue
             owner = owners[f]
             accesses += 1
             residency[owner] += 1
-            cost = 2.0 * dist[event.requester][owner] * latency
+            cost = 2.0 * dist[requester][owner] * latency
             if blocking and step < in_flight_until[f]:
                 cost += in_flight_until[f] - step
             response_cost += cost
-            decision = on_access(placement, topo, event)
+            dest = decide(f, requester, owner)
             if log is not None:
+                moved = dest >= 0
                 log.append(
                     DecisionRecord(
                         step,
                         f,
-                        event.requester,
+                        requester,
                         owner,
-                        "move" if decision.is_move else "stay",
-                        decision.dest,
-                        decision.reason,
-                        decision.inhibition,
+                        "move" if moved else "stay",
+                        dest if moved else None,
+                        policy.reason,
+                        policy.inhibition,
                     )
                 )
-            if decision.is_move:
-                hop = dist[owner][decision.dest]
+            if dest >= 0:
+                hop = dist[owner][dest]
                 migration_hop_cost += sizes[f] * hop * latency
                 migrations += 1
                 if blocking:
                     in_flight_until[f] = step + math.ceil(sizes[f] * hop)
-                apply_migration(placement, decision, policy)
+                owners[f] = dest
 
     metrics.accesses_total = accesses
     metrics.residency = residency
     metrics.migrations = migrations
     metrics.migration_hop_cost = migration_hop_cost
     metrics.response_cost = response_cost
-    metrics.final_owners = placement.as_dict()
+    metrics.final_owners = dict(enumerate(owners))
     metrics.decision_log = log
     return metrics

@@ -1,8 +1,7 @@
 """The four fragment migration policies.
 
-All of them react to access events through the shared
-:class:`~fragsim.allocation.MigrationPolicy` interface and differ only in
-what they count and where they send the fragment:
+All of them answer the same per-access question (see ``decide`` below)
+and differ only in what they count and where they send the fragment:
 
 ``optimal``
     Per-site access counters travel with the fragment. A remote requester
@@ -31,6 +30,23 @@ what they count and where they send the fragment:
 
 A local access (requester already owns the fragment) is always a stay,
 whatever the counters say.
+
+Every policy has one entry point, ``decide(f, requester, owner)``, which
+the engine calls once per access of fragment ``f``:
+
+* it returns the destination site of a move, or ``-1`` to stay; a move
+  never targets the current owner;
+* it sets ``self.reason`` to a short tag for the decision log, and
+  ``fna`` also sets ``self.inhibition`` (``None`` when no evaluation ran;
+  the other policies leave it ``None``);
+* when it returns a move, it has already done the policy's own move
+  bookkeeping (``threshold`` clears its count, ``nna`` its
+  remote-since-move count, ``fna`` records the destination in its
+  history). The caller only updates the owner.
+
+``nna`` and ``fna`` route with a ``next_hop`` table given as a list of
+lists, ``next_hop[source][target]``, as built from
+:attr:`~fragsim.topology.Topology.next_hop_matrix`.
 """
 
 from __future__ import annotations
@@ -41,8 +57,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocation import AccessEvent, FragmentId, MigrationDecision, MigrationPolicy, Placement
-from .topology import SiteId, Topology
+from .topology import SiteId
 
 
 def _bump(row: list, site: int, cap: Optional[int]) -> None:
@@ -55,34 +70,37 @@ def _bump(row: list, site: int, cap: Optional[int]) -> None:
     row[site] = value
 
 
-class OptimalPolicy(MigrationPolicy):
+class OptimalPolicy:
     """Full per-site access counters, migration on strict dominance."""
 
     name = "optimal"
+    reason = ""
+    inhibition = None
 
     def __init__(self, num_fragments: int, num_sites: int, counter_cap: Optional[int] = None):
         self.counters: list[list[int]] = [[0] * num_sites for _ in range(num_fragments)]
         self.counter_cap = counter_cap
 
-    def on_access(self, placement: Placement, topo: Topology, event: AccessEvent) -> MigrationDecision:
-        f = event.fragment
-        requester = event.requester
-        owner = placement.owner_of(f)
+    def decide(self, f: int, requester: SiteId, owner: SiteId) -> SiteId:
         row = self.counters[f]
         _bump(row, requester, self.counter_cap)
         if requester == owner:
-            return MigrationDecision.stay(f, "local")
+            self.reason = "local"
+            return -1
         if row[requester] > row[owner]:
-            return MigrationDecision.move(f, requester, "dominance")
-        return MigrationDecision.stay(f, "no-dominance")
+            # counters travel with the fragment, nothing to reset
+            self.reason = "dominance"
+            return requester
+        self.reason = "no-dominance"
+        return -1
 
-    # Counters travel with the fragment, nothing to reset.
 
-
-class ThresholdPolicy(MigrationPolicy):
+class ThresholdPolicy:
     """Consecutive-remote-access counter with reset on local access."""
 
     name = "threshold"
+    reason = ""
+    inhibition = None
 
     def __init__(self, num_fragments: int, t: int):
         if t < 0:
@@ -90,24 +108,22 @@ class ThresholdPolicy(MigrationPolicy):
         self.t = t
         self.counts: list[int] = [0] * num_fragments
 
-    def on_access(self, placement: Placement, topo: Topology, event: AccessEvent) -> MigrationDecision:
-        f = event.fragment
-        owner = placement.owner_of(f)
-        if event.requester == owner:
+    def decide(self, f: int, requester: SiteId, owner: SiteId) -> SiteId:
+        if requester == owner:
             self.counts[f] = 0
-            return MigrationDecision.stay(f, "local")
+            self.reason = "local"
+            return -1
         count = self.counts[f] + 1
         if count > self.t:
             self.counts[f] = 0
-            return MigrationDecision.move(f, event.requester, "threshold-exceeded")
+            self.reason = "threshold-exceeded"
+            return requester
         self.counts[f] = count
-        return MigrationDecision.stay(f, "below-threshold")
-
-    def on_migrate(self, fragment: FragmentId, source: SiteId, dest: SiteId) -> None:
-        self.counts[fragment] = 0
+        self.reason = "below-threshold"
+        return -1
 
 
-class NnaPolicy(MigrationPolicy):
+class NnaPolicy:
     """Nearest-neighbour allocation: jump decisions, one-hop moves.
 
     ``trigger`` selects when to consider moving:
@@ -123,11 +139,13 @@ class NnaPolicy(MigrationPolicy):
     """
 
     name = "nna"
+    reason = ""
+    inhibition = None
 
     def __init__(
         self,
         num_fragments: int,
-        num_sites: int,
+        next_hop: list[list[SiteId]],
         trigger: str = "dominance",
         t: Optional[int] = None,
         counter_cap: Optional[int] = None,
@@ -137,34 +155,34 @@ class NnaPolicy(MigrationPolicy):
         if trigger == "threshold":
             if t is None or t < 0:
                 raise ValueError("nna threshold trigger needs a non-negative t")
+        self.next_hop = next_hop
         self.trigger = trigger
         self.t = t
         self.counter_cap = counter_cap
-        self.counters: list[list[int]] = [[0] * num_sites for _ in range(num_fragments)]
+        self.counters: list[list[int]] = [[0] * len(next_hop) for _ in range(num_fragments)]
         self.remote_since_move: list[int] = [0] * num_fragments
 
-    def on_access(self, placement: Placement, topo: Topology, event: AccessEvent) -> MigrationDecision:
-        f = event.fragment
-        requester = event.requester
-        owner = placement.owner_of(f)
+    def decide(self, f: int, requester: SiteId, owner: SiteId) -> SiteId:
         row = self.counters[f]
         _bump(row, requester, self.counter_cap)
         if requester == owner:
-            return MigrationDecision.stay(f, "local")
+            self.reason = "local"
+            return -1
         if self.trigger == "dominance":
             fired = row[requester] > row[owner]
         else:
             self.remote_since_move[f] += 1
             fired = self.remote_since_move[f] > self.t
         if not fired:
-            return MigrationDecision.stay(f, "no-trigger")
+            self.reason = "no-trigger"
+            return -1
         target = row.index(max(row))
         if target == owner:
-            return MigrationDecision.stay(f, "at-target")
-        return MigrationDecision.move(f, topo.next_hop(owner, target), f"toward:{target}")
-
-    def on_migrate(self, fragment: FragmentId, source: SiteId, dest: SiteId) -> None:
-        self.remote_since_move[fragment] = 0
+            self.reason = "at-target"
+            return -1
+        self.remote_since_move[f] = 0
+        self.reason = f"toward:{target}"
+        return self.next_hop[owner][target]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +263,7 @@ class FnaParams:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
 
-class FnaPolicy(MigrationPolicy):
+class FnaPolicy:
     """Fuzzy nearest-neighbour allocation.
 
     Per fragment it maintains an exponentially decayed score vector ``v``
@@ -262,54 +280,66 @@ class FnaPolicy(MigrationPolicy):
     is remote, the target is not already the owner, the normalised score
     gap ``(v[target] - v[owner]) / (|v|_1 + eps)`` reaches ``min_gap``,
     and the inhibition stays at or below ``inhibition_cutoff``.
+
+    Scores are plain float lists: the per-access decay and bump are
+    elementwise, so they round exactly as numpy would. The two norms at
+    evaluation time go through ``np.sum``, whose pairwise order differs
+    from a sequential ``sum`` in the last bit.
     """
 
     name = "fna"
+    reason = ""
+    inhibition = None
 
-    def __init__(self, num_fragments: int, num_sites: int, params: FnaParams = FnaParams()):
+    def __init__(self, num_fragments: int, next_hop: list[list[SiteId]], params: FnaParams = FnaParams()):
         self.params = params
-        self.vectors = np.zeros((num_fragments, num_sites))
-        self._prev = np.zeros((num_fragments, num_sites))
+        self.next_hop = next_hop
+        num_sites = len(next_hop)
+        self.vectors: list[list[float]] = [[0.0] * num_sites for _ in range(num_fragments)]
+        self._prev: list[list[float]] = [[0.0] * num_sites for _ in range(num_fragments)]
         self._since_eval = [0] * num_fragments
         self._history: list[deque] = [deque(maxlen=params.history) for _ in range(num_fragments)]
 
-    def on_access(self, placement: Placement, topo: Topology, event: AccessEvent) -> MigrationDecision:
-        f = event.fragment
-        owner = placement.owner_of(f)
-        v = self.vectors[f]
-        v *= self.params.decay
-        v[event.requester] += 1.0
+    def decide(self, f: int, requester: SiteId, owner: SiteId) -> SiteId:
+        p = self.params
+        decay = p.decay
+        self.vectors[f] = v = [x * decay for x in self.vectors[f]]
+        v[requester] += 1.0
         self._since_eval[f] += 1
-        if self._since_eval[f] < self.params.window:
-            return MigrationDecision.stay(f, "local" if event.requester == owner else "no-eval")
-        dest, reason, inhibition = self._evaluate(f, owner, topo)
-        self._prev[f] = v  # row assignment copies the values
+        if self._since_eval[f] < p.window:
+            self.reason = "local" if requester == owner else "no-eval"
+            self.inhibition = None
+            return -1
+        dest = self._evaluate(f, owner)
+        self._prev[f] = v[:]
         self._since_eval[f] = 0
-        if event.requester == owner:
-            return MigrationDecision.stay(f, "local", inhibition)
-        if dest is None:
-            return MigrationDecision.stay(f, reason, inhibition)
-        return MigrationDecision.move(f, dest, reason, inhibition)
+        if requester == owner:
+            self.reason = "local"
+            return -1
+        if dest >= 0:
+            self._history[f].append(dest)
+        return dest
 
-    def _evaluate(self, f: FragmentId, owner: SiteId, topo: Topology):
+    def _evaluate(self, f: int, owner: SiteId) -> SiteId:
+        """Set ``reason`` and ``inhibition``; return the hop to take or -1."""
         p = self.params
         v = self.vectors[f]
-        total = float(v.sum()) + p.eps
-        churn = min(1.0, float(np.abs(v - self._prev[f]).sum()) / total)
-        inhibition = oscillation_inhibition(churn, alternation_score(self._history[f]))
-        target = int(np.argmax(v))
+        row = np.array(v)
+        total = float(row.sum()) + p.eps
+        churn = min(1.0, float(np.abs(row - self._prev[f]).sum()) / total)
+        self.inhibition = oscillation_inhibition(churn, alternation_score(self._history[f]))
+        target = v.index(max(v))
         if target == owner:
-            return None, "at-target", inhibition
-        gap = (float(v[target]) - float(v[owner])) / total
-        if gap < p.min_gap:
-            return None, "gap-below-min", inhibition
-        if inhibition > p.inhibition_cutoff:
-            return None, "inhibited", inhibition
-        return topo.next_hop(owner, target), f"toward:{target}", inhibition
-
-    def on_migrate(self, fragment: FragmentId, source: SiteId, dest: SiteId) -> None:
-        self._history[fragment].append(dest)
-        self._since_eval[fragment] = 0
+            self.reason = "at-target"
+            return -1
+        if (v[target] - v[owner]) / total < p.min_gap:
+            self.reason = "gap-below-min"
+            return -1
+        if self.inhibition > p.inhibition_cutoff:
+            self.reason = "inhibited"
+            return -1
+        self.reason = f"toward:{target}"
+        return self.next_hop[owner][target]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +357,8 @@ class PolicySpec:
     fna: FnaParams = field(default_factory=FnaParams)
 
 
-def build_policy(spec: PolicySpec, num_fragments: int, num_sites: int) -> MigrationPolicy:
+def build_policy(spec: PolicySpec, num_fragments: int, num_sites: int, next_hop: list[list[SiteId]]):
+    """Instantiate the policy ``spec`` names; ``next_hop`` is the routing table as lists."""
     if spec.name == "optimal":
         return OptimalPolicy(num_fragments, num_sites, counter_cap=spec.counter_cap)
     if spec.name == "threshold":
@@ -335,7 +366,7 @@ def build_policy(spec: PolicySpec, num_fragments: int, num_sites: int) -> Migrat
             raise ValueError("threshold policy needs t")
         return ThresholdPolicy(num_fragments, spec.t)
     if spec.name == "nna":
-        return NnaPolicy(num_fragments, num_sites, trigger=spec.trigger, t=spec.t, counter_cap=spec.counter_cap)
+        return NnaPolicy(num_fragments, next_hop, trigger=spec.trigger, t=spec.t, counter_cap=spec.counter_cap)
     if spec.name == "fna":
-        return FnaPolicy(num_fragments, num_sites, params=spec.fna)
+        return FnaPolicy(num_fragments, next_hop, params=spec.fna)
     raise ValueError(f"unknown policy {spec.name!r}")

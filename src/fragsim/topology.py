@@ -12,18 +12,17 @@ Topologies are loaded from / saved to a small JSON document::
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 SiteId = int
 
 # Relative tolerance used when deciding whether a neighbour lies on a
-# shortest path. Distances come out of one dijkstra run, so anything
+# shortest path. Distances come out of one Dijkstra run, so anything
 # beyond accumulated float rounding means "not on a shortest path".
 _PATH_TOL = 1e-9
 
@@ -108,15 +107,10 @@ class Topology:
             raise SameSiteError(f"no next hop from site {source} to itself")
         return int(self._next_hop[source, target])
 
-    def neighbors(self, site: SiteId) -> tuple[SiteId, ...]:
-        self._check_site(site)
-        out = set()
-        for ln in self._links:
-            if ln.a == site:
-                out.add(ln.b)
-            elif ln.b == site:
-                out.add(ln.a)
-        return tuple(sorted(out))
+    @property
+    def next_hop_matrix(self) -> np.ndarray:
+        """Read-only (n, n) table of :meth:`next_hop`, with -1 on the diagonal."""
+        return self._next_hop
 
     def to_dict(self) -> dict:
         return {"n": self._n, "links": [[ln.a, ln.b, ln.weight] for ln in self._links]}
@@ -165,34 +159,46 @@ def build_topology(n: int, links) -> Topology:
         seen.add(key)
         norm.append(Link(a, b, w))
 
-    dist = _all_pairs_distances(n, norm)
+    # adjacency[s]: (neighbour, weight) pairs sorted by neighbour id
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for ln in norm:
+        adjacency[ln.a].append((ln.b, ln.weight))
+        adjacency[ln.b].append((ln.a, ln.weight))
+    for pairs in adjacency:
+        pairs.sort()
+    dist = _all_pairs_distances(adjacency)
     if not np.all(np.isfinite(dist)):
         raise DisconnectedGraphError("graph is not connected")
-    next_hop_table = _next_hop_table(n, norm, dist)
+    next_hop_table = _next_hop_table(adjacency, dist)
     return Topology(n, tuple(norm), dist, next_hop_table)
 
 
-def _all_pairs_distances(n: int, links: list[Link]) -> np.ndarray:
-    if not links:
-        # A single isolated site is fine; anything more is disconnected.
-        return np.zeros((1, 1)) if n == 1 else np.full((n, n), np.inf)
-    rows = [ln.a for ln in links] + [ln.b for ln in links]
-    cols = [ln.b for ln in links] + [ln.a for ln in links]
-    weights = [ln.weight for ln in links] * 2
-    graph = csr_matrix((weights, (rows, cols)), shape=(n, n))
-    return dijkstra(graph, directed=False)
+def _all_pairs_distances(adjacency: list[list[tuple[int, float]]]) -> np.ndarray:
+    """Dijkstra from every source; unreachable pairs stay at infinity."""
+    n = len(adjacency)
+    rows = []
+    for s in range(n):
+        row = [np.inf] * n
+        row[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > row[u]:
+                continue
+            for v, w in adjacency[u]:
+                if d + w < row[v]:
+                    row[v] = d + w
+                    heapq.heappush(heap, (row[v], v))
+        rows.append(row)
+    return np.array(rows)
 
 
-def _next_hop_table(n: int, links: list[Link], dist: np.ndarray) -> np.ndarray:
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for ln in links:
-        adjacency[ln.a].append((ln.b, ln.weight))
-        adjacency[ln.b].append((ln.a, ln.weight))
+def _next_hop_table(adjacency: list[list[tuple[int, float]]], dist: np.ndarray) -> np.ndarray:
+    n = len(adjacency)
     table = np.full((n, n), -1, dtype=np.int64)
     for s in range(n):
         if not adjacency[s]:
             continue
-        adjacency[s].sort()
         nbr = np.array([u for u, _ in adjacency[s]])
         w = np.array([wt for _, wt in adjacency[s]])
         # candidate[k, t]: cost of reaching t via neighbour k

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocation import AccessEvent, FragmentId
 from .topology import SiteId
 
 _ROW_SUM_TOL = 1e-9
@@ -168,11 +167,11 @@ class EventStream:
                 per_phase.append(cum)
             self._tables.append(per_phase)
 
-    def events_emitted(self, fragment: FragmentId) -> int:
+    def events_emitted(self, fragment: int) -> int:
         return self._emitted[fragment]
 
-    def next_event(self, step: int, fragment: FragmentId) -> Optional[AccessEvent]:
-        """One Bernoulli(rate) trial; returns the event or None.
+    def next_event(self, fragment: int) -> Optional[SiteId]:
+        """One Bernoulli(rate) trial; returns the requesting site or None.
 
         The rate draw happens even when ``rate == 1.0`` so that the same
         seed walks the same RNG sequence regardless of thinning.
@@ -189,4 +188,4 @@ class EventStream:
         u = rng.random() * cum[-1]
         requester = self._sites[bisect_right(cum, u)]
         self._emitted[fragment] = emitted + 1
-        return AccessEvent(step, fragment, requester)
+        return requester

@@ -13,10 +13,9 @@ import random
 import statistics
 import time
 
-from fragsim.allocation import AccessEvent, Fragment, Placement, apply_migration
 from fragsim.cli import main
 from fragsim.config import resolve_run
-from fragsim.engine import SimConfig, run
+from fragsim.engine import Fragment, SimConfig, run
 from fragsim.fixtures import reference_topology, site_name, write_fixtures
 from fragsim.oracle import ChainParams, brute_force_stationary, threshold_stationary
 from fragsim.policies import PolicySpec, build_policy
@@ -158,26 +157,25 @@ def test_06_optimal_owner_holds_counter_row_max():
     for _ in range(10):
         n = rng.randint(3, 8)
         topo, _ = _random_connected_topology(rng, n)
-        policy = build_policy(PolicySpec("optimal"), 1, n)
-        placement = Placement({0: rng.randrange(n)})
+        policy = build_policy(PolicySpec("optimal"), 1, n, topo.next_hop_matrix.tolist())
+        owner = rng.randrange(n)
         shadow = [0] * n
         hot = rng.randrange(n)
         for step in range(100_000):
             if step % 2_000 == 0:
                 hot = rng.randrange(n)
             req = hot if rng.random() < 0.5 else rng.randrange(n)
-            owner = placement.owner[0]
             shadow[req] += 1
-            decision = policy.on_access(placement, topo, AccessEvent(step, 0, req))
+            dest = policy.decide(0, req, owner)
             dominant = req != owner and shadow[req] > shadow[owner]
-            if decision.is_move != dominant or (decision.is_move and decision.dest != req):
-                violation = f"event {events}: move={decision.is_move} dest={decision.dest} dominant={dominant}"
+            if (dest >= 0) != dominant or (dest >= 0 and dest != req):
+                violation = f"event {events}: move={dest >= 0} dest={dest} dominant={dominant}"
                 break
-            if decision.is_move:
-                apply_migration(placement, decision, policy)
+            if dest >= 0:
+                owner = dest
                 moves += 1
-            if shadow[placement.owner[0]] != max(shadow):
-                violation = f"event {events}: owner count {shadow[placement.owner[0]]} < max {max(shadow)}"
+            if shadow[owner] != max(shadow):
+                violation = f"event {events}: owner count {shadow[owner]} < max {max(shadow)}"
                 break
             events += 1
         if violation:

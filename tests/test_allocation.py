@@ -1,17 +1,9 @@
+"""Per-fragment allocation state: fragment sizes and saturating counters."""
+
 import pytest
 
-from fragsim.allocation import (
-    AccessEvent,
-    DestEqualsOwnerError,
-    Fragment,
-    MigrationDecision,
-    MigrationPolicy,
-    Placement,
-    UnknownFragmentError,
-    apply_migration,
-)
+from fragsim.engine import Fragment
 from fragsim.policies import OptimalPolicy
-from fragsim.topology import complete_topology
 
 
 class TestFragment:
@@ -26,95 +18,11 @@ class TestFragment:
             Fragment(1, -2.0)
 
 
-class TestPlacement:
-    def test_owner_lookup(self):
-        pl = Placement({0: 3, 1: 1})
-        assert pl.owner_of(0) == 3
-        assert pl.owner_of(1) == 1
-        assert len(pl) == 2
-        assert 0 in pl and 2 not in pl
-        assert sorted(pl.fragments()) == [0, 1]
-
-    def test_unknown_fragment(self):
-        pl = Placement({0: 0})
-        with pytest.raises(UnknownFragmentError):
-            pl.owner_of(7)
-
-    def test_move_changes_single_owner(self):
-        pl = Placement({0: 0, 1: 2})
-        pl.move(0, 4)
-        assert pl.owner_of(0) == 4
-        assert pl.owner_of(1) == 2, "other fragments are untouched"
-
-    def test_move_to_current_owner_rejected(self):
-        pl = Placement({0: 2})
-        with pytest.raises(DestEqualsOwnerError):
-            pl.move(0, 2)
-
-    def test_as_dict_is_a_copy(self):
-        pl = Placement({0: 1})
-        snapshot = pl.as_dict()
-        pl.move(0, 0)
-        assert snapshot == {0: 1}
-
-
-class TestMigrationDecision:
-    def test_stay(self):
-        d = MigrationDecision.stay(3, "local")
-        assert not d.is_move
-        assert d.dest is None
-        assert d.fragment == 3
-        assert d.reason == "local"
-
-    def test_move(self):
-        d = MigrationDecision.move(0, 5, "dominance")
-        assert d.is_move
-        assert d.dest == 5
-
-    def test_stay_carries_inhibition(self):
-        d = MigrationDecision.stay(0, "inhibited", inhibition=0.75)
-        assert d.inhibition == 0.75
-
-
-class _RecordingPolicy(MigrationPolicy):
-    name = "recording"
-
-    def __init__(self):
-        self.migrations = []
-
-    def on_access(self, placement, topo, event):
-        return MigrationDecision.stay(event.fragment)
-
-    def on_migrate(self, fragment, source, dest):
-        self.migrations.append((fragment, source, dest))
-
-
-class TestApplyMigration:
-    def test_moves_and_notifies_policy(self):
-        pl = Placement({0: 1})
-        policy = _RecordingPolicy()
-        apply_migration(pl, MigrationDecision.move(0, 4), policy)
-        assert pl.owner_of(0) == 4
-        assert policy.migrations == [(0, 1, 4)]
-
-    def test_stay_decision_rejected(self):
-        pl = Placement({0: 1})
-        with pytest.raises(ValueError):
-            apply_migration(pl, MigrationDecision.stay(0))
-
-    def test_policy_optional(self):
-        pl = Placement({0: 1})
-        apply_migration(pl, MigrationDecision.move(0, 0))
-        assert pl.owner_of(0) == 0
-
-
 class TestCounterCap:
     def test_saturates_instead_of_growing(self):
-        topo = complete_topology(3)
-        pl = Placement({0: 0})
         policy = OptimalPolicy(1, 3, counter_cap=10)
-        for step in range(25):
-            policy.on_access(pl, topo, AccessEvent(step, 0, 0))
+        for _ in range(25):
+            policy.decide(0, 0, 0)
         assert policy.counters[0][0] == 10
 
     def test_cap_blocks_dominance_forever(self):
@@ -122,26 +30,21 @@ class TestCounterCap:
         # it but never strictly exceed it, so the fragment stops moving
         # no matter how one-sided the workload becomes. This is the
         # saturation anomaly the cap option exists to demonstrate.
-        topo = complete_topology(2)
-        pl = Placement({0: 0})
         policy = OptimalPolicy(1, 2, counter_cap=5)
-        for step in range(5):
-            assert not policy.on_access(pl, topo, AccessEvent(step, 0, 0)).is_move
-        for step in range(5, 105):
-            decision = policy.on_access(pl, topo, AccessEvent(step, 0, 1))
-            assert not decision.is_move
+        for _ in range(5):
+            assert policy.decide(0, 0, 0) == -1
+        for _ in range(100):
+            assert policy.decide(0, 1, 0) == -1
             if policy.counters[0][1] == 5:
                 assert policy.counters[0][0] == 5, "both stuck at the cap"
         # without a cap the very same sequence migrates as soon as the
         # challenger passes the owner's five accesses
         unbounded = OptimalPolicy(1, 2)
-        pl2 = Placement({0: 0})
-        for step in range(5):
-            unbounded.on_access(pl2, topo, AccessEvent(step, 0, 0))
+        for _ in range(5):
+            unbounded.decide(0, 0, 0)
         moved_at = None
         for k in range(100):
-            decision = unbounded.on_access(pl2, topo, AccessEvent(5 + k, 0, 1))
-            if decision.is_move:
+            if unbounded.decide(0, 1, 0) >= 0:
                 moved_at = k
                 break
         assert moved_at == 5, "sixth remote access exceeds five local ones"

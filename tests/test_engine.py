@@ -3,8 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fragsim.allocation import Fragment
-from fragsim.engine import NoAccessesError, SimConfig, SimMetrics, estimate_os, run
+from fragsim.engine import Fragment, NoAccessesError, SimConfig, SimMetrics, estimate_os, run
 from fragsim.fixtures import reference_topology
 from fragsim.policies import PolicySpec
 from fragsim.topology import build_topology, complete_topology
@@ -210,15 +209,23 @@ class TestDeterminismAndConservation:
         assert a.response_cost == b.response_cost
         assert a.migration_hop_cost == b.migration_hop_cost
 
-    def test_decision_log_reconstructs_ownership(self):
-        metrics = run(self.osc_config(PolicySpec("nna")))
+    @pytest.mark.parametrize(
+        "policy",
+        [PolicySpec("optimal"), PolicySpec("threshold", t=3), PolicySpec("nna"), PolicySpec("fna")],
+        ids=lambda spec: spec.name,
+    )
+    def test_decision_log_reconstructs_ownership(self, policy):
+        metrics = run(self.osc_config(policy))
         owner = 0
         moves = 0
         for rec in metrics.decision_log:
             assert rec.owner_before == owner
             if rec.action == "move":
+                assert rec.dest != rec.owner_before, "a move never targets the current owner"
                 owner = rec.dest
                 moves += 1
+            else:
+                assert rec.dest is None
         assert owner == metrics.final_owners[0]
         assert moves == metrics.migrations
         assert sum(metrics.residency) == metrics.accesses_total

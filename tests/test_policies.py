@@ -2,12 +2,10 @@
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragsim.allocation import AccessEvent, Placement, apply_migration
 from fragsim.fixtures import reference_topology
 from fragsim.policies import (
     FnaParams,
@@ -26,51 +24,57 @@ from fragsim.policies import (
 from fragsim.topology import build_topology, complete_topology
 
 
-def drive(policy, topo, initial_owner, requesters, fragment=0):
-    """Feed a requester sequence through a policy, applying its moves."""
-    placement = Placement({fragment: initial_owner})
-    owners = [initial_owner]
-    decisions = []
-    for step, requester in enumerate(requesters):
-        decision = policy.on_access(placement, topo, AccessEvent(step, fragment, requester))
-        decisions.append(decision)
-        if decision.is_move:
-            apply_migration(placement, decision, policy)
-            owners.append(placement.owner_of(fragment))
-    return placement, owners, decisions
+def hops(topo):
+    """The topology's next-hop table as the lists nna and fna route with."""
+    return topo.next_hop_matrix.tolist()
+
+
+def drive(policy, initial_owner, requesters, fragment=0):
+    """Feed a requester sequence through a policy, applying its moves.
+
+    Returns the owner sequence, and per access the destination (-1 for a
+    stay) and the policy's reason.
+    """
+    owner = initial_owner
+    owners = [owner]
+    dests = []
+    reasons = []
+    for requester in requesters:
+        dest = policy.decide(fragment, requester, owner)
+        dests.append(dest)
+        reasons.append(policy.reason)
+        if dest >= 0:
+            assert dest != owner, "a move never targets the current owner"
+            owner = dest
+            owners.append(owner)
+    return owners, dests, reasons
 
 
 class TestOptimal:
     def test_first_remote_access_wins_fresh_counters(self):
-        topo = complete_topology(3)
         policy = OptimalPolicy(1, 3)
-        _, owners, decisions = drive(policy, topo, 0, [2])
-        assert decisions[0].is_move and decisions[0].dest == 2
+        owners, dests, _ = drive(policy, 0, [2])
+        assert dests[0] == 2
         assert owners == [0, 2]
 
     def test_strict_dominance_required(self):
-        topo = complete_topology(2)
         policy = OptimalPolicy(1, 2)
         # owner banks 4 accesses; challenger ties at 4, moves on the 5th
-        _, owners, decisions = drive(policy, topo, 0, [0, 0, 0, 0, 1, 1, 1, 1, 1])
-        moves = [d for d in decisions if d.is_move]
+        _, dests, _ = drive(policy, 0, [0, 0, 0, 0, 1, 1, 1, 1, 1])
+        moves = [d for d in dests if d >= 0]
         assert len(moves) == 1
-        assert decisions[-1].is_move, "only the access that breaks the tie migrates"
+        assert dests[-1] >= 0, "only the access that breaks the tie migrates"
         assert policy.counters[0] == [4, 5]
 
     def test_local_access_never_moves(self):
-        topo = complete_topology(4)
         policy = OptimalPolicy(1, 4)
-        placement = Placement({0: 1})
-        decision = policy.on_access(placement, topo, AccessEvent(0, 0, 1))
-        assert not decision.is_move
-        assert decision.reason == "local"
+        assert policy.decide(0, 1, 1) == -1
+        assert policy.reason == "local"
         assert policy.counters[0][1] == 1, "local accesses still count"
 
     def test_counters_travel_with_fragment(self):
-        topo = complete_topology(3)
         policy = OptimalPolicy(1, 3)
-        _, owners, _ = drive(policy, topo, 0, [1, 2, 2])
+        owners, _, _ = drive(policy, 0, [1, 2, 2])
         # after moving to 1 the old row keeps informing decisions
         assert owners == [0, 1, 2]
         assert policy.counters[0] == [0, 1, 2]
@@ -82,45 +86,40 @@ class TestOptimal:
     @settings(max_examples=80, deadline=None)
     def test_owner_counter_is_weak_row_max(self, num_sites, requesters):
         requesters = [r % num_sites for r in requesters]
-        topo = complete_topology(num_sites)
         policy = OptimalPolicy(1, num_sites)
-        placement = Placement({0: 0})
-        for step, requester in enumerate(requesters):
+        owner = 0
+        for requester in requesters:
             before = list(policy.counters[0])
-            owner = placement.owner_of(0)
-            decision = policy.on_access(placement, topo, AccessEvent(step, 0, requester))
+            dest = policy.decide(0, requester, owner)
             after = list(policy.counters[0])
             expected_moved = requester != owner and after[requester] > before[owner]
-            assert decision.is_move == expected_moved
-            if decision.is_move:
-                apply_migration(placement, decision, policy)
-            assert after[placement.owner_of(0)] == max(after)
+            assert (dest >= 0) == expected_moved
+            if dest >= 0:
+                owner = dest
+            assert after[owner] == max(after)
 
 
 class TestThreshold:
     def test_local_access_resets_counter(self):
-        topo = complete_topology(3)
         policy = ThresholdPolicy(1, t=3)
-        placement = Placement({0: 0})
-        for step, req in enumerate([1, 1, 1]):
-            policy.on_access(placement, topo, AccessEvent(step, 0, req))
+        for req in [1, 1, 1]:
+            policy.decide(0, req, 0)
         assert policy.counts[0] == 3
-        policy.on_access(placement, topo, AccessEvent(3, 0, 0))
+        policy.decide(0, 0, 0)
         assert policy.counts[0] == 0
 
     def test_migration_on_exceeding_t(self):
-        topo = complete_topology(3)
         policy = ThresholdPolicy(1, t=3)
-        _, owners, decisions = drive(policy, topo, 0, [1, 2, 1, 2])
-        assert [d.is_move for d in decisions] == [False, False, False, True]
+        owners, dests, reasons = drive(policy, 0, [1, 2, 1, 2])
+        assert [d >= 0 for d in dests] == [False, False, False, True]
+        assert reasons == ["below-threshold"] * 3 + ["threshold-exceeded"]
         assert owners == [0, 2], "fragment jumps to the requester that broke the threshold"
         assert policy.counts[0] == 0
 
     def test_t_zero_chases_every_remote_access(self):
-        topo = complete_topology(4)
         policy = ThresholdPolicy(1, t=0)
         seq = [3, 1, 1, 2, 0]
-        _, owners, _ = drive(policy, topo, 0, seq)
+        owners, _, _ = drive(policy, 0, seq)
         assert owners == [0, 3, 1, 2, 0]
 
     def test_negative_t_rejected(self):
@@ -133,86 +132,78 @@ class TestThreshold:
     )
     @settings(max_examples=80, deadline=None)
     def test_counter_stays_within_bounds_and_t0_tracks_last_requester(self, t, requesters):
-        topo = complete_topology(4)
         policy = ThresholdPolicy(1, t=t)
-        placement = Placement({0: 0})
+        owner = 0
         consecutive = 0
-        for step, requester in enumerate(requesters):
-            owner = placement.owner_of(0)
-            decision = policy.on_access(placement, topo, AccessEvent(step, 0, requester))
+        for requester in requesters:
+            dest = policy.decide(0, requester, owner)
             if requester == owner:
                 consecutive = 0
             else:
                 consecutive += 1
                 if consecutive > t:
-                    assert decision.is_move and decision.dest == requester
+                    assert dest == requester
                     consecutive = 0
                 else:
-                    assert not decision.is_move
-            if decision.is_move:
-                apply_migration(placement, decision, policy)
+                    assert dest == -1
+            if dest >= 0:
+                owner = dest
             assert 0 <= policy.counts[0] <= t
         if t == 0:
-            assert placement.owner_of(0) == requesters[-1]
+            assert owner == requesters[-1]
 
 
 class TestNna:
     def test_moves_one_hop_toward_dominating_site(self):
         # path 0-1-2: requester 2 dominates, fragment hops to 1 first
         topo = build_topology(3, [(0, 1), (1, 2)])
-        policy = NnaPolicy(1, 3)
-        _, owners, decisions = drive(policy, topo, 0, [2, 2])
-        assert decisions[0].is_move and decisions[0].dest == 1
-        assert decisions[0].reason == "toward:2"
+        policy = NnaPolicy(1, hops(topo))
+        owners, dests, reasons = drive(policy, 0, [2, 2])
+        assert dests[0] == 1
+        assert reasons[0] == "toward:2"
         assert owners == [0, 1, 2]
 
     def test_walkthrough_on_reference_topology(self):
         # fragment starts at A(0); all traffic comes from E(4), G(6),
         # H(7), I(8), so it walks A -> C -> B -> G whatever the order
-        topo = reference_topology()
-        policy = NnaPolicy(1, 9)
+        policy = NnaPolicy(1, hops(reference_topology()))
         rng = random.Random(3)
         requesters = [rng.choice([4, 6, 7, 8]) for _ in range(60)]
-        _, owners, _ = drive(policy, topo, 0, requesters)
+        owners, _, _ = drive(policy, 0, requesters)
         assert owners[:4] == [0, 2, 1, 6]
 
     def test_argmax_tie_breaks_to_lowest_site(self):
-        topo = complete_topology(4)
-        placement = Placement({0: 0})
-        policy = NnaPolicy(1, 4)
+        policy = NnaPolicy(1, hops(complete_topology(4)))
         policy.counters[0] = [0, 5, 5, 4]
-        decision = policy.on_access(placement, topo, AccessEvent(0, 0, 3))
+        dest = policy.decide(0, 3, 0)
         # requester 3 climbs to 5 too: three sites tied at the top, the
         # lowest-numbered one is chosen as the walk target
-        assert decision.is_move
-        assert decision.reason == "toward:1"
-        assert decision.dest == 1
+        assert dest == 1
+        assert policy.reason == "toward:1"
 
     def test_threshold_trigger_counts_remote_accesses(self):
         topo = build_topology(3, [(0, 1), (1, 2)])
-        policy = NnaPolicy(1, 3, trigger="threshold", t=2)
-        _, owners, decisions = drive(policy, topo, 0, [2, 2, 2, 2])
-        assert [d.is_move for d in decisions] == [False, False, True, False]
+        policy = NnaPolicy(1, hops(topo), trigger="threshold", t=2)
+        owners, dests, _ = drive(policy, 0, [2, 2, 2, 2])
+        assert [d >= 0 for d in dests] == [False, False, True, False]
         # after the move to 1, remote count restarts; 4th access is 1 of 3
         assert owners == [0, 1]
         assert policy.remote_since_move[0] == 1
 
     def test_threshold_trigger_requires_t(self):
         with pytest.raises(ValueError):
-            NnaPolicy(1, 3, trigger="threshold")
+            NnaPolicy(1, hops(complete_topology(3)), trigger="threshold")
 
     def test_unknown_trigger_rejected(self):
         with pytest.raises(ValueError):
-            NnaPolicy(1, 3, trigger="sometimes")
+            NnaPolicy(1, hops(complete_topology(3)), trigger="sometimes")
 
     def test_at_target_stays_put(self):
         topo = build_topology(3, [(0, 1), (1, 2)])
-        policy = NnaPolicy(1, 3, trigger="threshold", t=0)
-        placement = Placement({0: 1})
+        policy = NnaPolicy(1, hops(topo), trigger="threshold", t=0)
         policy.counters[0] = [0, 10, 0]  # owner already holds the max
-        decision = policy.on_access(placement, topo, AccessEvent(0, 0, 2))
-        assert not decision.is_move
-        assert decision.reason == "at-target"
+        assert policy.decide(0, 2, 1) == -1
+        assert policy.reason == "at-target"
 
     @given(
         requesters=st.lists(st.integers(0, 8), min_size=1, max_size=200),
@@ -220,17 +211,17 @@ class TestNna:
     @settings(max_examples=60, deadline=None)
     def test_every_move_is_one_hop_toward_the_argmax(self, requesters):
         topo = reference_topology()
-        policy = NnaPolicy(1, 9)
-        placement = Placement({0: 0})
-        for step, requester in enumerate(requesters):
-            owner = placement.owner_of(0)
-            decision = policy.on_access(placement, topo, AccessEvent(step, 0, requester))
-            if decision.is_move:
-                target = int(decision.reason.split(":")[1])
-                assert decision.dest in topo.neighbors(owner)
-                assert decision.dest == topo.next_hop(owner, target)
+        links = {(ln.a, ln.b) for ln in topo.links} | {(ln.b, ln.a) for ln in topo.links}
+        policy = NnaPolicy(1, hops(topo))
+        owner = 0
+        for requester in requesters:
+            dest = policy.decide(0, requester, owner)
+            if dest >= 0:
+                target = int(policy.reason.split(":")[1])
+                assert (owner, dest) in links
+                assert dest == topo.next_hop(owner, target)
                 assert policy.counters[0][target] == max(policy.counters[0])
-                apply_migration(placement, decision, policy)
+                owner = dest
 
 
 class TestFuzzyPieces:
@@ -274,68 +265,58 @@ class TestFuzzyPieces:
 
 class TestFna:
     def test_decay_and_bump(self):
-        topo = complete_topology(3)
-        policy = FnaPolicy(1, 3, FnaParams(window=100))
-        placement = Placement({0: 0})
-        policy.on_access(placement, topo, AccessEvent(0, 0, 1))
-        policy.on_access(placement, topo, AccessEvent(1, 0, 2))
+        policy = FnaPolicy(1, hops(complete_topology(3)), FnaParams(window=100))
+        policy.decide(0, 1, 0)
+        policy.decide(0, 2, 0)
         assert policy.vectors[0] == pytest.approx([0.0, 0.95, 1.0])
 
     def test_moves_one_hop_toward_best_scoring_site(self):
         topo = build_topology(3, [(0, 1), (1, 2)])
-        policy = FnaPolicy(1, 3, FnaParams(window=1))
-        placement = Placement({0: 0})
-        decision = policy.on_access(placement, topo, AccessEvent(0, 0, 2))
-        assert decision.is_move and decision.dest == 1
-        assert decision.reason == "toward:2"
+        policy = FnaPolicy(1, hops(topo), FnaParams(window=1))
+        assert policy.decide(0, 2, 0) == 1
+        assert policy.reason == "toward:2"
+        assert list(policy._history[0]) == [1], "the move is recorded in the history"
 
     def test_local_access_always_stays(self):
         topo = build_topology(3, [(0, 1), (1, 2)])
-        policy = FnaPolicy(1, 3, FnaParams(window=1))
-        placement = Placement({0: 0})
-        policy.vectors[0] = np.array([0.0, 0.0, 50.0])  # evaluation wants to leave
-        decision = policy.on_access(placement, topo, AccessEvent(0, 0, 0))
-        assert not decision.is_move
-        assert decision.reason == "local"
-        assert decision.inhibition is not None, "the evaluation still ran"
+        policy = FnaPolicy(1, hops(topo), FnaParams(window=1))
+        policy.vectors[0] = [0.0, 0.0, 50.0]  # evaluation wants to leave
+        assert policy.decide(0, 0, 0) == -1
+        assert policy.reason == "local"
+        assert policy.inhibition is not None, "the evaluation still ran"
 
     def test_small_gap_blocks_the_move(self):
         topo = build_topology(2, [(0, 1)])
-        policy = FnaPolicy(1, 2, FnaParams(window=2, min_gap=0.05))
-        placement = Placement({0: 0})
-        policy.on_access(placement, topo, AccessEvent(0, 0, 0))
-        decision = policy.on_access(placement, topo, AccessEvent(1, 0, 1))
+        policy = FnaPolicy(1, hops(topo), FnaParams(window=2, min_gap=0.05))
+        policy.decide(0, 0, 0)
         # scores 0.95 vs 1.0: gap just over 0.025, below min_gap
-        assert not decision.is_move
-        assert decision.reason == "gap-below-min"
+        assert policy.decide(0, 1, 0) == -1
+        assert policy.reason == "gap-below-min"
 
     def test_inhibited_when_history_is_ping_pong_and_scores_churn(self):
         topo = build_topology(3, [(0, 1), (1, 2)])
-        policy = FnaPolicy(1, 3, FnaParams(window=1))
-        placement = Placement({0: 0})
-        for dest in [1, 2, 1, 2, 1, 2]:
-            policy.on_migrate(0, 0, dest)  # plant a perfect alternation
-        decision = policy.on_access(placement, topo, AccessEvent(0, 0, 2))
-        assert not decision.is_move
-        assert decision.reason == "inhibited"
-        assert decision.inhibition == pytest.approx(1.0)
+        policy = FnaPolicy(1, hops(topo), FnaParams(window=1))
+        policy._history[0].extend([1, 2, 1, 2, 1, 2])  # plant a perfect alternation
+        assert policy.decide(0, 2, 0) == -1
+        assert policy.reason == "inhibited"
+        assert policy.inhibition == pytest.approx(1.0)
 
     def test_between_windows_nothing_happens(self):
-        topo = complete_topology(3)
-        policy = FnaPolicy(1, 3, FnaParams(window=5))
-        placement = Placement({0: 0})
-        for step in range(4):
-            decision = policy.on_access(placement, topo, AccessEvent(step, 0, 2))
-            assert not decision.is_move
-            assert decision.reason == "no-eval"
-        decision = policy.on_access(placement, topo, AccessEvent(4, 0, 2))
-        assert decision.is_move, "fifth event completes the window"
+        policy = FnaPolicy(1, hops(complete_topology(3)), FnaParams(window=5))
+        for _ in range(4):
+            assert policy.decide(0, 2, 0) == -1
+            assert policy.reason == "no-eval"
+            assert policy.inhibition is None
+        assert policy.decide(0, 2, 0) >= 0, "fifth event completes the window"
 
     def test_history_is_bounded(self):
-        policy = FnaPolicy(1, 3, FnaParams(history=4))
-        for k in range(10):
-            policy.on_migrate(0, 0, 1 + k % 2)
-        assert len(policy._history[0]) == 4
+        # on the path 0-1-...-10 with every access from site 10, each
+        # evaluation takes one more hop; only the last four are kept
+        path = build_topology(11, [(k, k + 1) for k in range(10)])
+        policy = FnaPolicy(1, hops(path), FnaParams(window=1, history=4))
+        owners, _, _ = drive(policy, 0, [10] * 10)
+        assert owners == list(range(11))
+        assert list(policy._history[0]) == [7, 8, 9, 10]
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -356,15 +337,18 @@ class TestFna:
 
 class TestBuildPolicy:
     def test_builds_each_kind(self):
-        assert isinstance(build_policy(PolicySpec("optimal"), 1, 3), OptimalPolicy)
-        assert isinstance(build_policy(PolicySpec("threshold", t=2), 1, 3), ThresholdPolicy)
-        assert isinstance(build_policy(PolicySpec("nna"), 1, 3), NnaPolicy)
-        assert isinstance(build_policy(PolicySpec("fna"), 1, 3), FnaPolicy)
+        table = hops(complete_topology(3))
+        assert isinstance(build_policy(PolicySpec("optimal"), 1, 3, table), OptimalPolicy)
+        assert isinstance(build_policy(PolicySpec("threshold", t=2), 1, 3, table), ThresholdPolicy)
+        nna = build_policy(PolicySpec("nna"), 1, 3, table)
+        assert isinstance(nna, NnaPolicy) and nna.next_hop is table
+        fna = build_policy(PolicySpec("fna"), 1, 3, table)
+        assert isinstance(fna, FnaPolicy) and fna.next_hop is table
 
     def test_threshold_needs_t(self):
         with pytest.raises(ValueError):
-            build_policy(PolicySpec("threshold"), 1, 3)
+            build_policy(PolicySpec("threshold"), 1, 3, hops(complete_topology(3)))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            build_policy(PolicySpec("greedy"), 1, 3)
+            build_policy(PolicySpec("greedy"), 1, 3, hops(complete_topology(3)))

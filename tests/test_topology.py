@@ -120,7 +120,7 @@ class TestConstruction:
         assert topo.next_hop(0, 2) == 1
         assert topo.next_hop(2, 0) == 1
         assert topo.next_hop(1, 0) == 0
-        assert topo.neighbors(1) == (0, 2)
+        assert [(ln.a, ln.b) for ln in topo.links] == [(0, 1), (1, 2)], "site 1 neighbours 0 and 2"
 
     def test_default_weight_is_one(self):
         topo = build_topology(2, [(0, 1)])

@@ -16,12 +16,13 @@ from fragsim.workload import (
 
 
 def draw_events(spec, num_steps, fragment=0):
+    """Requesters of the events one fragment emits over ``num_steps`` trials."""
     stream = EventStream(spec)
     out = []
-    for step in range(num_steps):
-        ev = stream.next_event(step, fragment)
-        if ev is not None:
-            out.append(ev)
+    for _ in range(num_steps):
+        requester = stream.next_event(fragment)
+        if requester is not None:
+            out.append(requester)
     return out
 
 
@@ -104,7 +105,7 @@ class TestEventStream:
         spec = WorkloadSpec(np.array([[0.0, 1.0, 0.0]]), seed=5)
         events = draw_events(spec, 50)
         assert len(events) == 50
-        assert all(ev.requester == 1 for ev in events)
+        assert all(r == 1 for r in events)
 
     def test_same_seed_same_stream(self):
         spec = WorkloadSpec.symmetric(1, 5, 0.28, seed=77)
@@ -120,7 +121,7 @@ class TestEventStream:
     def test_events_emitted_counter(self):
         spec = WorkloadSpec(np.array([[1.0]]), rate=0.5, seed=3)
         stream = EventStream(spec)
-        emitted = sum(1 for step in range(1000) if stream.next_event(step, 0) is not None)
+        emitted = sum(1 for _ in range(1000) if stream.next_event(0) is not None)
         assert stream.events_emitted(0) == emitted
 
     def test_rate_thins_the_stream(self):
@@ -132,16 +133,16 @@ class TestEventStream:
     def test_empirical_frequencies_match_probabilities(self):
         spec = WorkloadSpec.symmetric(1, 5, 0.28, seed=123)
         events = draw_events(spec, 20_000)
-        hot = sum(1 for ev in events if ev.requester == 0)
+        hot = sum(1 for r in events if r == 0)
         sigma = math.sqrt(20_000 * 0.28 * 0.72)
         assert abs(hot - 20_000 * 0.28) <= 4 * sigma
 
     def test_active_set_restricts_and_renormalizes(self):
         spec = WorkloadSpec(np.array([[0.1, 0.2, 0.3, 0.4]]), active=(1, 3), seed=21)
         events = draw_events(spec, 20_000)
-        assert {ev.requester for ev in events} == {1, 3}
+        assert set(events) == {1, 3}
         # ratios 0.2 : 0.4 renormalise to 1/3 : 2/3
-        freq1 = sum(1 for ev in events if ev.requester == 1) / len(events)
+        freq1 = sum(1 for r in events if r == 1) / len(events)
         sigma = math.sqrt((1 / 3) * (2 / 3) / len(events))
         assert abs(freq1 - 1 / 3) <= 4 * sigma
 
@@ -156,10 +157,8 @@ class TestEventStream:
             oscillation=Oscillation(0, 1, period=5),
             seed=4,
         )
-        events = draw_events(spec, 30)
-        requesters = [ev.requester for ev in events]
         expected = ([0] * 5 + [1] * 5) * 3
-        assert requesters == expected
+        assert draw_events(spec, 30) == expected
 
     def test_oscillation_period_counts_emitted_events_not_steps(self):
         # with rate 0.5 the phase boundary still falls after 5 events
@@ -169,8 +168,7 @@ class TestEventStream:
             oscillation=Oscillation(0, 1, period=5),
             seed=4,
         )
-        events = draw_events(spec, 200)
-        requesters = [ev.requester for ev in events[:20]]
+        requesters = draw_events(spec, 200)[:20]
         assert requesters == [0] * 5 + [1] * 5 + [0] * 5 + [1] * 5
 
     def test_oscillation_preserves_total_mass(self):
@@ -179,7 +177,7 @@ class TestEventStream:
         )
         events = draw_events(spec, 5000)
         # sites 6 and 7 together hold 0.8 + 0.025 of the mass in every phase
-        both = sum(1 for ev in events if ev.requester in (6, 7))
+        both = sum(1 for r in events if r in (6, 7))
         p = 0.8 + (1 - 0.8) / 8
         sigma = math.sqrt(len(events) * p * (1 - p))
         assert abs(both - len(events) * p) <= 4 * sigma
