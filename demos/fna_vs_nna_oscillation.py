@@ -10,7 +10,6 @@ Same seed, same access streams, four policies side by side.
 """
 
 from fragsim import (
-    Fragment,
     Oscillation,
     PolicySpec,
     SimConfig,
@@ -28,7 +27,7 @@ print("  policy        migrations   hop cost   residency at G")
 for token in ("optimal", "threshold:5", "nna", "fna"):
     cfg = SimConfig(
         topology=topo,
-        fragments=[Fragment(i) for i in range(10)],
+        sizes=[1.0] * 10,
         initial_owners=[0] * 10,
         policy=parse_policy_token(token),
         workload=WorkloadSpec.symmetric(

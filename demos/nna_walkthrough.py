@@ -9,7 +9,6 @@ only shuffles between the hub G and its leaves as the lead changes.
 """
 
 from fragsim import (
-    Fragment,
     PolicySpec,
     SimConfig,
     WorkloadSpec,
@@ -25,7 +24,7 @@ for site in (4, 6, 7, 8):
 
 cfg = SimConfig(
     topology=topo,
-    fragments=[Fragment(0)],
+    sizes=[1.0],
     initial_owners=[0],
     policy=PolicySpec("nna"),
     workload=WorkloadSpec(probs=probs, seed=7),

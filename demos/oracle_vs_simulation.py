@@ -9,7 +9,6 @@ configurations and lines the answers up.
 
 from fragsim import (
     ChainParams,
-    Fragment,
     PolicySpec,
     SimConfig,
     WorkloadSpec,
@@ -23,7 +22,7 @@ print("   n   x_s    t    simulated     lumped       brute")
 for n, x_s, t in [(3, 0.5, 2), (5, 0.28, 3), (5, 0.12, 4), (6, 0.4, 1)]:
     cfg = SimConfig(
         topology=complete_topology(n),
-        fragments=[Fragment(0)],
+        sizes=[1.0],
         initial_owners=[0],
         policy=PolicySpec("threshold", t=t),
         workload=WorkloadSpec.symmetric(1, n, x_s, hot=0, seed=42),

@@ -12,7 +12,6 @@ simulated estimate.
 
 from fragsim import (
     ChainParams,
-    Fragment,
     PolicySpec,
     SimConfig,
     WorkloadSpec,
@@ -33,7 +32,7 @@ for k in range(1, 10):
     for t in (0, 3, 10):
         cfg = SimConfig(
             topology=complete_topology(N),
-            fragments=[Fragment(0)],
+            sizes=[1.0],
             initial_owners=[0],
             policy=PolicySpec("threshold", t=t),
             workload=WorkloadSpec.symmetric(1, N, x_s, hot=0, seed=k),

@@ -90,6 +90,18 @@ def _decision_rows(metrics):
         yield [rec.step, rec.fragment, rec.requester, rec.owner_before, rec.action, rec.dest, rec.reason, rec.inhibition]
 
 
+def _simulate(setup):
+    """Run one resolved simulation; a run that samples no access is a config error."""
+    metrics = run_sim(setup.sim)
+    if metrics.accesses_total == 0:
+        sim = setup.sim
+        raise ConfigError(
+            f"config: no accesses were sampled in num_steps={sim.num_steps} at rate={sim.workload.rate}; "
+            "raise num_steps or rate"
+        )
+    return metrics
+
+
 def _effective_seed_override(args) -> int | None:
     if args.seed_override is not None:
         return args.seed_override
@@ -110,7 +122,7 @@ def _cmd_run(args) -> int:
         seed_override=_effective_seed_override(args),
         record_decisions=args.log_decisions,
     )
-    metrics = run_sim(setup.sim)
+    metrics = _simulate(setup)
     out = Path(args.out)
     metrics_path = out / setup.metrics_name
     _write_csv(metrics_path, METRICS_HEADER, [_metrics_row(setup, metrics)])
@@ -128,7 +140,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for value in sweep.values:
         group = [(rep, setup) for (v, rep, setup) in sweep.cells if v == value]
-        results = [(rep, setup, run_sim(setup.sim)) for rep, setup in group]
+        results = [(rep, setup, _simulate(setup)) for rep, setup in group]
         k = len(results)
         mean_os = sum(m.o_s_hat for _, _, m in results) / k
         mean_migrations = sum(m.migrations for _, _, m in results) / k
@@ -165,6 +177,8 @@ def _cmd_oracle(args) -> int:
     t_values = _parse_int_list(args.t, "--t")
     if not xs_values or not t_values:
         raise ConfigError("--x-s and --t must be non-empty")
+    if min(t_values) < 0:
+        raise ConfigError(f"--t: thresholds must be >= 0, got {args.t!r}")
     rows = []
     for x_s in xs_values:
         for t in t_values:
@@ -193,7 +207,7 @@ def _cmd_compare(args) -> int:
             record_decisions=args.log_decisions,
             policy_override=spec,
         )
-        metrics = run_sim(setup.sim)
+        metrics = _simulate(setup)
         rows.append([
             token,
             setup.sim.topology.n,
@@ -227,7 +241,7 @@ def _cmd_fixtures(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fragsim", description="Fragment allocation simulator and analysis tool")
+    parser = argparse.ArgumentParser(prog="fragsim", description="Simulator and analysis tool for fragment allocation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, config=True):

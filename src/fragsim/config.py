@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .engine import Fragment, SimConfig
+from .engine import SimConfig
 from .policies import FnaParams, PolicySpec
 from .topology import Topology, load_topology, topology_from_dict
 from .workload import Oscillation, WorkloadSpec, symmetric_spec
@@ -108,8 +108,8 @@ def resolve_run(
     n = topo.n
 
     frag_doc = doc.get("fragments", {"count": 1, "size": 1.0})
-    fragments = _resolve_fragments(frag_doc)
-    count = len(fragments)
+    sizes = _resolve_sizes(frag_doc)
+    count = len(sizes)
 
     owners = _resolve_owners(doc.get("initial_owners", 0), count, n)
 
@@ -135,7 +135,7 @@ def resolve_run(
 
     sim = SimConfig(
         topology=topo,
-        fragments=fragments,
+        sizes=sizes,
         initial_owners=owners,
         policy=policy_spec,
         workload=workload,
@@ -162,7 +162,7 @@ def resolve_run(
     )
 
 
-def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None, record_decisions: bool = False) -> SweepSetup:
+def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> SweepSetup:
     if "sweep" not in doc:
         raise ConfigError("config: missing required key 'sweep'")
     sweep_doc = doc["sweep"]
@@ -189,7 +189,7 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None, reco
     for value in values:
         varied = _apply_axis(base, axis, value)
         for rep in range(replications):
-            setup = resolve_run(varied, base_dir, seed_override=base_seed + rep, record_decisions=record_decisions)
+            setup = resolve_run(varied, base_dir, seed_override=base_seed + rep)
             cells.append((value, rep, setup))
     return SweepSetup(axis=axis, values=list(values), replications=replications, cells=cells, metrics_name=metrics_name)
 
@@ -206,17 +206,24 @@ def parse_policy_token(token: str) -> PolicySpec:
         if name == "optimal" and len(parts) == 1:
             return PolicySpec("optimal")
         if name == "threshold" and len(parts) == 2:
-            return PolicySpec("threshold", t=int(parts[1]))
+            return PolicySpec("threshold", t=_token_t(parts[1]))
         if name == "nna":
             if len(parts) == 1 or (len(parts) == 2 and parts[1] == "dominance"):
                 return PolicySpec("nna")
             if len(parts) == 3 and parts[1] == "threshold":
-                return PolicySpec("nna", trigger="threshold", t=int(parts[2]))
+                return PolicySpec("nna", trigger="threshold", t=_token_t(parts[2]))
         if name == "fna" and len(parts) == 1:
             return PolicySpec("fna")
     except ValueError as exc:
-        raise ConfigError(f"policies: bad token {token!r} ({exc})") from None
-    raise ConfigError(f"policies: bad token {token!r}")
+        raise ConfigError(f"--policies: bad token {token!r} ({exc})") from None
+    raise ConfigError(f"--policies: bad token {token!r}")
+
+
+def _token_t(text: str) -> int:
+    t = int(text)
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +238,7 @@ def _resolve_topology(block, base_dir) -> Topology:
     raise ConfigError("config.topology: must be a file path or an inline object")
 
 
-def _resolve_fragments(block) -> list:
+def _resolve_sizes(block) -> list:
     ctx = "config.fragments"
     if not isinstance(block, dict):
         raise ConfigError(f"{ctx}: must be an object")
@@ -246,10 +253,10 @@ def _resolve_fragments(block) -> list:
         sizes = [_as_num(s, f"{ctx}.sizes") for s in sizes]
     else:
         sizes = [_num_key(block, ctx, "size", default=1.0)] * count
-    try:
-        return [Fragment(i, sizes[i]) for i in range(count)]
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+    for f, size in enumerate(sizes):
+        if size <= 0:
+            raise ConfigError(f"{ctx}: fragment {f}: size must be positive, got {size}")
+    return sizes
 
 
 def _resolve_owners(block, count: int, n: int) -> list:

@@ -33,22 +33,6 @@ from .topology import SiteId, Topology
 from .workload import EventStream, WorkloadSpec
 
 
-class NoAccessesError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Fragment:
-    """A unit of data; ``size`` scales migration transfer cost."""
-
-    id: int
-    size: float = 1.0
-
-    def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError(f"fragment {self.id}: size must be positive, got {self.size}")
-
-
 class DecisionRecord(NamedTuple):
     step: int
     fragment: int
@@ -63,7 +47,7 @@ class DecisionRecord(NamedTuple):
 @dataclass
 class SimConfig:
     topology: Topology
-    fragments: list[Fragment]
+    sizes: list[float]  # one per fragment; fragment ids are the positions 0..k-1
     initial_owners: list[SiteId]
     policy: PolicySpec
     workload: WorkloadSpec
@@ -77,10 +61,13 @@ class SimConfig:
         n = self.topology.n
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
-        if len(self.fragments) != len(self.initial_owners):
-            raise ValueError("fragments and initial_owners length mismatch")
-        if not self.fragments:
+        if len(self.sizes) != len(self.initial_owners):
+            raise ValueError("sizes and initial_owners length mismatch")
+        if not self.sizes:
             raise ValueError("need at least one fragment")
+        for f, size in enumerate(self.sizes):
+            if size <= 0:
+                raise ValueError(f"fragment {f}: size must be positive, got {size}")
         for owner in self.initial_owners:
             if not (0 <= owner < n):
                 raise ValueError(f"initial owner {owner} out of range for {n} sites")
@@ -90,13 +77,10 @@ class SimConfig:
             raise ValueError(f"per_hop_latency must be positive, got {self.per_hop_latency}")
         if self.workload.num_sites != n:
             raise ValueError(f"workload is over {self.workload.num_sites} sites, topology has {n}")
-        if self.workload.num_fragments != len(self.fragments):
+        if self.workload.num_fragments != len(self.sizes):
             raise ValueError(
-                f"workload describes {self.workload.num_fragments} fragments, config has {len(self.fragments)}"
+                f"workload describes {self.workload.num_fragments} fragments, config has {len(self.sizes)}"
             )
-        for i, frag in enumerate(self.fragments):
-            if frag.id != i:
-                raise ValueError(f"fragment ids must be 0..{len(self.fragments) - 1} in order, got {frag.id} at {i}")
 
 
 @dataclass
@@ -115,31 +99,27 @@ class SimMetrics:
 
     @property
     def o_s_hat(self) -> float:
-        return estimate_os(self, self.designated)
+        """Fraction of accesses that found the fragment resident at ``designated``."""
+        if self.accesses_total == 0:
+            raise ValueError("no accesses were sampled, cannot estimate residency")
+        return self.residency[self.designated] / self.accesses_total
 
     @property
     def avg_move_time(self) -> float:
         return self.migration_hop_cost / max(1, self.migrations)
 
 
-def estimate_os(metrics: SimMetrics, site: SiteId) -> float:
-    """Fraction of accesses that found the fragment resident at ``site``."""
-    if metrics.accesses_total == 0:
-        raise NoAccessesError("no accesses were sampled, cannot estimate residency")
-    return metrics.residency[site] / metrics.accesses_total
-
-
 def run(cfg: SimConfig) -> SimMetrics:
     cfg.validate()
     topo = cfg.topology
     n = topo.n
-    num_fragments = len(cfg.fragments)
+    sizes = cfg.sizes
+    num_fragments = len(sizes)
     policy = build_policy(cfg.policy, num_fragments, n, topo.next_hop_matrix.tolist())
     stream = EventStream(cfg.workload)
 
     dist = topo.distance_matrix.tolist()  # plain lists are faster in the loop
-    sizes = [f.size for f in cfg.fragments]
-    owners = list(cfg.initial_owners)  # fragment ids are 0..num_fragments-1
+    owners = list(cfg.initial_owners)
     latency = cfg.per_hop_latency
     blocking = cfg.migration_blocking
     in_flight_until = [0] * num_fragments

@@ -122,23 +122,6 @@ def brute_force_stationary(params: ChainParams) -> StationaryResult:
     return StationaryResult(o_s=float(pi[0].sum()), pi=pi)
 
 
-def owner_access_probability(n: int, x_d: float, m: int) -> float:
-    """Probability that within ``m`` accesses at least one comes from the owner.
-
-    Under the two-level workload with the fragment parked at the
-    designated site, each access is remote with probability
-    ``(n - 1) * x_d``, so this is ``1 - ((n - 1) * x_d) ** m``.
-    """
-    if n < 2:
-        raise InvalidProbabilityError(f"need at least two sites, got n={n}")
-    if m < 1:
-        raise InvalidProbabilityError(f"m must be >= 1, got {m}")
-    remote = (n - 1) * x_d
-    if x_d < 0 or remote > 1.0 + 1e-12:
-        raise InvalidProbabilityError(f"(n - 1) * x_d must lie in [0, 1], got {remote}")
-    return 1.0 - min(1.0, remote) ** m
-
-
 def _lumped_matrix(params: ChainParams) -> np.ndarray:
     n, t = params.n, params.t
     x_s, x_d = params.x_s, params.x_d

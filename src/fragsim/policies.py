@@ -189,10 +189,6 @@ class NnaPolicy:
 # Fuzzy allocation
 
 
-def membership_low(x: float) -> float:
-    return max(0.0, 1.0 - 2.0 * x)
-
-
 def membership_medium(x: float) -> float:
     return max(0.0, 1.0 - 2.0 * abs(x - 0.5))
 

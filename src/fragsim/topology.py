@@ -5,7 +5,7 @@ Every site is assumed to know the whole topology, so distances and
 next-hop tables are computed once at construction time and reused by the
 simulator for cost accounting and for hop-at-a-time migration routing.
 
-Topologies are loaded from / saved to a small JSON document::
+Topologies are loaded from a small JSON document::
 
     {"n": 4, "links": [[0, 1, 1.0], [1, 2, 2.5], [2, 3, 1.0]]}
 """
@@ -51,10 +51,6 @@ class InvalidSiteError(TopologyError):
     pass
 
 
-class SameSiteError(TopologyError):
-    """Raised when a route from a site to itself is requested."""
-
-
 @dataclass(frozen=True)
 class Link:
     a: SiteId
@@ -62,65 +58,28 @@ class Link:
     weight: float = 1.0
 
 
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Immutable undirected site graph with all-pairs routing tables.
+
+    ``distance_matrix[a, b]`` is the shortest-path distance between two
+    sites. ``next_hop_matrix[source, target]`` is the first site after
+    ``source`` on a shortest path to ``target``, with -1 on the diagonal;
+    ties between equal-cost shortest paths are broken toward the
+    lowest-numbered neighbour, so routing is deterministic. Both arrays
+    are read-only.
 
     Use :func:`build_topology` or :func:`load_topology` to construct one;
     the constructor itself assumes already-validated inputs.
     """
 
-    def __init__(self, n: int, links: tuple[Link, ...], dist: np.ndarray, next_hop_table: np.ndarray):
-        self._n = n
-        self._links = links
-        self._dist = dist
-        self._next_hop = next_hop_table
-        dist.setflags(write=False)
-        next_hop_table.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def links(self) -> tuple[Link, ...]:
-        return self._links
-
-    @property
-    def distance_matrix(self) -> np.ndarray:
-        """Read-only (n, n) matrix of shortest-path distances."""
-        return self._dist
-
-    def distance(self, a: SiteId, b: SiteId) -> float:
-        self._check_site(a)
-        self._check_site(b)
-        return float(self._dist[a, b])
-
-    def next_hop(self, source: SiteId, target: SiteId) -> SiteId:
-        """First site after ``source`` on a shortest path to ``target``.
-
-        Ties between equal-cost shortest paths are broken toward the
-        lowest-numbered neighbour, so routing is deterministic.
-        """
-        self._check_site(source)
-        self._check_site(target)
-        if source == target:
-            raise SameSiteError(f"no next hop from site {source} to itself")
-        return int(self._next_hop[source, target])
-
-    @property
-    def next_hop_matrix(self) -> np.ndarray:
-        """Read-only (n, n) table of :meth:`next_hop`, with -1 on the diagonal."""
-        return self._next_hop
-
-    def to_dict(self) -> dict:
-        return {"n": self._n, "links": [[ln.a, ln.b, ln.weight] for ln in self._links]}
-
-    def _check_site(self, site: SiteId) -> None:
-        if not (0 <= site < self._n):
-            raise InvalidSiteError(f"site {site} out of range for {self._n} sites")
+    n: int
+    links: tuple[Link, ...]
+    distance_matrix: np.ndarray
+    next_hop_matrix: np.ndarray
 
     def __repr__(self) -> str:
-        return f"Topology(n={self._n}, links={len(self._links)})"
+        return f"Topology(n={self.n}, links={len(self.links)})"
 
 
 def build_topology(n: int, links) -> Topology:
@@ -170,6 +129,8 @@ def build_topology(n: int, links) -> Topology:
     if not np.all(np.isfinite(dist)):
         raise DisconnectedGraphError("graph is not connected")
     next_hop_table = _next_hop_table(adjacency, dist)
+    dist.setflags(write=False)
+    next_hop_table.setflags(write=False)
     return Topology(n, tuple(norm), dist, next_hop_table)
 
 
@@ -235,10 +196,6 @@ def load_topology(path) -> Topology:
     if not isinstance(doc, dict):
         raise TopologyError(f"{path}: topology document must be a JSON object")
     return topology_from_dict(doc)
-
-
-def save_topology(topo: Topology, path) -> None:
-    Path(path).write_text(json.dumps(topo.to_dict(), indent=2) + "\n")
 
 
 def complete_topology(n: int, weight: float = 1.0) -> Topology:

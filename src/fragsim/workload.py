@@ -167,9 +167,6 @@ class EventStream:
                 per_phase.append(cum)
             self._tables.append(per_phase)
 
-    def events_emitted(self, fragment: int) -> int:
-        return self._emitted[fragment]
-
     def next_event(self, fragment: int) -> Optional[SiteId]:
         """One Bernoulli(rate) trial; returns the requesting site or None.
 

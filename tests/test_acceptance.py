@@ -15,7 +15,7 @@ import time
 
 from fragsim.cli import main
 from fragsim.config import resolve_run
-from fragsim.engine import Fragment, SimConfig, run
+from fragsim.engine import SimConfig, run
 from fragsim.fixtures import reference_topology, site_name, write_fixtures
 from fragsim.oracle import ChainParams, brute_force_stationary, threshold_stationary
 from fragsim.policies import PolicySpec, build_policy
@@ -30,7 +30,7 @@ def _report(tag, label, ok, detail) -> None:
 def _threshold_run(n, x_s, t, num_steps, seed):
     cfg = SimConfig(
         topology=complete_topology(n),
-        fragments=[Fragment(0)],
+        sizes=[1.0],
         initial_owners=[0],
         policy=PolicySpec("threshold", t=t),
         workload=WorkloadSpec.symmetric(1, n, x_s, hot=0, seed=seed),
@@ -217,7 +217,7 @@ def test_08_nna_moves_one_hop_toward_argmax():
         site_a, site_b = rng.sample(range(n), 2)
         cfg = SimConfig(
             topology=topo,
-            fragments=[Fragment(0)],
+            sizes=[1.0],
             initial_owners=[rng.randrange(n)],
             policy=PolicySpec("nna"),
             workload=WorkloadSpec.symmetric(
@@ -264,7 +264,7 @@ def test_09_fna_migrates_less_under_oscillation():
         for name in ("nna", "fna"):
             cfg = SimConfig(
                 topology=topo,
-                fragments=[Fragment(i) for i in range(10)],
+                sizes=[1.0] * 10,
                 initial_owners=[0] * 10,
                 policy=PolicySpec(name),
                 workload=WorkloadSpec.symmetric(

@@ -2,20 +2,46 @@
 
 import pytest
 
-from fragsim.engine import Fragment
-from fragsim.policies import OptimalPolicy
+from fragsim.config import ConfigError, resolve_run
+from fragsim.engine import SimConfig
+from fragsim.policies import OptimalPolicy, PolicySpec
+from fragsim.topology import complete_topology
+from fragsim.workload import WorkloadSpec
+
+
+def run_doc(**overrides):
+    doc = {
+        "topology": {"n": 3, "links": [[0, 1], [1, 2]]},
+        "policy": {"name": "threshold", "t": 1},
+        "workload": {"x_s": 0.5},
+        "num_steps": 10,
+    }
+    doc.update(overrides)
+    return doc
 
 
 class TestFragment:
-    def test_defaults(self):
-        frag = Fragment(0)
-        assert frag.size == 1.0
+    def test_defaults(self, tmp_path):
+        assert resolve_run(run_doc(), tmp_path).sim.sizes == [1.0]
+        assert resolve_run(run_doc(fragments={"count": 3}), tmp_path).sim.sizes == [1.0] * 3
+        assert resolve_run(run_doc(fragments={"count": 2, "sizes": [0.5, 4]}), tmp_path).sim.sizes == [0.5, 4.0]
 
-    def test_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Fragment(0, 0.0)
-        with pytest.raises(ValueError):
-            Fragment(1, -2.0)
+    def test_size_must_be_positive(self, tmp_path):
+        for size in (0.0, -2.0):
+            cfg = SimConfig(
+                topology=complete_topology(3),
+                sizes=[1.0, size],
+                initial_owners=[0, 0],
+                policy=PolicySpec("threshold", t=1),
+                workload=WorkloadSpec.symmetric(2, 3, 0.5),
+                num_steps=10,
+            )
+            with pytest.raises(ValueError, match="fragment 1: size must be positive"):
+                cfg.validate()
+            with pytest.raises(ConfigError, match="config.fragments: fragment 0: size must be positive"):
+                resolve_run(run_doc(fragments={"count": 2, "size": size}), tmp_path)
+            with pytest.raises(ConfigError, match="config.fragments: fragment 1"):
+                resolve_run(run_doc(fragments={"count": 2, "sizes": [1.0, size]}), tmp_path)
 
 
 class TestCounterCap:

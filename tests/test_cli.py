@@ -105,6 +105,12 @@ class TestRunCommand:
         cfg = write_json(tmp_path / "run.json", doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_no_accesses_sampled_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "run.json", base_run_doc(num_steps=1, workload={"x_s": 0.28, "rate": 1e-9}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "num_steps" in err and "rate" in err
+
 
 class TestSeedPrecedence:
     def run_and_read_seed(self, tmp_path, args=(), out="out"):
@@ -199,6 +205,14 @@ class TestSweepCommand:
         rows = read_rows(tmp_path / "sweep.csv")
         assert [r["t"] for r in rows] == ["0", "5"]
 
+    def test_no_accesses_sampled_is_a_config_error(self, tmp_path, capsys):
+        doc = self.sweep_doc(num_steps=1)
+        doc["workload"]["rate"] = 1e-9
+        cfg = write_json(tmp_path / "sweep.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "num_steps" in err and "rate" in err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_json(tmp_path / "sweep.json", self.sweep_doc())
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
@@ -227,6 +241,10 @@ class TestOracleCommand:
 
     def test_unparseable_list(self, tmp_path, capsys):
         assert main(["oracle", "--n", "5", "--x-s", "0.2,zebra", "--t", "0", "--out", str(tmp_path)]) == 2
+
+    def test_negative_threshold(self, tmp_path, capsys):
+        assert main(["oracle", "--n", "5", "--x-s", "0.2", "--t", "-1", "--out", str(tmp_path)]) == 2
+        assert "--t" in capsys.readouterr().err
 
 
 class TestCompareCommand:
@@ -277,6 +295,21 @@ class TestCompareCommand:
         cfg = write_json(tmp_path / "cmp.json", self.osc_doc())
         assert main(["compare", "--config", cfg, "--policies", "nna,coinflip", "--out", str(tmp_path)]) == 2
         assert "coinflip" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policies", ["threshold:-1,nna", "nna:threshold:-2,nna"])
+    def test_negative_threshold_token(self, tmp_path, capsys, policies):
+        cfg = write_json(tmp_path / "cmp.json", self.osc_doc())
+        assert main(["compare", "--config", cfg, "--policies", policies, "--out", str(tmp_path)]) == 2
+        assert "--policies" in capsys.readouterr().err
+
+    def test_no_accesses_sampled_is_a_config_error(self, tmp_path, capsys):
+        doc = self.osc_doc()
+        doc["num_steps"] = 1
+        doc["workload"]["rate"] = 1e-9
+        cfg = write_json(tmp_path / "cmp.json", doc)
+        assert main(["compare", "--config", cfg, "--policies", "nna,fna", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "num_steps" in err and "rate" in err
 
     def test_per_policy_decision_logs(self, tmp_path):
         doc = self.osc_doc()

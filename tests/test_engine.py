@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fragsim.engine import Fragment, NoAccessesError, SimConfig, SimMetrics, estimate_os, run
+from fragsim.engine import SimConfig, SimMetrics, run
 from fragsim.fixtures import reference_topology
 from fragsim.policies import PolicySpec
 from fragsim.topology import build_topology, complete_topology
@@ -13,7 +13,7 @@ from fragsim.workload import Oscillation, WorkloadSpec
 def threshold_config(**overrides):
     base = dict(
         topology=complete_topology(5),
-        fragments=[Fragment(0)],
+        sizes=[1.0],
         initial_owners=[0],
         policy=PolicySpec("threshold", t=3),
         workload=WorkloadSpec.symmetric(1, 5, 0.28, seed=1),
@@ -49,10 +49,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             run(cfg)
 
+    def test_sizes_positive(self):
+        for size in (0.0, -2.0):
+            with pytest.raises(ValueError, match="size must be positive"):
+                run(threshold_config(sizes=[size]))
+
     def test_fragment_ids_sequential(self):
-        cfg = threshold_config(fragments=[Fragment(3)])
-        with pytest.raises(ValueError):
-            run(cfg)
+        # Fragment ids are the positions in ``sizes``: fragment 1 is the
+        # one that moves here, so its size 2.5 is what the move costs.
+        cfg = SimConfig(
+            topology=build_topology(2, [(0, 1)]),
+            sizes=[1.0, 2.5],
+            initial_owners=[0, 0],
+            policy=PolicySpec("threshold", t=0),
+            workload=WorkloadSpec(np.array([[1.0, 0.0], [0.0, 1.0]]), seed=3),
+            num_steps=5,
+        )
+        metrics = run(cfg)
+        assert metrics.final_owners == {0: 0, 1: 1}
+        assert metrics.migration_hop_cost == 2.5
 
     def test_designated_in_range(self):
         cfg = threshold_config(designated=7)
@@ -68,8 +83,9 @@ class TestValidation:
 class TestEstimateOs:
     def test_basic_fraction(self):
         metrics = SimMetrics(num_steps=10, designated=0, accesses_total=100, residency=[80, 20])
-        assert estimate_os(metrics, 0) == pytest.approx(0.8)
-        assert estimate_os(metrics, 1) == pytest.approx(0.2)
+        assert metrics.o_s_hat == pytest.approx(0.8)
+        metrics.designated = 1
+        assert metrics.o_s_hat == pytest.approx(0.2)
 
     def test_shares_sum_to_one(self):
         metrics = SimMetrics(num_steps=10, designated=0, accesses_total=60, residency=[10, 20, 30])
@@ -78,15 +94,15 @@ class TestEstimateOs:
 
     def test_no_accesses(self):
         metrics = SimMetrics(num_steps=10, designated=0, accesses_total=0, residency=[0])
-        with pytest.raises(NoAccessesError):
-            estimate_os(metrics, 0)
+        with pytest.raises(ValueError, match="no accesses"):
+            metrics.o_s_hat
 
 
 class TestSmallExactRuns:
     def test_single_site_everything_local(self):
         cfg = SimConfig(
             topology=build_topology(1, []),
-            fragments=[Fragment(0)],
+            sizes=[1.0],
             initial_owners=[0],
             policy=PolicySpec("threshold", t=0),
             workload=WorkloadSpec(np.array([[1.0]]), seed=2),
@@ -104,7 +120,7 @@ class TestSmallExactRuns:
         # fragment over (1 hop * size 1 * latency 2 = 2), rest is local.
         cfg = SimConfig(
             topology=build_topology(2, [(0, 1)]),
-            fragments=[Fragment(0)],
+            sizes=[1.0],
             initial_owners=[0],
             policy=PolicySpec("threshold", t=0),
             workload=WorkloadSpec(np.array([[0.0, 1.0]]), seed=0),
@@ -124,7 +140,7 @@ class TestSmallExactRuns:
     def test_avg_move_time_zero_migrations(self):
         cfg = SimConfig(
             topology=build_topology(1, []),
-            fragments=[Fragment(0)],
+            sizes=[1.0],
             initial_owners=[0],
             policy=PolicySpec("optimal"),
             workload=WorkloadSpec(np.array([[1.0]]), seed=2),
@@ -136,7 +152,7 @@ class TestSmallExactRuns:
     def test_multi_fragment_independence(self):
         cfg = SimConfig(
             topology=complete_topology(3),
-            fragments=[Fragment(0), Fragment(1)],
+            sizes=[1.0, 1.0],
             initial_owners=[0, 0],
             policy=PolicySpec("threshold", t=0),
             workload=WorkloadSpec(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), seed=6),
@@ -153,7 +169,7 @@ class TestMigrationBlocking:
         for blocking in (False, True):
             cfg = SimConfig(
                 topology=build_topology(2, [(0, 1)]),
-                fragments=[Fragment(0, size)],
+                sizes=[size],
                 initial_owners=[0],
                 policy=PolicySpec("threshold", t=0),
                 workload=WorkloadSpec(np.array([[0.0, 1.0]]), seed=0),
@@ -190,7 +206,7 @@ class TestDeterminismAndConservation:
     def osc_config(self, policy, record=True):
         return SimConfig(
             topology=reference_topology(),
-            fragments=[Fragment(0)],
+            sizes=[1.0],
             initial_owners=[0],
             policy=policy,
             workload=WorkloadSpec.symmetric(

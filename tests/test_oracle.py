@@ -22,7 +22,6 @@ from fragsim.oracle import (
     _lumped_matrix,
     _stationary,
     brute_force_stationary,
-    owner_access_probability,
     threshold_stationary,
 )
 from fragsim.workload import InvalidProbabilityError
@@ -140,34 +139,6 @@ class TestExactRationalSolve:
         got = threshold_stationary(ChainParams(2, 0.7, 1)).o_s
         assert got == pytest.approx(float(exact), abs=1e-12)
         assert float(exact) == pytest.approx(0.8063291139240232, abs=1e-12)
-
-
-class TestOwnerAccessProbability:
-    def test_known_point(self):
-        assert owner_access_probability(5, 0.18, 3) == pytest.approx(0.626752, abs=1e-9)
-
-    def test_single_try(self):
-        assert owner_access_probability(5, 0.2, 1) == pytest.approx(0.2)
-
-    def test_no_remote_mass(self):
-        assert owner_access_probability(5, 0.0, 4) == 1.0
-
-    def test_all_remote_mass(self):
-        assert owner_access_probability(5, 0.25, 3) == pytest.approx(0.0)
-
-    def test_more_tries_never_hurt(self):
-        values = [owner_access_probability(5, 0.18, m) for m in range(1, 12)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_validation(self):
-        with pytest.raises(InvalidProbabilityError):
-            owner_access_probability(5, 0.3, 3)  # remote mass 1.2
-        with pytest.raises(InvalidProbabilityError):
-            owner_access_probability(5, -0.1, 3)
-        with pytest.raises(InvalidProbabilityError):
-            owner_access_probability(5, 0.1, 0)
-        with pytest.raises(InvalidProbabilityError):
-            owner_access_probability(1, 0.1, 3)
 
 
 class TestSolverInternals:

@@ -17,7 +17,6 @@ from fragsim.policies import (
     alternation_score,
     build_policy,
     membership_high,
-    membership_low,
     membership_medium,
     oscillation_inhibition,
 )
@@ -219,15 +218,13 @@ class TestNna:
             if dest >= 0:
                 target = int(policy.reason.split(":")[1])
                 assert (owner, dest) in links
-                assert dest == topo.next_hop(owner, target)
+                assert dest == topo.next_hop_matrix[owner][target]
                 assert policy.counters[0][target] == max(policy.counters[0])
                 owner = dest
 
 
 class TestFuzzyPieces:
     def test_membership_shapes(self):
-        assert membership_low(0.0) == 1.0
-        assert membership_low(0.5) == 0.0
         assert membership_medium(0.0) == 0.0
         assert membership_medium(0.5) == 1.0
         assert membership_medium(1.0) == 0.0

@@ -16,19 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fragsim.fixtures import reference_topology, reference_topology_dict
 from fragsim.topology import (
     DisconnectedGraphError,
     DuplicateLinkError,
     InvalidSiteError,
     Link,
     NonPositiveWeightError,
-    SameSiteError,
     SelfLoopError,
     TopologyError,
     build_topology,
     complete_topology,
     load_topology,
-    save_topology,
     topology_from_dict,
 )
 
@@ -110,31 +109,30 @@ class TestConstruction:
     def test_single_site(self):
         topo = build_topology(1, [])
         assert topo.n == 1
-        assert topo.distance(0, 0) == 0.0
-        with pytest.raises(SameSiteError):
-            topo.next_hop(0, 0)
+        assert topo.distance_matrix[0][0] == 0.0
+        assert topo.next_hop_matrix[0][0] == -1
 
     def test_path_graph(self):
         topo = build_topology(3, [(0, 1, 1.0), (1, 2, 2.5)])
-        assert topo.distance(0, 2) == pytest.approx(3.5)
-        assert topo.next_hop(0, 2) == 1
-        assert topo.next_hop(2, 0) == 1
-        assert topo.next_hop(1, 0) == 0
+        assert topo.distance_matrix[0][2] == pytest.approx(3.5)
+        assert topo.next_hop_matrix[0][2] == 1
+        assert topo.next_hop_matrix[2][0] == 1
+        assert topo.next_hop_matrix[1][0] == 0
         assert [(ln.a, ln.b) for ln in topo.links] == [(0, 1), (1, 2)], "site 1 neighbours 0 and 2"
 
     def test_default_weight_is_one(self):
         topo = build_topology(2, [(0, 1)])
-        assert topo.distance(0, 1) == 1.0
+        assert topo.distance_matrix[0][1] == 1.0
 
     def test_link_objects_accepted(self):
         topo = build_topology(2, [Link(0, 1, 2.0)])
-        assert topo.distance(0, 1) == 2.0
+        assert topo.distance_matrix[0][1] == 2.0
 
     def test_complete_topology(self):
         topo = complete_topology(4)
         for a in range(4):
             for b in range(4):
-                assert topo.distance(a, b) == (0.0 if a == b else 1.0)
+                assert topo.distance_matrix[a][b] == (0.0 if a == b else 1.0)
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
@@ -172,21 +170,18 @@ class TestConstruction:
         topo = build_topology(2, [(0, 1)])
         with pytest.raises(ValueError):
             topo.distance_matrix[0, 1] = 5.0
-
-    def test_site_range_checked_on_queries(self):
-        topo = build_topology(2, [(0, 1)])
-        with pytest.raises(InvalidSiteError):
-            topo.distance(0, 2)
-        with pytest.raises(InvalidSiteError):
-            topo.next_hop(-1, 0)
+        with pytest.raises(ValueError):
+            topo.next_hop_matrix[0, 1] = 0
+        with pytest.raises(AttributeError):
+            topo.n = 3
 
 
 class TestTieBreaks:
     def test_diamond_prefers_lowest_neighbor(self):
         # two equal-cost paths 0-1-3 and 0-2-3
         topo = build_topology(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert topo.next_hop(0, 3) == 1
-        assert topo.next_hop(3, 0) == 1
+        assert topo.next_hop_matrix[0][3] == 1
+        assert topo.next_hop_matrix[3][0] == 1
 
     def test_tie_break_matches_path_enumeration(self):
         rng = random.Random(7)
@@ -207,8 +202,8 @@ class TestTieBreaks:
                     if s == t:
                         continue
                     cost, hops = shortest_path_first_hops(n, links, s, t)
-                    assert topo.distance(s, t) == pytest.approx(cost)
-                    assert topo.next_hop(s, t) == min(hops)
+                    assert topo.distance_matrix[s][t] == pytest.approx(cost)
+                    assert topo.next_hop_matrix[s][t] == min(hops)
 
 
 class TestAgainstIndependentOracles:
@@ -224,9 +219,9 @@ class TestAgainstIndependentOracles:
                 topo = build_topology(n, [(a, b, 1.0) for a, b in edges])
                 for s in range(n):
                     for t in range(n):
-                        assert topo.distance(s, t) == dist[s][t]
+                        assert topo.distance_matrix[s][t] == dist[s][t]
                         if s != t:
-                            h = topo.next_hop(s, t)
+                            h = int(topo.next_hop_matrix[s][t])
                             assert (min(s, h), max(s, h)) in edges or (h, s) in edges
                             assert dist[h][t] == dist[s][t] - 1
                             valid = [
@@ -303,6 +298,8 @@ class TestRoutingProperties:
     def test_greedy_descent_follows_shortest_paths(self, graph):
         n, links = graph
         topo = build_topology(n, links)
+        dist = topo.distance_matrix.tolist()
+        next_hop = topo.next_hop_matrix.tolist()
         weight = {}
         for a, b, w in links:
             weight[(a, b)] = weight[(b, a)] = w
@@ -312,35 +309,34 @@ class TestRoutingProperties:
                     continue
                 node, total, hops = s, 0.0, 0
                 while node != t:
-                    nxt = topo.next_hop(node, t)
+                    nxt = next_hop[node][t]
                     assert (node, nxt) in weight, "next hop must be a neighbour"
                     # each hop consumes exactly its link weight of the distance
-                    assert topo.distance(node, t) == pytest.approx(weight[(node, nxt)] + topo.distance(nxt, t))
+                    assert dist[node][t] == pytest.approx(weight[(node, nxt)] + dist[nxt][t])
                     total += weight[(node, nxt)]
                     node = nxt
                     hops += 1
                     assert hops <= n, "routing loop"
-                assert total == pytest.approx(topo.distance(s, t))
+                assert total == pytest.approx(dist[s][t])
 
     def test_rebuild_is_deterministic(self):
         links = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0), (1, 3, 2.0)]
         a = build_topology(4, links)
         b = build_topology(4, list(reversed(links)))
         assert np.array_equal(a.distance_matrix, b.distance_matrix)
-        for s in range(4):
-            for t in range(4):
-                if s != t:
-                    assert a.next_hop(s, t) == b.next_hop(s, t)
+        assert np.array_equal(a.next_hop_matrix, b.next_hop_matrix)
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        topo = build_topology(3, [(0, 1, 1.5), (1, 2, 1.0)])
         path = tmp_path / "topo.json"
-        save_topology(topo, path)
+        path.write_text(json.dumps(reference_topology_dict()))
         loaded = load_topology(path)
-        assert loaded.to_dict() == topo.to_dict()
-        assert loaded.distance(0, 2) == topo.distance(0, 2)
+        topo = reference_topology()
+        assert loaded.n == topo.n
+        assert loaded.links == topo.links
+        assert np.array_equal(loaded.distance_matrix, topo.distance_matrix)
+        assert np.array_equal(loaded.next_hop_matrix, topo.next_hop_matrix)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -118,12 +118,6 @@ class TestEventStream:
         b = draw_events(WorkloadSpec.symmetric(1, 5, 0.5, seed=2), 200)
         assert a != b
 
-    def test_events_emitted_counter(self):
-        spec = WorkloadSpec(np.array([[1.0]]), rate=0.5, seed=3)
-        stream = EventStream(spec)
-        emitted = sum(1 for _ in range(1000) if stream.next_event(0) is not None)
-        assert stream.events_emitted(0) == emitted
-
     def test_rate_thins_the_stream(self):
         spec = WorkloadSpec(np.array([[1.0]]), rate=0.3, seed=11)
         events = draw_events(spec, 10_000)
