@@ -8,6 +8,8 @@ access count, so the fragment drifts A -> C -> B -> G and afterwards
 only shuffles between the hub G and its leaves as the lead changes.
 """
 
+import csv
+
 from fragsim import (
     PolicySpec,
     SimConfig,
@@ -30,19 +32,19 @@ cfg = SimConfig(
     workload=WorkloadSpec(probs=probs, seed=7),
     num_steps=200,
     designated=6,
-    record_decisions=True,
 )
-metrics = run(cfg)
+log = []  # the decision log, one CSV line per access
+metrics = run(cfg, log.append)
 
 print("accesses concentrated on {E, G, H, I}, fragment starts at A")
 print()
-for rec in metrics.decision_log:
-    if rec.action != "move":
+for row in csv.DictReader(log):
+    if row["decision"] != "move":
         continue
-    target = rec.reason.split(":", 1)[1]
+    target = row["trigger_reason"].split(":", 1)[1]
     print(
-        f"  step {rec.step:>3}: {site_name(rec.owner_before)} -> {site_name(rec.dest)}"
-        f"   (heading for {site_name(int(target))}, request came from {site_name(rec.requester)})"
+        f"  step {int(row['step']):>3}: {site_name(int(row['owner_before']))} -> {site_name(int(row['dest']))}"
+        f"   (heading for {site_name(int(target))}, request came from {site_name(int(row['requester']))})"
     )
 
 final = metrics.final_owners[0]

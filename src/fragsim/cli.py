@@ -24,7 +24,7 @@ from pathlib import Path
 from .config import ConfigError, load_config, parse_policy_token, resolve_run, resolve_sweep
 from .engine import run as run_sim
 from .fixtures import write_fixtures
-from .oracle import ChainParams, threshold_stationary
+from .oracle import ChainParams, ParamsTooLargeError, threshold_stationary
 from .topology import TopologyError
 from .workload import EmptyActiveSetError, InvalidProbabilityError
 
@@ -37,9 +37,6 @@ METRICS_HEADER = [
     "policy", "n", "x_s", "t", "seed", "num_steps",
     "o_s_hat", "migrations", "migration_hop_cost", "response_cost", "avg_move_time",
 ]
-DECISIONS_HEADER = [
-    "step", "fragment", "requester", "owner_before", "decision", "dest", "trigger_reason", "inhibition",
-]
 ORACLE_HEADER = ["n", "x_s", "t", "o_s", "source"]
 SWEEP_HEADER = ["axis", "axis_value", "replication"] + METRICS_HEADER + [
     "mean_o_s_hat", "mean_migrations", "mean_response_cost", "mean_avg_move_time",
@@ -50,23 +47,12 @@ COMPARE_HEADER = [
 ]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _metrics_row(setup, metrics):
@@ -85,20 +71,29 @@ def _metrics_row(setup, metrics):
     ]
 
 
-def _decision_rows(metrics):
-    for rec in metrics.decision_log:
-        yield [rec.step, rec.fragment, rec.requester, rec.owner_before, rec.action, rec.dest, rec.reason, rec.inhibition]
+def _simulate(setup, log_path=None):
+    """Run one resolved simulation, streaming its decision log to ``log_path`` if given.
 
-
-def _simulate(setup):
-    """Run one resolved simulation; a run that samples no access is a config error."""
-    metrics = run_sim(setup.sim)
-    if metrics.accesses_total == 0:
-        sim = setup.sim
-        raise ConfigError(
-            f"config: no accesses were sampled in num_steps={sim.num_steps} at rate={sim.workload.rate}; "
-            "raise num_steps or rate"
-        )
+    A run that samples no access is a config error. A run that fails
+    leaves no partial decision log behind.
+    """
+    sim = setup.sim
+    try:
+        if log_path is None:
+            metrics = run_sim(sim)
+        else:
+            log_path.parent.mkdir(parents=True, exist_ok=True)
+            with open(log_path, "w", newline="") as fh:
+                metrics = run_sim(sim, fh.write)
+        if metrics.accesses_total == 0:
+            raise ConfigError(
+                f"config: no accesses were sampled in num_steps={sim.num_steps} at rate={sim.workload.rate}; "
+                "raise num_steps or rate"
+            )
+    except BaseException:
+        if log_path is not None:
+            log_path.unlink(missing_ok=True)
+        raise
     return metrics
 
 
@@ -122,14 +117,13 @@ def _cmd_run(args) -> int:
         seed_override=_effective_seed_override(args),
         record_decisions=args.log_decisions,
     )
-    metrics = _simulate(setup)
     out = Path(args.out)
+    decisions_path = out / setup.decisions_name if setup.record_decisions else None
+    metrics = _simulate(setup, decisions_path)
     metrics_path = out / setup.metrics_name
     _write_csv(metrics_path, METRICS_HEADER, [_metrics_row(setup, metrics)])
     print(f"wrote {metrics_path}")
-    if args.log_decisions:
-        decisions_path = out / setup.decisions_name
-        _write_csv(decisions_path, DECISIONS_HEADER, _decision_rows(metrics))
+    if decisions_path is not None:
         print(f"wrote {decisions_path}")
     return EXIT_OK
 
@@ -182,7 +176,10 @@ def _cmd_oracle(args) -> int:
     rows = []
     for x_s in xs_values:
         for t in t_values:
-            result = threshold_stationary(ChainParams(n=args.n, x_s=x_s, t=t))
+            try:
+                result = threshold_stationary(ChainParams(n=args.n, x_s=x_s, t=t))
+            except ParamsTooLargeError as exc:
+                raise ConfigError(f"--t: {exc}") from None
             rows.append([args.n, x_s, t, result.o_s, "lumped-chain"])
     out_path = Path(args.out) / "oracle.csv"
     _write_csv(out_path, ORACLE_HEADER, rows)
@@ -194,12 +191,12 @@ def _cmd_compare(args) -> int:
     tokens = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
     if len(tokens) < 2:
         raise ConfigError("--policies: need at least two comma-separated policies")
+    specs = [parse_policy_token(token) for token in tokens]  # reject a bad token before any simulation
     doc = load_config(args.config)
     seed_override = _effective_seed_override(args)
+    out = Path(args.out)
     rows = []
-    decision_outputs = []
-    for token in tokens:
-        spec = parse_policy_token(token)
+    for token, spec in zip(tokens, specs):
         setup = resolve_run(
             doc,
             Path(args.config).parent,
@@ -207,29 +204,15 @@ def _cmd_compare(args) -> int:
             record_decisions=args.log_decisions,
             policy_override=spec,
         )
-        metrics = _simulate(setup)
-        rows.append([
-            token,
-            setup.sim.topology.n,
-            setup.seed,
-            setup.sim.num_steps,
-            metrics.o_s_hat,
-            metrics.migrations,
-            metrics.migration_hop_cost,
-            metrics.response_cost,
-            metrics.avg_move_time,
-        ])
-        if args.log_decisions:
-            name = f"decisions_{token.replace(':', '_')}.csv"
-            decision_outputs.append((name, metrics))
-    out = Path(args.out)
+        log_path = out / f"decisions_{token.replace(':', '_')}.csv" if setup.record_decisions else None
+        metrics = _simulate(setup, log_path)
+        if log_path is not None:
+            print(f"wrote {log_path}")
+        named = dict(zip(METRICS_HEADER, _metrics_row(setup, metrics)), policy=token)
+        rows.append([named[key] for key in COMPARE_HEADER])
     compare_path = out / "compare.csv"
     _write_csv(compare_path, COMPARE_HEADER, rows)
     print(f"wrote {compare_path}")
-    for name, metrics in decision_outputs:
-        path = out / name
-        _write_csv(path, DECISIONS_HEADER, _decision_rows(metrics))
-        print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -76,6 +76,7 @@ class RunSetup:
     t: Optional[int]
     metrics_name: str = "metrics.csv"
     decisions_name: str = "decisions.csv"
+    record_decisions: bool = False  # stream the decision log to ``decisions_name``
 
 
 @dataclass
@@ -143,7 +144,6 @@ def resolve_run(
         designated=designated,
         per_hop_latency=per_hop_latency,
         migration_blocking=blocking,
-        record_decisions=record_decisions,
     )
     try:
         sim.validate()
@@ -159,6 +159,7 @@ def resolve_run(
         t=t_label,
         metrics_name=metrics_name,
         decisions_name=decisions_name,
+        record_decisions=record_decisions,
     )
 
 

@@ -20,28 +20,25 @@ Blocking only adds waiting time; which events occur, what the policy
 decides, and where fragments travel are identical with blocking on or
 off. That makes blocking runs directly comparable against non-blocking
 ones at equal trajectories.
+
+Decision log: given a ``write`` callable, :func:`run` writes
+``DECISIONS_HEADER`` and then one CSV line per access as the run goes, so
+no log is held in memory. A row holds only ints, fixed reason tags (their
+only punctuation is ``:``), ``repr`` floats and ``""`` for ``None``; no
+field ever needs quoting, so an f-string gives the bytes ``csv.writer`` would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
 
 from .policies import PolicySpec, build_policy
 from .topology import SiteId, Topology
 from .workload import EventStream, WorkloadSpec
 
 
-class DecisionRecord(NamedTuple):
-    step: int
-    fragment: int
-    requester: int
-    owner_before: int
-    action: str  # "stay" | "move"
-    dest: Optional[int]
-    reason: str
-    inhibition: Optional[float]
+DECISIONS_HEADER = "step,fragment,requester,owner_before,decision,dest,trigger_reason,inhibition\n"
 
 
 @dataclass
@@ -55,7 +52,6 @@ class SimConfig:
     designated: SiteId = 0
     per_hop_latency: float = 1.0
     migration_blocking: bool = False
-    record_decisions: bool = False
 
     def validate(self) -> None:
         n = self.topology.n
@@ -95,7 +91,6 @@ class SimMetrics:
     migration_hop_cost: float = 0.0
     response_cost: float = 0.0
     final_owners: dict = field(default_factory=dict)
-    decision_log: Optional[list] = None
 
     @property
     def o_s_hat(self) -> float:
@@ -109,7 +104,8 @@ class SimMetrics:
         return self.migration_hop_cost / max(1, self.migrations)
 
 
-def run(cfg: SimConfig) -> SimMetrics:
+def run(cfg: SimConfig, write=None) -> SimMetrics:
+    """Simulate ``cfg``; if ``write`` is given, stream the decision log to it."""
     cfg.validate()
     topo = cfg.topology
     n = topo.n
@@ -126,7 +122,8 @@ def run(cfg: SimConfig) -> SimMetrics:
 
     metrics = SimMetrics(num_steps=cfg.num_steps, designated=cfg.designated)
     residency = [0] * n
-    log: Optional[list] = [] if cfg.record_decisions else None
+    if write is not None:
+        write(DECISIONS_HEADER)
 
     next_event = stream.next_event
     decide = policy.decide
@@ -149,20 +146,10 @@ def run(cfg: SimConfig) -> SimMetrics:
                 cost += in_flight_until[f] - step
             response_cost += cost
             dest = decide(f, requester, owner)
-            if log is not None:
-                moved = dest >= 0
-                log.append(
-                    DecisionRecord(
-                        step,
-                        f,
-                        requester,
-                        owner,
-                        "move" if moved else "stay",
-                        dest if moved else None,
-                        policy.reason,
-                        policy.inhibition,
-                    )
-                )
+            if write is not None:
+                inh = policy.inhibition
+                action = f"move,{dest}" if dest >= 0 else "stay,"
+                write(f"{step},{f},{requester},{owner},{action},{policy.reason},{'' if inh is None else inh}\n")
             if dest >= 0:
                 hop = dist[owner][dest]
                 migration_hop_cost += sizes[f] * hop * latency
@@ -177,5 +164,4 @@ def run(cfg: SimConfig) -> SimMetrics:
     metrics.migration_hop_cost = migration_hop_cost
     metrics.response_cost = response_cost
     metrics.final_owners = dict(enumerate(owners))
-    metrics.decision_log = log
     return metrics

@@ -26,6 +26,7 @@ from .workload import InvalidProbabilityError
 _POWER_TOL = 1e-13
 _POWER_MAX_ITER = 1_500
 _POWER_CHECK_EVERY = 100
+LUMPED_MAX_T = 2_000  # the dense lumped matrix takes about 170 MB at this t
 
 
 class NonStochasticRowError(RuntimeError):
@@ -74,8 +75,10 @@ def threshold_stationary(params: ChainParams) -> StationaryResult:
     non-designated sites and the designated site bump it, and past ``t``
     the fragment migrates to that last requester: designated with
     probability proportional to ``x_s``, another non-designated site
-    otherwise.
+    otherwise. The matrix is dense, so ``t`` is capped at ``LUMPED_MAX_T``.
     """
+    if params.t > LUMPED_MAX_T:
+        raise ParamsTooLargeError(f"the lumped chain is limited to t <= {LUMPED_MAX_T}, got t={params.t}")
     P = _lumped_matrix(params)
     _check_stochastic(P)
     pi = _stationary(P)

@@ -8,6 +8,7 @@ the trailing ``s*`` tests pin qualitative directions of the bundled sweep
 experiments. Everything is seeded, so results are stable across reruns.
 """
 
+import csv
 import json
 import random
 import statistics
@@ -189,9 +190,10 @@ def test_06_optimal_owner_holds_counter_row_max():
 def test_07_walkthrough_trace_starts_a_c_b_g(tmp_path):
     write_fixtures(tmp_path)
     doc = json.loads((tmp_path / "walkthrough.json").read_text())
-    setup = resolve_run(doc, tmp_path, record_decisions=True)
-    metrics = run(setup.sim)
-    moves = [(r.owner_before, r.dest) for r in metrics.decision_log if r.action == "move"]
+    setup = resolve_run(doc, tmp_path)
+    lines = []
+    run(setup.sim, lines.append)
+    moves = [(int(r["owner_before"]), int(r["dest"])) for r in csv.DictReader(lines) if r["decision"] == "move"]
     got = [site_name(moves[0][0])] + [site_name(d) for _, d in moves[:3]] if len(moves) >= 3 else []
     ok = moves[:3] == [(0, 2), (2, 1), (1, 6)]
     _report("07", "walkthrough-first-hops", ok,
@@ -226,19 +228,19 @@ def test_08_nna_moves_one_hop_toward_argmax():
             ),
             num_steps=5_000,
             designated=site_a,
-            record_decisions=True,
         )
-        metrics = run(cfg)
+        lines = []
+        run(cfg, lines.append)
         dist = topo.distance_matrix
         shadow = [0] * n
-        for rec in metrics.decision_log:
-            shadow[rec.requester] += 1
+        for row in csv.DictReader(lines):
+            shadow[int(row["requester"])] += 1
             events += 1
-            if rec.action != "move":
+            if row["decision"] != "move":
                 continue
             moves += 1
-            target = int(rec.reason.split(":", 1)[1])
-            o, d = rec.owner_before, rec.dest
+            target = int(row["trigger_reason"].split(":", 1)[1])
+            o, d = int(row["owner_before"]), int(row["dest"])
             if shadow.index(max(shadow)) != target:
                 violation = f"topology {ti}: claimed argmax {target}, tally argmax {shadow.index(max(shadow))}"
                 break

@@ -7,12 +7,12 @@ import pytest
 
 from fragsim.cli import (
     COMPARE_HEADER,
-    DECISIONS_HEADER,
     METRICS_HEADER,
     ORACLE_HEADER,
     SWEEP_HEADER,
     main,
 )
+from fragsim.engine import DECISIONS_HEADER
 from fragsim.fixtures import reference_topology_dict
 
 
@@ -51,6 +51,7 @@ class TestRunCommand:
         assert rows[0]["seed"] == "1"
         assert rows[0]["num_steps"] == "2000"
         assert 0.0 < float(rows[0]["o_s_hat"]) < 1.0
+        assert not (tmp_path / "out" / "decisions.csv").exists()  # the log is opt-in
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", base_run_doc())
@@ -63,7 +64,7 @@ class TestRunCommand:
         cfg = write_json(tmp_path / "run.json", base_run_doc(num_steps=500))
         assert main(["run", "--config", cfg, "--out", str(tmp_path), "--log-decisions"]) == 0
         rows = read_rows(tmp_path / "decisions.csv")
-        assert list(rows[0].keys()) == DECISIONS_HEADER
+        assert list(rows[0].keys()) == DECISIONS_HEADER.rstrip("\n").split(",")
         owner = 0
         for row in rows:
             assert int(row["owner_before"]) == owner
@@ -107,9 +108,11 @@ class TestRunCommand:
 
     def test_no_accesses_sampled_is_a_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", base_run_doc(num_steps=1, workload={"x_s": 0.28, "rate": 1e-9}))
-        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "num_steps" in err and "rate" in err
+        for extra in ([], ["--log-decisions"]):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
+            err = capsys.readouterr().err
+            assert "num_steps" in err and "rate" in err
+            assert list((tmp_path / "out").glob("decisions*.csv")) == []  # no partial log is left behind
 
 
 class TestSeedPrecedence:
@@ -246,6 +249,12 @@ class TestOracleCommand:
         assert main(["oracle", "--n", "5", "--x-s", "0.2", "--t", "-1", "--out", str(tmp_path)]) == 2
         assert "--t" in capsys.readouterr().err
 
+    def test_oversized_threshold(self, tmp_path, capsys):
+        # the dense lumped chain would need hundreds of GiB at this t
+        assert main(["oracle", "--n", "3", "--x-s", "0.2", "--t", "100000", "--out", str(tmp_path)]) == 2
+        assert "--t" in capsys.readouterr().err
+        assert not (tmp_path / "oracle.csv").exists()
+
 
 class TestCompareCommand:
     def osc_doc(self):
@@ -296,20 +305,25 @@ class TestCompareCommand:
         assert main(["compare", "--config", cfg, "--policies", "nna,coinflip", "--out", str(tmp_path)]) == 2
         assert "coinflip" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("policies", ["threshold:-1,nna", "nna:threshold:-2,nna"])
+    @pytest.mark.parametrize("policies", ["threshold:-1,nna", "nna:threshold:-2,nna", "optimal,threshold:-1"])
     def test_negative_threshold_token(self, tmp_path, capsys, policies):
+        # every token is parsed before the first simulation, so nothing is written
         cfg = write_json(tmp_path / "cmp.json", self.osc_doc())
-        assert main(["compare", "--config", cfg, "--policies", policies, "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--policies", policies, "--out", str(out), "--log-decisions"]) == 2
         assert "--policies" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_accesses_sampled_is_a_config_error(self, tmp_path, capsys):
         doc = self.osc_doc()
         doc["num_steps"] = 1
         doc["workload"]["rate"] = 1e-9
         cfg = write_json(tmp_path / "cmp.json", doc)
-        assert main(["compare", "--config", cfg, "--policies", "nna,fna", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "num_steps" in err and "rate" in err
+        for extra in ([], ["--log-decisions"]):
+            assert main(["compare", "--config", cfg, "--policies", "nna,fna", "--out", str(tmp_path / "out"), *extra]) == 2
+            err = capsys.readouterr().err
+            assert "num_steps" in err and "rate" in err
+            assert list((tmp_path / "out").glob("decisions*.csv")) == []  # no partial log is left behind
 
     def test_per_policy_decision_logs(self, tmp_path):
         doc = self.osc_doc()

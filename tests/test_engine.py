@@ -1,9 +1,10 @@
+import csv
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fragsim.engine import SimConfig, SimMetrics, run
+from fragsim.engine import DECISIONS_HEADER, SimConfig, SimMetrics, run
 from fragsim.fixtures import reference_topology
 from fragsim.policies import PolicySpec
 from fragsim.topology import build_topology, complete_topology
@@ -165,8 +166,10 @@ class TestSmallExactRuns:
 
 class TestMigrationBlocking:
     def blocking_pair(self, size, num_steps=6):
+        """(metrics, decision log lines) without and with blocking."""
         results = []
         for blocking in (False, True):
+            lines = []
             cfg = SimConfig(
                 topology=build_topology(2, [(0, 1)]),
                 sizes=[size],
@@ -175,35 +178,35 @@ class TestMigrationBlocking:
                 workload=WorkloadSpec(np.array([[0.0, 1.0]]), seed=0),
                 num_steps=num_steps,
                 migration_blocking=blocking,
-                record_decisions=True,
             )
-            results.append(run(cfg))
+            results.append((run(cfg, lines.append), lines))
         return results
 
     def test_in_flight_window_adds_waiting_time(self):
         # size 2.5 over one hop: window ceil(2.5) = 3 steps; the accesses
         # at steps 1 and 2 wait 2 and 1 steps on top of their (local,
         # zero) response cost
-        plain, blocked = self.blocking_pair(2.5, num_steps=3)
+        (plain, _), (blocked, _) = self.blocking_pair(2.5, num_steps=3)
         assert plain.response_cost == 2.0  # one remote round trip
         assert blocked.response_cost == 5.0
 
     def test_blocking_changes_costs_only(self):
-        plain, blocked = self.blocking_pair(4.0, num_steps=40)
+        (plain, plain_log), (blocked, blocked_log) = self.blocking_pair(4.0, num_steps=40)
         assert blocked.response_cost >= plain.response_cost
-        assert plain.decision_log == blocked.decision_log
+        assert len(plain_log) == plain.accesses_total + 1
+        assert plain_log == blocked_log
         assert plain.migrations == blocked.migrations
         assert plain.final_owners == blocked.final_owners
         assert plain.residency == blocked.residency
 
     def test_window_one_never_delays(self):
         # size 1 over one hop: the window closes before the next step
-        plain, blocked = self.blocking_pair(1.0, num_steps=10)
+        (plain, _), (blocked, _) = self.blocking_pair(1.0, num_steps=10)
         assert plain.response_cost == blocked.response_cost
 
 
 class TestDeterminismAndConservation:
-    def osc_config(self, policy, record=True):
+    def osc_config(self, policy):
         return SimConfig(
             topology=reference_topology(),
             sizes=[1.0],
@@ -214,13 +217,14 @@ class TestDeterminismAndConservation:
             ),
             num_steps=4000,
             designated=6,
-            record_decisions=record,
         )
 
     def test_identical_runs_identical_results(self):
-        a = run(self.osc_config(PolicySpec("fna")))
-        b = run(self.osc_config(PolicySpec("fna")))
-        assert a.decision_log == b.decision_log
+        a_log, b_log = [], []
+        a = run(self.osc_config(PolicySpec("fna")), a_log.append)
+        b = run(self.osc_config(PolicySpec("fna")), b_log.append)
+        assert len(a_log) == a.accesses_total + 1
+        assert a_log == b_log
         assert a.residency == b.residency
         assert a.response_cost == b.response_cost
         assert a.migration_hop_cost == b.migration_hop_cost
@@ -231,22 +235,31 @@ class TestDeterminismAndConservation:
         ids=lambda spec: spec.name,
     )
     def test_decision_log_reconstructs_ownership(self, policy):
-        metrics = run(self.osc_config(policy))
+        lines = []
+        metrics = run(self.osc_config(policy), lines.append)
+        assert lines[0] == DECISIONS_HEADER
+        rows = list(csv.DictReader(lines))
         owner = 0
         moves = 0
-        for rec in metrics.decision_log:
-            assert rec.owner_before == owner
-            if rec.action == "move":
-                assert rec.dest != rec.owner_before, "a move never targets the current owner"
-                owner = rec.dest
+        for row in rows:
+            assert int(row["owner_before"]) == owner
+            if row["decision"] == "move":
+                dest = int(row["dest"])
+                assert dest != owner, "a move never targets the current owner"
+                owner = dest
                 moves += 1
             else:
-                assert rec.dest is None
+                assert row["decision"] == "stay"
+                assert row["dest"] == ""
         assert owner == metrics.final_owners[0]
         assert moves == metrics.migrations
         assert sum(metrics.residency) == metrics.accesses_total
-        assert len(metrics.decision_log) == metrics.accesses_total
+        assert len(rows) == metrics.accesses_total
 
     def test_decision_log_off_by_default(self):
-        metrics = run(self.osc_config(PolicySpec("nna"), record=False))
-        assert metrics.decision_log is None
+        # logging is opt-in, and streaming it never changes the run itself
+        lines = []
+        logged = run(self.osc_config(PolicySpec("nna")), lines.append)
+        plain = run(self.osc_config(PolicySpec("nna")))
+        assert len(lines) == logged.accesses_total + 1
+        assert plain == logged

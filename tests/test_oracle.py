@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragsim.oracle import (
+    LUMPED_MAX_T,
     ChainParams,
     NonStochasticRowError,
     ParamsTooLargeError,
@@ -109,6 +110,13 @@ class TestAgainstBruteForce:
             brute_force_stationary(ChainParams(5, 0.3, 5))
         with pytest.raises(ParamsTooLargeError):
             brute_force_stationary(ChainParams(7, 0.3, 2))
+
+    def test_lumped_chain_guard(self):
+        # the lumped matrix is dense: refuse before allocating (t + 1)**2 floats
+        with pytest.raises(ParamsTooLargeError, match="t <= 2000"):
+            threshold_stationary(ChainParams(3, 0.2, LUMPED_MAX_T + 1))
+        with pytest.raises(ParamsTooLargeError):
+            threshold_stationary(ChainParams(3, 0.2, 100_000))
 
     def test_non_designated_states_spread_evenly(self):
         # lumpability in the other direction: the full chain puts equal
