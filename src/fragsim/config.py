@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -131,6 +132,8 @@ def resolve_run(
     _check_keys(out_doc, "config.output", required=(), optional=("metrics", "decisions"))
     metrics_name = _str_key(out_doc, "config.output", "metrics", default="metrics.csv")
     decisions_name = _str_key(out_doc, "config.output", "decisions", default="decisions.csv")
+    if os.path.normpath(metrics_name) == os.path.normpath(decisions_name):
+        raise ConfigError(f"config.output: metrics and decisions name the same file {metrics_name!r}")
 
     num_steps = _int_key(doc, ctx, "num_steps", lo=1)
 

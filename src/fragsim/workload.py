@@ -7,21 +7,59 @@ renormalises the remaining mass, preserving the ratios between active
 sites. Streams are driven by ``random.Random`` (Mersenne Twister), whose
 output for a fixed seed is stable across platforms and Python releases,
 so a (spec, seed) pair always reproduces the same events.
+
+The stream is defined trial by trial, in step-major, fragment-minor
+order: a trial takes one ``random()`` draw and emits when it is below
+``rate`` (the draw is taken even at ``rate == 1``, so thinning never
+shifts the sequence); an emitting trial takes a second draw ``u``, and
+the requester is the first active site whose cumulative mass exceeds
+``u`` times the total (``bisect_right``). An ``oscillation`` picks the
+swapped table when the fragment's emitted count so far, divided by the
+period, is odd.
+
+:meth:`EventStream.blocks` produces exactly that sequence a block of
+trials at a time, without a Python call per trial:
+
+* ``getrandbits(64 * m)`` returns the next ``2m`` 32-bit Mersenne
+  Twister outputs packed least significant word first, the order
+  ``random()`` would consume them in. Read as little-endian 64-bit words,
+  word ``x`` holds one ``random()`` call's pair, and
+  ``((x & 0xFFFFFFFF) >> 5) * 2**26 + (x >> 38)`` scaled by ``2**-53`` is
+  the double ``random()`` builds from it, bit for bit.
+* A block of ``k`` trials needs at most ``2k`` draws. Position ``p`` of
+  the draws is a trial start when the run of draws below ``rate``
+  immediately before it, back to the last draw at or above ``rate``, has
+  even length: a miss is always followed by a start, and after it starts
+  and requester draws alternate. ``np.maximum.accumulate`` over the miss
+  positions finds that run for every position at once. At ``rate == 1``
+  nothing misses and the requester draw is every odd one.
+* Draws beyond the block's last trial carry over to the next block, even
+  when they outnumber all that the (shorter) final block needs.
+* Requesters come from ``np.searchsorted(cum, u * cum[-1],
+  side="right")``, the same float product and ``bisect_right`` as a
+  per-trial draw, with each event's oscillation phase from the
+  fragment's emitted count plus its rank among the fragment's events in
+  the block.
+
+Only ``random.Random`` draws; ``numpy.random`` is never imported.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .topology import SiteId
 
 _ROW_SUM_TOL = 1e-9
+
+# Trials per block. A constant in trials, not steps, keeps a block's arrays
+# (two draws a trial at most) at about 100 KB however many fragments a run has.
+BLOCK_TRIALS = 4096
 
 
 class InvalidProbabilityError(ValueError):
@@ -138,11 +176,14 @@ class WorkloadSpec:
 
 
 class EventStream:
-    """Stateful generator of access events for one simulation run.
+    """Access events for one run, drawn a block of trials at a time.
 
     Sampling tables (cumulative masses over the active sites, one per
-    oscillation phase) are precomputed; each ``next_event`` call costs at
-    most two RNG draws and one binary search.
+    oscillation phase) are precomputed. :meth:`blocks` turns one
+    ``getrandbits`` call per block into the doubles ``random()`` would
+    have returned, lays them out into trials with array operations, and
+    picks every requester with one ``searchsorted`` per table; see the
+    module docstring for why that replays the per-trial draws exactly.
     """
 
     def __init__(self, spec: WorkloadSpec):
@@ -150,10 +191,10 @@ class EventStream:
         self._rng = random.Random(spec.seed)
         self._emitted = [0] * spec.num_fragments
         active = spec.active if spec.active is not None else tuple(range(spec.num_sites))
-        self._sites = list(active)
+        self._sites = np.array(active)
         phases = 1 if spec.oscillation is None else 2
-        # _tables[f][phase] is the cumulative mass list over self._sites
-        self._tables: list[list[list[float]]] = []
+        # _tables[f][phase] is the cumulative mass array over self._sites
+        self._tables: list[list[np.ndarray]] = []
         for f in range(spec.num_fragments):
             per_phase = []
             for phase in range(phases):
@@ -161,28 +202,53 @@ class EventStream:
                 if phase == 1:
                     osc = spec.oscillation
                     vec[osc.site_a], vec[osc.site_b] = vec[osc.site_b], vec[osc.site_a]
-                cum = list(accumulate(float(vec[s]) for s in self._sites))
+                cum = list(accumulate(float(vec[s]) for s in active))
                 if cum[-1] <= 0.0:
                     raise EmptyActiveSetError(f"fragment {f} has zero probability mass on the active sites")
-                per_phase.append(cum)
+                per_phase.append(np.array(cum))
             self._tables.append(per_phase)
 
-    def next_event(self, fragment: int) -> Optional[SiteId]:
-        """One Bernoulli(rate) trial; returns the requesting site or None.
+    def _draws(self, count: int) -> np.ndarray:
+        """The next ``count`` doubles ``random()`` would return, in order."""
+        words = np.frombuffer(self._rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
+        return (((words & 0xFFFFFFFF) >> 5) << 26 | words >> 38).astype(float) * 2.0**-53
 
-        The rate draw happens even when ``rate == 1.0`` so that the same
-        seed walks the same RNG sequence regardless of thinning.
+    def blocks(self, num_steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(steps, fragments, requesters)`` of every event of ``num_steps`` steps.
+
+        Each yield covers the next ``BLOCK_TRIALS`` trials (the last one
+        fewer) and holds one int array entry per emitted access, in trial
+        order: step-major, fragment-minor.
         """
-        rng = self._rng
-        spec = self.spec
-        if rng.random() >= spec.rate:
-            return None
-        emitted = self._emitted[fragment]
-        if spec.oscillation is None:
-            cum = self._tables[fragment][0]
-        else:
-            cum = self._tables[fragment][(emitted // spec.oscillation.period) % 2]
-        u = rng.random() * cum[-1]
-        requester = self._sites[bisect_right(cum, u)]
-        self._emitted[fragment] = emitted + 1
-        return requester
+        rate = self.spec.rate
+        num_fragments = self.spec.num_fragments
+        total = num_steps * num_fragments
+        carry = np.empty(0)
+        for first in range(0, total, BLOCK_TRIALS):
+            trials = min(BLOCK_TRIALS, total - first)
+            need = 2 * trials - carry.size  # no trial takes more than two draws
+            draws = np.concatenate((carry, self._draws(need))) if need > 0 else carry
+            # a trial starts where the run of hits right before it has even length
+            position = np.arange(draws.size)
+            last_miss = np.maximum.accumulate(np.where(draws >= rate, position, -1))
+            since_miss = position - np.concatenate(([-1], last_miss[:-1])) - 1
+            starts = np.flatnonzero(since_miss % 2 == 0)[:trials]
+            hit = draws[starts] < rate
+            carry = draws[starts[-1] + 1 + hit[-1] :]
+            steps, fragments = np.divmod(first + np.flatnonzero(hit), num_fragments)
+            yield steps, fragments, self._requesters(fragments, draws[starts[hit] + 1])
+
+    def _requesters(self, fragments: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Requester of each event, from its second draw, by inverse CDF."""
+        picked = np.empty(draws.size, dtype=np.intp)
+        osc = self.spec.oscillation
+        for f, tables in enumerate(self._tables):
+            events = np.flatnonzero(fragments == f)
+            emitted = self._emitted[f]
+            self._emitted[f] = emitted + events.size
+            if osc is not None:
+                phase = (emitted + np.arange(events.size)) // osc.period % 2
+            for p, cum in enumerate(tables):
+                at = events if osc is None else events[phase == p]
+                picked[at] = np.searchsorted(cum, draws[at] * cum[-1], side="right")
+        return self._sites[picked]

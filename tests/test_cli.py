@@ -88,6 +88,14 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("decisions", ["same.csv", "./same.csv"])
+    def test_output_names_must_differ(self, tmp_path, capsys, decisions):
+        doc = base_run_doc(output={"metrics": "same.csv", "decisions": decisions})
+        cfg = write_json(tmp_path / "run.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--log-decisions"]) == 2
+        assert "config.output" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 3
 

@@ -1,9 +1,15 @@
 import csv
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference_engine
+from fragsim import workload
 from fragsim.engine import DECISIONS_HEADER, SimConfig, SimMetrics, run
 from fragsim.fixtures import reference_topology
 from fragsim.policies import PolicySpec
@@ -263,3 +269,46 @@ class TestDeterminismAndConservation:
         plain = run(self.osc_config(PolicySpec("nna")))
         assert len(lines) == logged.accesses_total + 1
         assert plain == logged
+
+
+class TestBlockBoundaries:
+    # 3 fragments over BLOCK_TRIALS // 3 + 1 steps leave a final block of 2
+    # trials, while at rate 0.137 most of a full block's 2 * BLOCK_TRIALS
+    # draws carry over into it
+    @pytest.mark.parametrize("num_steps", [1, 50, workload.BLOCK_TRIALS // 3 + 1])
+    def test_block_size_never_changes_a_run(self, monkeypatch, num_steps):
+        cfg = SimConfig(
+            topology=reference_topology(),
+            sizes=[1.0, 2.5, 4.0],
+            initial_owners=[0, 3, 8],
+            policy=PolicySpec("threshold", t=0),
+            workload=WorkloadSpec.symmetric(3, 9, 0.5, hot=6, rate=0.137, seed=13, oscillation=Oscillation(6, 2, 3)),
+            num_steps=num_steps,
+            designated=6,
+            migration_blocking=True,
+        )
+        runs = []
+        for block in (1, 3, workload.BLOCK_TRIALS):
+            monkeypatch.setattr(workload, "BLOCK_TRIALS", block)
+            lines = []
+            runs.append((run(cfg, lines.append), lines))
+        assert runs[0] == runs[1] == runs[2] == reference_engine.run(cfg)
+
+
+def test_run_never_imports_numpy_random():
+    # numpy.random alone adds about 6 MB of resident memory to every run
+    code = (
+        "import sys, fragsim, fragsim.cli\n"
+        "from fragsim.engine import SimConfig, run\n"
+        "from fragsim.policies import PolicySpec\n"
+        "from fragsim.topology import complete_topology\n"
+        "from fragsim.workload import WorkloadSpec\n"
+        "spec = WorkloadSpec.symmetric(2, 3, 0.5, rate=0.5)\n"
+        "run(SimConfig(complete_topology(3), [1.0, 1.0], [0, 1], PolicySpec('nna'), spec, 100))\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

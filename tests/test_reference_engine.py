@@ -2,18 +2,21 @@
 
 Hypothesis draws small connected graphs, multi-fragment workloads at
 dense and thinned rates, optional active sets, oscillation and blocking
-with sizes other than 1, and every policy. Both engines must agree on
+with sizes other than 1, every policy, and block sizes from one trial
+up. Both engines must agree on
 every ``SimMetrics`` field, compared by ``repr`` so floats match bit for
 bit and ints stay Python ints, and on the whole decision log.
 """
 
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engine
+from fragsim import workload
 from fragsim.engine import SimConfig, SimMetrics, run
 from fragsim.policies import FnaParams, PolicySpec
 from fragsim.topology import build_topology
@@ -77,11 +80,13 @@ def configs(draw):
     )
 
 
-@given(cfg=configs())
+# Small blocks make runs of up to 300 steps cross block boundaries.
+@given(cfg=configs(), block=st.sampled_from([2, 7, 64, 4096]))
 @settings(max_examples=300, deadline=None)
-def test_engine_matches_reference(cfg):
+def test_engine_matches_reference(cfg, block):
     lines = []
-    metrics = run(cfg, lines.append)
+    with mock.patch.object(workload, "BLOCK_TRIALS", block, create=True):
+        metrics = run(cfg, lines.append)
     expected, expected_lines = reference_engine.run(cfg)
     for name in (f.name for f in fields(SimMetrics)):
         assert repr(getattr(metrics, name)) == repr(getattr(expected, name)), name

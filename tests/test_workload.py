@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,13 +17,10 @@ from fragsim.workload import (
 
 
 def draw_events(spec, num_steps, fragment=0):
-    """Requesters of the events one fragment emits over ``num_steps`` trials."""
-    stream = EventStream(spec)
+    """Requesters of the events one fragment emits over ``num_steps`` steps."""
     out = []
-    for _ in range(num_steps):
-        requester = stream.next_event(fragment)
-        if requester is not None:
-            out.append(requester)
+    for _, fragments, requesters in EventStream(spec).blocks(num_steps):
+        out += requesters[fragments == fragment].tolist()
     return out
 
 
@@ -101,6 +99,15 @@ class TestWorkloadSpecValidation:
 
 
 class TestEventStream:
+    def test_block_draws_replay_random(self):
+        # getrandbits fills its integer with 32-bit outputs least significant
+        # word first; the block draws rely on that order
+        stream = EventStream(WorkloadSpec(np.array([[1.0]]), seed=31))
+        reference = random.Random(31)
+        for count in (1, 4096, 3):
+            assert stream._draws(count).tolist() == [reference.random() for _ in range(count)]
+        assert stream._rng.random() == reference.random(), "generator left in step"
+
     def test_deterministic_requester(self):
         spec = WorkloadSpec(np.array([[0.0, 1.0, 0.0]]), seed=5)
         events = draw_events(spec, 50)
