@@ -273,8 +273,8 @@ class TestDeterminismAndConservation:
 
 class TestBlockBoundaries:
     # 3 fragments over BLOCK_TRIALS // 3 + 1 steps leave a final block of 2
-    # trials, while at rate 0.137 most of a full block's 2 * BLOCK_TRIALS
-    # draws carry over into it
+    # trials; at rate 0.137 a full block uses about 1.14 of its 2 draws per
+    # trial, so far more than 4 draws carry over into it
     @pytest.mark.parametrize("num_steps", [1, 50, workload.BLOCK_TRIALS // 3 + 1])
     def test_block_size_never_changes_a_run(self, monkeypatch, num_steps):
         cfg = SimConfig(
