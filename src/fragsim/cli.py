@@ -57,11 +57,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _metrics_row(setup, metrics):
     return [
-        setup.policy_label,
+        setup.sim.policy.name,
         setup.sim.topology.n,
         setup.x_s,
-        setup.t,
-        setup.seed,
+        setup.sim.policy.t,
+        setup.sim.workload.seed,
         setup.sim.num_steps,
         metrics.o_s_hat,
         metrics.migrations,
@@ -132,15 +132,14 @@ def _cmd_sweep(args) -> int:
     doc = load_config(args.config)
     sweep = resolve_sweep(doc, Path(args.config).parent, seed_override=_effective_seed_override(args))
     rows = []
-    for value in sweep.values:
-        group = [(rep, setup) for (v, rep, setup) in sweep.cells if v == value]
-        results = [(rep, setup, _simulate(setup)) for rep, setup in group]
+    for value, setups in sweep.groups:
+        results = [(setup, _simulate(setup)) for setup in setups]
         k = len(results)
-        mean_os = sum(m.o_s_hat for _, _, m in results) / k
-        mean_migrations = sum(m.migrations for _, _, m in results) / k
-        mean_response = sum(m.response_cost for _, _, m in results) / k
-        mean_move_time = sum(m.avg_move_time for _, _, m in results) / k
-        for rep, setup, metrics in results:
+        mean_os = sum(m.o_s_hat for _, m in results) / k
+        mean_migrations = sum(m.migrations for _, m in results) / k
+        mean_response = sum(m.response_cost for _, m in results) / k
+        mean_move_time = sum(m.avg_move_time for _, m in results) / k
+        for rep, (setup, metrics) in enumerate(results):
             rows.append(
                 [sweep.axis, value, rep]
                 + _metrics_row(setup, metrics)

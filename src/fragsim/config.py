@@ -71,10 +71,7 @@ class RunSetup:
     """A fully resolved run: the engine config plus reporting labels."""
 
     sim: SimConfig
-    seed: int
-    policy_label: str
     x_s: Optional[float]
-    t: Optional[int]
     metrics_name: str = "metrics.csv"
     decisions_name: str = "decisions.csv"
     record_decisions: bool = False  # stream the decision log to ``decisions_name``
@@ -83,9 +80,7 @@ class RunSetup:
 @dataclass
 class SweepSetup:
     axis: str
-    values: list
-    replications: int
-    cells: list  # of (axis_value, replication, RunSetup)
+    groups: list  # of (axis_value, [RunSetup for each replication]), in config order
     metrics_name: str = "sweep.csv"
 
 
@@ -153,13 +148,9 @@ def resolve_run(
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from None
 
-    t_label = policy_spec.t if (policy_spec.name == "threshold" or (policy_spec.name == "nna" and policy_spec.trigger == "threshold")) else None
     return RunSetup(
         sim=sim,
-        seed=seed,
-        policy_label=policy_spec.name,
         x_s=x_s_label,
-        t=t_label,
         metrics_name=metrics_name,
         decisions_name=decisions_name,
         record_decisions=record_decisions,
@@ -179,6 +170,9 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
     values = sweep_doc["values"]
     if not isinstance(values, list) or not values:
         raise ConfigError("config.sweep.values: must be a non-empty list")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"config.sweep.values: {repeated[0]!r} appears more than once, values must be distinct")
     replications = _int_key(sweep_doc, "config.sweep", "replications", default=1, lo=1)
 
     base = {k: v for k, v in doc.items() if k != "sweep"}
@@ -189,45 +183,33 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
     if isinstance(out_doc, dict) and isinstance(out_doc.get("metrics"), str):
         metrics_name = out_doc["metrics"]
 
-    cells = []
+    groups = []
     for value in values:
         varied = _apply_axis(base, axis, value)
-        for rep in range(replications):
-            setup = resolve_run(varied, base_dir, seed_override=base_seed + rep)
-            cells.append((value, rep, setup))
-    return SweepSetup(axis=axis, values=list(values), replications=replications, cells=cells, metrics_name=metrics_name)
+        groups.append((value, [resolve_run(varied, base_dir, seed_override=base_seed + rep) for rep in range(replications)]))
+    return SweepSetup(axis=axis, groups=groups, metrics_name=metrics_name)
 
 
 def parse_policy_token(token: str) -> PolicySpec:
-    """Parse a compare-command policy token.
+    """Parse a compare-command policy token, ``name[:trigger][:t]``.
 
-    Accepted forms: ``optimal``, ``threshold:<t>``, ``nna``,
-    ``nna:dominance``, ``nna:threshold:<t>``, ``fna``.
+    The token becomes the equivalent config ``policy`` block, so the
+    accepted forms are ``optimal``, ``threshold:<t>``, ``nna``,
+    ``nna:dominance``, ``nna:threshold:<t>`` and ``fna``.
     """
-    parts = token.split(":")
-    name = parts[0]
-    try:
-        if name == "optimal" and len(parts) == 1:
-            return PolicySpec("optimal")
-        if name == "threshold" and len(parts) == 2:
-            return PolicySpec("threshold", t=_token_t(parts[1]))
-        if name == "nna":
-            if len(parts) == 1 or (len(parts) == 2 and parts[1] == "dominance"):
-                return PolicySpec("nna")
-            if len(parts) == 3 and parts[1] == "threshold":
-                return PolicySpec("nna", trigger="threshold", t=_token_t(parts[2]))
-        if name == "fna" and len(parts) == 1:
-            return PolicySpec("fna")
-    except ValueError as exc:
-        raise ConfigError(f"--policies: bad token {token!r} ({exc})") from None
-    raise ConfigError(f"--policies: bad token {token!r}")
-
-
-def _token_t(text: str) -> int:
-    t = int(text)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return t
+    name, *rest = token.split(":")
+    block = {"name": name}
+    if rest:
+        try:
+            block["t"] = int(rest[-1])
+            rest.pop()
+        except ValueError:
+            pass
+    if rest:
+        block["trigger"] = rest.pop(0)
+    if rest:
+        raise ConfigError(f"--policies: bad token {token!r}")
+    return _resolve_policy(block, f"--policies: bad token {token!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -281,42 +263,36 @@ def _resolve_owners(block, count: int, n: int) -> list:
     return list(owners)
 
 
-def _resolve_policy(block) -> PolicySpec:
-    ctx = "config.policy"
+# The keys each policy's config block may carry besides ``name``. Only their
+# JSON types are read here; PolicySpec and FnaParams check the values.
+_POLICY_KEYS = {
+    "optimal": ("counter_cap",),
+    "threshold": ("t",),
+    "nna": ("trigger", "t", "counter_cap"),
+    "fna": ("window", "decay", "history", "inhibition_cutoff", "min_gap"),
+}
+
+
+def _read_policy_key(block: dict, ctx: str, key: str):
+    if block[key] is None and key in ("t", "counter_cap"):
+        return None
+    if key in ("t", "counter_cap", "window", "history"):
+        return _int_key(block, ctx, key)
+    return _str_key(block, ctx, key) if key == "trigger" else _num_key(block, ctx, key)
+
+
+def _resolve_policy(block, ctx: str = "config.policy") -> PolicySpec:
     if not isinstance(block, dict):
         raise ConfigError(f"{ctx}: must be an object")
-    name = _str_key(block, ctx, "name", default=None)
-    if name is None:
-        raise ConfigError(f"{ctx}: missing required key 'name'")
-    if name == "optimal":
-        _check_keys(block, ctx, required=("name",), optional=("counter_cap",))
-        return PolicySpec("optimal", counter_cap=_opt_int_key(block, ctx, "counter_cap", lo=1))
-    if name == "threshold":
-        _check_keys(block, ctx, required=("name", "t"), optional=())
-        return PolicySpec("threshold", t=_int_key(block, ctx, "t", lo=0))
-    if name == "nna":
-        _check_keys(block, ctx, required=("name",), optional=("trigger", "t", "counter_cap"))
-        trigger = _str_key(block, ctx, "trigger", default="dominance")
-        if trigger not in ("dominance", "threshold"):
-            raise ConfigError(f"{ctx}.trigger: must be 'dominance' or 'threshold', got {trigger!r}")
-        t = _opt_int_key(block, ctx, "t", lo=0)
-        if trigger == "threshold" and t is None:
-            raise ConfigError(f"{ctx}.t: required when trigger is 'threshold'")
-        return PolicySpec("nna", trigger=trigger, t=t, counter_cap=_opt_int_key(block, ctx, "counter_cap", lo=1))
-    if name == "fna":
-        _check_keys(block, ctx, required=("name",), optional=("window", "decay", "history", "inhibition_cutoff", "min_gap"))
-        try:
-            params = FnaParams(
-                window=_int_key(block, ctx, "window", default=20, lo=1),
-                decay=_num_key(block, ctx, "decay", default=0.95),
-                history=_int_key(block, ctx, "history", default=6, lo=1),
-                inhibition_cutoff=_num_key(block, ctx, "inhibition_cutoff", default=0.5),
-                min_gap=_num_key(block, ctx, "min_gap", default=0.05),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{ctx}: {exc}") from None
-        return PolicySpec("fna", fna=params)
-    raise ConfigError(f"{ctx}.name: unknown policy {name!r}")
+    name = _str_key(block, ctx, "name")
+    _check_keys(block, ctx, required=("name",), optional=_POLICY_KEYS.get(name, ()))
+    params = {key: _read_policy_key(block, ctx, key) for key in block if key != "name"}
+    try:
+        if name == "fna":
+            return PolicySpec(name, fna=FnaParams(**params))
+        return PolicySpec(name, **params)
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from None
 
 
 def _resolve_workload(block, count: int, n: int, seed: int):
@@ -391,10 +367,10 @@ def _apply_axis(base: dict, axis: str, value) -> dict:
         wl["x_s"] = value
     elif axis == "t":
         pol = doc.get("policy")
-        if not isinstance(pol, dict) or pol.get("name") not in ("threshold", "nna"):
-            raise ConfigError("config.sweep.axis: 't' needs a threshold or nna policy")
+        if not isinstance(pol, dict):
+            raise ConfigError("config.sweep.axis: 't' needs a policy block")
         pol["t"] = value
-        if pol["name"] == "nna":
+        if pol.get("name") == "nna":
             pol["trigger"] = "threshold"
     elif axis == "fragment_size":
         frag = doc.setdefault("fragments", {"count": 1})
@@ -438,12 +414,6 @@ def _int_key(obj: dict, ctx: str, key: str, default=_MISSING, lo=None, hi=None) 
     if hi is not None and value > hi:
         raise ConfigError(f"{ctx}.{key}: must be <= {hi}, got {value}")
     return value
-
-
-def _opt_int_key(obj: dict, ctx: str, key: str, lo=None):
-    if key not in obj or obj[key] is None:
-        return None
-    return _int_key(obj, ctx, key, lo=lo)
 
 
 def _num_key(obj: dict, ctx: str, key: str, default=_MISSING) -> float:

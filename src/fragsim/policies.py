@@ -44,6 +44,8 @@ the engine calls once per access of fragment ``f``:
   remote-since-move count, ``fna`` records the destination in its
   history). The caller only updates the owner.
 
+The policy classes trust their arguments; :class:`PolicySpec` checks them.
+
 ``nna`` and ``fna`` route with a ``next_hop`` table given as a list of
 lists, ``next_hop[source][target]``, as built from
 :attr:`~fragsim.topology.Topology.next_hop_matrix`.
@@ -103,8 +105,6 @@ class ThresholdPolicy:
     inhibition = None
 
     def __init__(self, num_fragments: int, t: int):
-        if t < 0:
-            raise ValueError(f"threshold must be non-negative, got {t}")
         self.t = t
         self.counts: list[int] = [0] * num_fragments
 
@@ -150,11 +150,6 @@ class NnaPolicy:
         t: Optional[int] = None,
         counter_cap: Optional[int] = None,
     ):
-        if trigger not in ("dominance", "threshold"):
-            raise ValueError(f"unknown nna trigger {trigger!r}")
-        if trigger == "threshold":
-            if t is None or t < 0:
-                raise ValueError("nna threshold trigger needs a non-negative t")
         self.next_hop = next_hop
         self.trigger = trigger
         self.t = t
@@ -344,7 +339,12 @@ class FnaPolicy:
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Everything needed to instantiate a policy for a given run."""
+    """Everything needed to instantiate a policy for a given run.
+
+    Construction checks the parameters against the policy's name and
+    raises ``ValueError`` on any that the policy does not take. The policy
+    classes, the config reader and the ``compare`` tokens rely on it.
+    """
 
     name: str
     t: Optional[int] = None
@@ -352,17 +352,31 @@ class PolicySpec:
     counter_cap: Optional[int] = None
     fna: FnaParams = field(default_factory=FnaParams)
 
+    def __post_init__(self):
+        name, t, cap = self.name, self.t, self.counter_cap
+        if name not in ("optimal", "threshold", "nna", "fna"):
+            raise ValueError(f"unknown policy {name!r}, expected optimal, threshold, nna or fna")
+        if self.trigger not in ("dominance", "threshold"):
+            raise ValueError(f"trigger must be 'dominance' or 'threshold', got {self.trigger!r}")
+        if self.trigger != "dominance" and name != "nna":
+            raise ValueError(f"trigger: only nna takes a trigger, not {name}")
+        if name == "threshold" or self.trigger == "threshold":
+            if type(t) is not int or t < 0:
+                raise ValueError(f"t: {name} needs an integer t >= 0, got {t!r}")
+        elif t is not None:
+            raise ValueError(f"t: only threshold and threshold-triggered nna take t, got t={t!r} for {name}")
+        if cap is not None and (name not in ("optimal", "nna") or type(cap) is not int or cap < 1):
+            raise ValueError(f"counter_cap: only optimal and nna take one, an integer >= 1; got {cap!r} for {name}")
+        if name != "fna" and self.fna != FnaParams():
+            raise ValueError(f"fna: only fna takes fna parameters, not {name}")
+
 
 def build_policy(spec: PolicySpec, num_fragments: int, num_sites: int, next_hop: list[list[SiteId]]):
     """Instantiate the policy ``spec`` names; ``next_hop`` is the routing table as lists."""
     if spec.name == "optimal":
         return OptimalPolicy(num_fragments, num_sites, counter_cap=spec.counter_cap)
     if spec.name == "threshold":
-        if spec.t is None:
-            raise ValueError("threshold policy needs t")
         return ThresholdPolicy(num_fragments, spec.t)
     if spec.name == "nna":
         return NnaPolicy(num_fragments, next_hop, trigger=spec.trigger, t=spec.t, counter_cap=spec.counter_cap)
-    if spec.name == "fna":
-        return FnaPolicy(num_fragments, next_hop, params=spec.fna)
-    raise ValueError(f"unknown policy {spec.name!r}")
+    return FnaPolicy(num_fragments, next_hop, params=spec.fna)

@@ -176,14 +176,29 @@ def _next_hop_table(adjacency: list[list[tuple[int, float]]], dist: np.ndarray) 
 
 
 def topology_from_dict(doc: dict) -> Topology:
-    try:
-        n = int(doc["n"])
-        raw_links = doc["links"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TopologyError(f"malformed topology document: {exc}") from None
-    if not isinstance(raw_links, list):
-        raise TopologyError("malformed topology document: 'links' must be a list")
-    return build_topology(n, raw_links)
+    """Build a topology from a parsed JSON document, coercing nothing.
+
+    ``n`` and site ids must be integers, weights numbers, each link
+    ``[a, b]`` or ``[a, b, weight]``, and no other key may appear; a
+    :class:`TopologyError` names the field that is not.
+    """
+    odd = sorted(set(doc) ^ {"n", "links"})
+    if odd:
+        raise TopologyError(f"topology: {'unknown' if odd[0] in doc else 'missing required'} key {odd[0]!r}")
+    _check_json(doc["n"], int, "topology.n")
+    if not isinstance(doc["links"], list):
+        raise TopologyError("topology.links: must be a list")
+    for i, link in enumerate(doc["links"]):
+        if not isinstance(link, list) or len(link) not in (2, 3):
+            raise TopologyError(f"topology.links[{i}]: must be [a, b] or [a, b, weight], got {link!r}")
+        for j, value in enumerate(link):
+            _check_json(value, int if j < 2 else (int, float), f"topology.links[{i}][{j}]")
+    return build_topology(doc["n"], doc["links"])
+
+
+def _check_json(value, kind, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TopologyError(f"{where}: must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 def load_topology(path) -> Topology:

@@ -103,6 +103,13 @@ class TestRunCommand:
         cfg = write_json(tmp_path / "run.json", base_run_doc(topology="nowhere.json"))
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    def test_loose_inline_topology_is_an_io_error(self, tmp_path, capsys):
+        topology = {"n": 3.7, "links": [[0, 1.9, 1], ["1", 2, 1]], "extra": 5}
+        cfg = write_json(tmp_path / "run.json", base_run_doc(topology=topology))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "topology" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_config_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -200,6 +207,14 @@ class TestSweepCommand:
         cfg = write_json(tmp_path / "sweep.json", doc)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "values" in capsys.readouterr().err
+
+    def test_repeated_values_rejected(self, tmp_path, capsys):
+        doc = self.sweep_doc()
+        doc["sweep"]["values"] = [0.2, 0.6, 0.2]
+        cfg = write_json(tmp_path / "sweep.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config.sweep.values" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         doc = self.sweep_doc()

@@ -1,11 +1,14 @@
 """Policy behaviour, from scripted single traces up to property checks."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fragsim.cli import main
+from fragsim.config import parse_policy_token, resolve_run
 from fragsim.fixtures import reference_topology
 from fragsim.policies import (
     FnaParams,
@@ -123,7 +126,7 @@ class TestThreshold:
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
-            ThresholdPolicy(1, t=-1)
+            PolicySpec("threshold", t=-1)
 
     @given(
         t=st.integers(0, 4),
@@ -191,11 +194,11 @@ class TestNna:
 
     def test_threshold_trigger_requires_t(self):
         with pytest.raises(ValueError):
-            NnaPolicy(1, hops(complete_topology(3)), trigger="threshold")
+            PolicySpec("nna", trigger="threshold")
 
     def test_unknown_trigger_rejected(self):
         with pytest.raises(ValueError):
-            NnaPolicy(1, hops(complete_topology(3)), trigger="sometimes")
+            PolicySpec("nna", trigger="sometimes")
 
     def test_at_target_stays_put(self):
         topo = build_topology(3, [(0, 1), (1, 2)])
@@ -349,3 +352,75 @@ class TestBuildPolicy:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             build_policy(PolicySpec("greedy"), 1, 3, hops(complete_topology(3)))
+
+
+class TestPolicySpec:
+    """One set of parameter rules, met at every entry point.
+
+    A policy reaches the engine as a ``PolicySpec`` built in Python, as a
+    config ``policy`` block, or as a ``compare --policies`` token; each
+    token must mean exactly its config block, and each invalid
+    combination must be refused by all three.
+    """
+
+    RUN_DOC = {
+        "topology": {"n": 3, "links": [[0, 1], [1, 2], [0, 2]]},
+        "workload": {"x_s": 0.5},
+        "num_steps": 50,
+    }
+
+    @pytest.mark.parametrize(
+        "token, block",
+        [
+            ("optimal", {"name": "optimal"}),
+            ("threshold:3", {"name": "threshold", "t": 3}),
+            ("nna", {"name": "nna"}),
+            ("nna:dominance", {"name": "nna", "trigger": "dominance"}),
+            ("nna:threshold:2", {"name": "nna", "trigger": "threshold", "t": 2}),
+            ("fna", {"name": "fna"}),
+        ],
+    )
+    def test_token_equals_its_config_block(self, token, block):
+        from_block = resolve_run(dict(self.RUN_DOC, policy=block), ".").sim.policy
+        assert parse_policy_token(token) == from_block
+        assert resolve_run(self.RUN_DOC, ".", policy_override=parse_policy_token(token)).sim.policy == from_block
+
+    # An invalid config block, which doubles as PolicySpec's keyword
+    # arguments, and the token that says the same, or None where the token
+    # grammar cannot say it.
+    INVALID = {
+        "t-on-optimal": ({"name": "optimal", "t": 3}, "optimal:3"),
+        "t-on-fna": ({"name": "fna", "t": 3}, "fna:3"),
+        "t-on-dominance-nna": ({"name": "nna", "t": 5}, "nna:5"),
+        "t-on-explicit-dominance-nna": ({"name": "nna", "trigger": "dominance", "t": 5}, "nna:dominance:5"),
+        "counter-cap-on-threshold": ({"name": "threshold", "t": 2, "counter_cap": 3}, None),
+        "counter-cap-on-fna": ({"name": "fna", "counter_cap": 3}, None),
+        "trigger-on-optimal": ({"name": "optimal", "trigger": "threshold"}, "optimal:threshold"),
+        "trigger-on-threshold": ({"name": "threshold", "t": 2, "trigger": "threshold"}, "threshold:threshold:2"),
+        "trigger-on-fna": ({"name": "fna", "trigger": "threshold"}, "fna:threshold"),
+        "negative-t-threshold": ({"name": "threshold", "t": -1}, "threshold:-1"),
+        "negative-t-nna": ({"name": "nna", "trigger": "threshold", "t": -2}, "nna:threshold:-2"),
+    }
+
+    @pytest.mark.parametrize("case", list(INVALID))
+    def test_invalid_combination_rejected_everywhere(self, case, tmp_path, capsys):
+        block, token = self.INVALID[case]
+        with pytest.raises(ValueError):
+            PolicySpec(**block)
+
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict(self.RUN_DOC, policy=block)))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "config.policy" in capsys.readouterr().err
+
+        if token is not None:
+            cfg.write_text(json.dumps(self.RUN_DOC))
+            out = tmp_path / "compare"
+            assert main(["compare", "--config", str(cfg), "--policies", f"nna,{token}", "--out", str(out)]) == 2
+            assert "--policies" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_fna_params_only_on_fna(self):
+        with pytest.raises(ValueError):
+            PolicySpec("optimal", fna=FnaParams(window=3))
+        assert PolicySpec("fna", fna=FnaParams(window=3)).fna.window == 3

@@ -359,3 +359,33 @@ class TestSerialization:
             topology_from_dict({"links": []})
         with pytest.raises(TopologyError):
             topology_from_dict({"n": 2, "links": "nope"})
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"n": 3.7, "links": [[0, 1], [1, 2]]}, "topology.n"),
+            ({"n": True, "links": []}, "topology.n"),
+            ({"n": "3", "links": [[0, 1], [1, 2]]}, "topology.n"),
+            ({"n": 3, "links": [[0, 1.9, 1], [1, 2]]}, "topology.links[0][1]"),
+            ({"n": 3, "links": [[0, 1], ["1", 2, 1]]}, "topology.links[1][0]"),
+            ({"n": 3, "links": [[0, 1], [1, True]]}, "topology.links[1][1]"),
+            ({"n": 3, "links": [[0, 1, "heavy"], [1, 2]]}, "topology.links[0][2]"),
+            ({"n": 3, "links": [[0, 1, False], [1, 2]]}, "topology.links[0][2]"),
+            ({"n": 3, "links": [[0, 1], [1, 2, 1.0, 4]]}, "topology.links[1]"),
+            ({"n": 3, "links": [[0], [1, 2]]}, "topology.links[0]"),
+            ({"n": 3, "links": [{"a": 0, "b": 1}, [1, 2]]}, "topology.links[0]"),
+            ({"n": 3, "links": [[0, 1], [1, 2]], "extra": 5}, "'extra'"),
+        ],
+        ids=[
+            "float-n", "bool-n", "string-n", "float-site", "string-site", "bool-site",
+            "string-weight", "bool-weight", "long-link", "short-link", "object-link", "unknown-key",
+        ],
+    )
+    def test_from_dict_is_strict(self, doc, field):
+        with pytest.raises(TopologyError) as info:
+            topology_from_dict(doc)
+        assert field in str(info.value)
+
+    def test_from_dict_accepts_ints_and_numbers(self):
+        topo = topology_from_dict({"n": 3, "links": [[0, 1], [1, 2, 2], [0, 2, 0.5]]})
+        assert topo.links == (Link(0, 1, 1.0), Link(1, 2, 2.0), Link(0, 2, 0.5))
