@@ -24,9 +24,8 @@ from pathlib import Path
 from .config import ConfigError, load_config, parse_policy_token, resolve_run, resolve_sweep
 from .engine import run as run_sim
 from .fixtures import write_fixtures
-from .oracle import ChainParams, ParamsTooLargeError, threshold_stationary
+from .oracle import ChainParams, threshold_stationary
 from .topology import TopologyError
-from .workload import EmptyActiveSetError, InvalidProbabilityError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -170,15 +169,13 @@ def _cmd_oracle(args) -> int:
     t_values = _parse_int_list(args.t, "--t")
     if not xs_values or not t_values:
         raise ConfigError("--x-s and --t must be non-empty")
-    if min(t_values) < 0:
-        raise ConfigError(f"--t: thresholds must be >= 0, got {args.t!r}")
     rows = []
     for x_s in xs_values:
         for t in t_values:
             try:
                 result = threshold_stationary(ChainParams(n=args.n, x_s=x_s, t=t))
-            except ParamsTooLargeError as exc:
-                raise ConfigError(f"--t: {exc}") from None
+            except ValueError as exc:
+                raise ConfigError(f"--n {args.n} --x-s {x_s} --t {t}: {exc}") from None
             rows.append([args.n, x_s, t, result.o_s, "lumped-chain"])
     out_path = Path(args.out) / "oracle.csv"
     _write_csv(out_path, ORACLE_HEADER, rows)
@@ -226,9 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fragsim", description="Simulator and analysis tool for fragment allocation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="path to a JSON config document")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to a JSON config document")
         p.add_argument("--out", default=".", help="output directory (default: current directory)")
         p.add_argument("--seed-override", type=int, default=None, help="overrides FRAGSIM_SEED and the config seed")
 
@@ -266,7 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidProbabilityError, EmptyActiveSetError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TopologyError, OSError) as exc:

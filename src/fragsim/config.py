@@ -4,6 +4,25 @@ Unknown keys are rejected rather than ignored, and every validation
 message names the offending key, so typos fail loudly instead of
 silently running a different experiment.
 
+This module reads JSON types only: which keys a block may hold, and
+whether each value is an int, a number, a string or a list. Each rule
+about the values has one home, whose ``ValueError`` is re-raised here as
+a :class:`ConfigError` prefixed with the block's name:
+
+* the run's shape (step count, fragment count and sizes, initial owners,
+  designated site, per-hop latency, probability rows and width):
+  :meth:`~fragsim.engine.SimConfig.validate`;
+* probabilities, rate, active sites and zero mass on them in either
+  oscillation phase: :class:`~fragsim.workload.WorkloadSpec`, with
+  :func:`~fragsim.workload.symmetric_spec` for ``x_s`` and ``hot`` and
+  :class:`~fragsim.workload.Oscillation` for its sites and period;
+* policy parameters: :class:`~fragsim.policies.PolicySpec` and
+  :class:`~fragsim.policies.FnaParams`;
+* links and weights: :func:`~fragsim.topology.build_topology`, whose
+  :class:`~fragsim.topology.TopologyError` is left as it is (exit 3).
+
+``NaN`` and ``Infinity`` are not JSON numbers and fail as invalid JSON.
+
 A run document looks like::
 
     {
@@ -34,7 +53,6 @@ config's top-level ``seed``, default 0.
 from __future__ import annotations
 
 import copy
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +60,7 @@ from typing import Optional
 
 from .engine import SimConfig
 from .policies import FnaParams, PolicySpec
-from .topology import Topology, load_topology, topology_from_dict
+from .topology import Topology, load_topology, read_json_object, topology_from_dict
 from .workload import Oscillation, WorkloadSpec, symmetric_spec
 
 import numpy as np
@@ -56,14 +74,7 @@ class ConfigError(ValueError):
 
 def load_config(path) -> dict:
     """Read a JSON config document. I/O errors propagate as OSError."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return doc
+    return read_json_object(path, ConfigError, "config")
 
 
 @dataclass
@@ -101,26 +112,6 @@ def resolve_run(
     if "sweep" in doc:
         raise ConfigError("config: 'sweep' block present, use the sweep command")
 
-    topo = _resolve_topology(doc["topology"], base_dir)
-    n = topo.n
-
-    frag_doc = doc.get("fragments", {"count": 1, "size": 1.0})
-    sizes = _resolve_sizes(frag_doc)
-    count = len(sizes)
-
-    owners = _resolve_owners(doc.get("initial_owners", 0), count, n)
-
-    seed = seed_override if seed_override is not None else _int_key(doc, ctx, "seed", default=0)
-
-    policy_spec = policy_override if policy_override is not None else _resolve_policy(doc["policy"])
-    workload, x_s_label, hot = _resolve_workload(doc["workload"], count, n, seed)
-
-    designated = _int_key(doc, ctx, "designated", default=hot, lo=0, hi=n - 1)
-    per_hop_latency = _num_key(doc, ctx, "per_hop_latency", default=1.0)
-    if per_hop_latency <= 0:
-        raise ConfigError(f"config.per_hop_latency: must be positive, got {per_hop_latency}")
-    blocking = _bool_key(doc, ctx, "migration_blocking", default=False)
-
     out_doc = doc.get("output", {})
     if not isinstance(out_doc, dict):
         raise ConfigError("config.output: must be an object")
@@ -130,23 +121,25 @@ def resolve_run(
     if os.path.normpath(metrics_name) == os.path.normpath(decisions_name):
         raise ConfigError(f"config.output: metrics and decisions name the same file {metrics_name!r}")
 
-    num_steps = _int_key(doc, ctx, "num_steps", lo=1)
-
+    topo = _resolve_topology(doc["topology"], base_dir)
+    sizes = _resolve_sizes(doc.get("fragments", {"count": 1, "size": 1.0}))
+    seed = seed_override if seed_override is not None else _int_key(doc, ctx, "seed", default=0)
+    workload, x_s_label, hot = _resolve_workload(doc["workload"], len(sizes), topo.n, seed)
     sim = SimConfig(
         topology=topo,
         sizes=sizes,
-        initial_owners=owners,
-        policy=policy_spec,
+        initial_owners=_resolve_owners(doc.get("initial_owners", 0), len(sizes)),
+        policy=policy_override if policy_override is not None else _resolve_policy(doc["policy"]),
         workload=workload,
-        num_steps=num_steps,
-        designated=designated,
-        per_hop_latency=per_hop_latency,
-        migration_blocking=blocking,
+        num_steps=_int_key(doc, ctx, "num_steps"),
+        designated=_int_key(doc, ctx, "designated", default=hot),
+        per_hop_latency=_num_key(doc, ctx, "per_hop_latency", default=1.0),
+        migration_blocking=_bool_key(doc, ctx, "migration_blocking", default=False),
     )
     try:
         sim.validate()
     except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from None
+        raise ConfigError(f"config.{exc}") from None
 
     return RunSetup(
         sim=sim,
@@ -178,16 +171,12 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
     base = {k: v for k, v in doc.items() if k != "sweep"}
     base_seed = seed_override if seed_override is not None else _int_key(base, "config", "seed", default=0)
 
-    out_doc = base.get("output", {})
-    metrics_name = "sweep.csv"
-    if isinstance(out_doc, dict) and isinstance(out_doc.get("metrics"), str):
-        metrics_name = out_doc["metrics"]
-
     groups = []
     for value in values:
         varied = _apply_axis(base, axis, value)
         groups.append((value, [resolve_run(varied, base_dir, seed_override=base_seed + rep) for rep in range(replications)]))
-    return SweepSetup(axis=axis, groups=groups, metrics_name=metrics_name)
+    # resolve_run has checked the output block by now
+    return SweepSetup(axis=axis, groups=groups, metrics_name=base.get("output", {}).get("metrics", "sweep.csv"))
 
 
 def parse_policy_token(token: str) -> PolicySpec:
@@ -236,31 +225,15 @@ def _resolve_sizes(block) -> list:
         sizes = block["sizes"]
         if not isinstance(sizes, list) or len(sizes) != count:
             raise ConfigError(f"{ctx}.sizes: must be a list of length {count}")
-        sizes = [_as_num(s, f"{ctx}.sizes") for s in sizes]
-    else:
-        sizes = [_num_key(block, ctx, "size", default=1.0)] * count
-    for f, size in enumerate(sizes):
-        if size <= 0:
-            raise ConfigError(f"{ctx}: fragment {f}: size must be positive, got {size}")
-    return sizes
+        return [_as_num(s, f"{ctx}.sizes") for s in sizes]
+    return [_num_key(block, ctx, "size", default=1.0)] * count
 
 
-def _resolve_owners(block, count: int, n: int) -> list:
-    ctx = "config.initial_owners"
-    if isinstance(block, bool):
-        raise ConfigError(f"{ctx}: must be a site id or a list of site ids")
-    if isinstance(block, int):
-        owners = [block] * count
-    elif isinstance(block, list):
-        owners = block
-    else:
-        raise ConfigError(f"{ctx}: must be a site id or a list of site ids")
-    if len(owners) != count:
-        raise ConfigError(f"{ctx}: expected {count} entries, got {len(owners)}")
-    for o in owners:
-        if not isinstance(o, int) or isinstance(o, bool) or not (0 <= o < n):
-            raise ConfigError(f"{ctx}: owner {o!r} is not a site in 0..{n - 1}")
-    return list(owners)
+def _resolve_owners(block, count: int) -> list:
+    owners = [block] * count if not isinstance(block, list) else list(block)
+    if not all(isinstance(o, int) and not isinstance(o, bool) for o in owners):
+        raise ConfigError(f"config.initial_owners: must be a site id or a list of site ids, got {block!r}")
+    return owners
 
 
 # The keys each policy's config block may carry besides ``name``. Only their
@@ -300,11 +273,8 @@ def _resolve_workload(block, count: int, n: int, seed: int):
     if not isinstance(block, dict):
         raise ConfigError(f"{ctx}: must be an object")
     _check_keys(block, ctx, required=(), optional=("x_s", "hot", "probs", "rate", "active", "oscillation"))
-    has_xs = "x_s" in block
-    has_probs = "probs" in block
-    if has_xs == has_probs:
+    if ("x_s" in block) == ("probs" in block):
         raise ConfigError(f"{ctx}: give exactly one of 'x_s' or 'probs'")
-
     rate = _num_key(block, ctx, "rate", default=1.0)
 
     active = None
@@ -314,48 +284,38 @@ def _resolve_workload(block, count: int, n: int, seed: int):
             raise ConfigError(f"{ctx}.active: must be a list of site ids")
         active = tuple(raw)
 
-    oscillation = None
+    osc = None
     if "oscillation" in block:
-        osc = block["oscillation"]
-        if not isinstance(osc, dict):
-            raise ConfigError(f"{ctx}.oscillation: must be an object")
-        _check_keys(osc, f"{ctx}.oscillation", required=("site_a", "site_b", "period"), optional=())
         octx = f"{ctx}.oscillation"
-        oscillation = Oscillation(
-            site_a=_int_key(osc, octx, "site_a", lo=0),
-            site_b=_int_key(osc, octx, "site_b", lo=0),
-            period=_int_key(osc, octx, "period", lo=1),
-        )
+        if not isinstance(block["oscillation"], dict):
+            raise ConfigError(f"{octx}: must be an object")
+        _check_keys(block["oscillation"], octx, required=("site_a", "site_b", "period"), optional=())
+        osc = [_int_key(block["oscillation"], octx, key) for key in ("site_a", "site_b", "period")]
 
-    hot = 0
-    x_s_label = None
+    x_s, hot = None, 0
+    if "x_s" in block:
+        x_s = _num_key(block, ctx, "x_s")
+        hot = _int_key(block, ctx, "hot", default=0)
+    else:
+        if "hot" in block:
+            raise ConfigError(f"{ctx}.hot: only valid with the x_s form")
+        if not isinstance(block["probs"], list):
+            raise ConfigError(f"{ctx}.probs: must be a list of rows")
+        try:
+            probs = np.asarray(block["probs"], dtype=float)
+        except ValueError:
+            raise ConfigError(f"{ctx}.probs: rows must be equal-length lists of numbers") from None
+        if probs.ndim == 1:
+            probs = np.tile(probs, (count, 1))
+
     try:
-        if has_xs:
-            x_s_label = _num_key(block, ctx, "x_s")
-            hot = _int_key(block, ctx, "hot", default=0, lo=0, hi=n - 1)
-            probs = np.tile(symmetric_spec(n, x_s_label, hot), (count, 1))
-        else:
-            if "hot" in block:
-                raise ConfigError(f"{ctx}.hot: only valid with the x_s form")
-            raw = block["probs"]
-            if not isinstance(raw, list):
-                raise ConfigError(f"{ctx}.probs: must be a list of rows")
-            try:
-                probs = np.asarray(raw, dtype=float)
-            except ValueError:
-                raise ConfigError(f"{ctx}.probs: rows must be equal-length lists of numbers") from None
-            if probs.ndim == 1:
-                probs = np.tile(probs, (count, 1))
+        if x_s is not None:
+            probs = np.tile(symmetric_spec(n, x_s, hot), (count, 1))
+        oscillation = None if osc is None else Oscillation(*osc)
         spec = WorkloadSpec(probs, rate=rate, active=active, seed=seed, oscillation=oscillation)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from None
-    if spec.num_fragments != count:
-        raise ConfigError(f"{ctx}.probs: {spec.num_fragments} rows for {count} fragments")
-    if spec.num_sites != n:
-        raise ConfigError(f"{ctx}.probs: rows have {spec.num_sites} sites, topology has {n}")
-    return spec, x_s_label, hot
+    return spec, x_s, hot
 
 
 def _apply_axis(base: dict, axis: str, value) -> dict:
@@ -380,8 +340,8 @@ def _apply_axis(base: dict, axis: str, value) -> dict:
         wl = doc.setdefault("workload", {})
         wl["rate"] = value
     elif axis == "active_count":
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError(f"config.sweep.values: active_count values must be positive integers, got {value!r}")
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"config.sweep.values: active_count values must be integers, got {value!r}")
         wl = doc.setdefault("workload", {})
         wl["active"] = list(range(value))
     return doc
@@ -403,7 +363,7 @@ def _check_keys(obj: dict, ctx: str, required, optional) -> None:
 _MISSING = object()
 
 
-def _int_key(obj: dict, ctx: str, key: str, default=_MISSING, lo=None, hi=None) -> int:
+def _int_key(obj: dict, ctx: str, key: str, default=_MISSING, lo=None) -> int:
     value = obj.get(key, default)
     if value is _MISSING:
         raise ConfigError(f"{ctx}: missing required key {key!r}")
@@ -411,8 +371,6 @@ def _int_key(obj: dict, ctx: str, key: str, default=_MISSING, lo=None, hi=None) 
         raise ConfigError(f"{ctx}.{key}: must be an integer, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigError(f"{ctx}.{key}: must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{ctx}.{key}: must be <= {hi}, got {value}")
     return value
 
 
@@ -440,6 +398,6 @@ def _str_key(obj: dict, ctx: str, key: str, default=_MISSING):
     value = obj.get(key, default)
     if value is _MISSING:
         raise ConfigError(f"{ctx}: missing required key {key!r}")
-    if value is not None and not isinstance(value, str):
+    if not isinstance(value, str):
         raise ConfigError(f"{ctx}.{key}: must be a string, got {value!r}")
     return value

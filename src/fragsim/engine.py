@@ -68,29 +68,29 @@ class SimConfig:
     migration_blocking: bool = False
 
     def validate(self) -> None:
+        """Check the run's shape. Each message starts with its config key; NaN fails every bound."""
         n = self.topology.n
+        count = len(self.sizes)
         if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
-        if len(self.sizes) != len(self.initial_owners):
-            raise ValueError("sizes and initial_owners length mismatch")
-        if not self.sizes:
-            raise ValueError("need at least one fragment")
+            raise ValueError(f"num_steps: must be >= 1, got {self.num_steps}")
+        if count < 1:
+            raise ValueError("fragments: need at least one fragment")
         for f, size in enumerate(self.sizes):
-            if size <= 0:
-                raise ValueError(f"fragment {f}: size must be positive, got {size}")
+            if not (0 < size < math.inf):
+                raise ValueError(f"fragments: fragment {f}: size must be positive and finite, got {size}")
+        if len(self.initial_owners) != count:
+            raise ValueError(f"initial_owners: expected {count} entries, got {len(self.initial_owners)}")
         for owner in self.initial_owners:
             if not (0 <= owner < n):
-                raise ValueError(f"initial owner {owner} out of range for {n} sites")
+                raise ValueError(f"initial_owners: owner {owner!r} is not a site in 0..{n - 1}")
         if not (0 <= self.designated < n):
-            raise ValueError(f"designated site {self.designated} out of range for {n} sites")
-        if self.per_hop_latency <= 0:
-            raise ValueError(f"per_hop_latency must be positive, got {self.per_hop_latency}")
+            raise ValueError(f"designated: {self.designated!r} is not a site in 0..{n - 1}")
+        if not (0 < self.per_hop_latency < math.inf):
+            raise ValueError(f"per_hop_latency: must be positive and finite, got {self.per_hop_latency}")
+        if self.workload.num_fragments != count:
+            raise ValueError(f"workload.probs: {self.workload.num_fragments} rows for {count} fragments")
         if self.workload.num_sites != n:
-            raise ValueError(f"workload is over {self.workload.num_sites} sites, topology has {n}")
-        if self.workload.num_fragments != len(self.sizes):
-            raise ValueError(
-                f"workload describes {self.workload.num_fragments} fragments, config has {len(self.sizes)}"
-            )
+            raise ValueError(f"workload.probs: rows have {self.workload.num_sites} sites, topology has {n}")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,36 +86,42 @@ class Topology:
 def build_topology(n: int, links) -> Topology:
     """Validate ``links`` over ``n`` sites and precompute routing tables.
 
-    ``links`` is an iterable of ``Link`` or ``(a, b, weight)`` /
-    ``(a, b)`` tuples. Raises a :class:`TopologyError` subclass on
-    self-loops, duplicate links (in either direction), non-positive
-    weights, out-of-range endpoints, or a disconnected graph.
+    The one link check for JSON documents and Python callers alike; it
+    coerces nothing. ``links`` is a list or tuple of ``Link`` objects or
+    ``[a, b]`` / ``[a, b, weight]`` lists or tuples, with int site ids in
+    ``0..n-1`` and positive, finite int or float weights (bools are
+    neither). A :class:`TopologyError` subclass naming
+    ``topology.links[i]`` or ``topology.links[i][j]`` reports any other
+    link, a self-loop or a duplicate (in either direction); a
+    disconnected graph raises too.
     """
     if n < 1:
-        raise InvalidSiteError(f"need at least one site, got n={n}")
+        raise InvalidSiteError(f"topology.n: need at least one site, got {n}")
+    if not isinstance(links, (list, tuple)):
+        raise TopologyError("topology.links: must be a list")
 
     norm: list[Link] = []
     seen: set[tuple[int, int]] = set()
-    for raw in links:
-        if isinstance(raw, Link):
-            a, b, w = raw.a, raw.b, raw.weight
-        else:
-            parts = tuple(raw)
-            if len(parts) == 2:
-                a, b = parts
-                w = 1.0
-            else:
-                a, b, w = parts
-        a, b, w = int(a), int(b), float(w)
-        if not (0 <= a < n) or not (0 <= b < n):
-            raise InvalidSiteError(f"link ({a}, {b}) references a site outside 0..{n - 1}")
+    for i, raw in enumerate(links):
+        where = f"topology.links[{i}]"
+        parts = (raw.a, raw.b, raw.weight) if isinstance(raw, Link) else raw
+        if not isinstance(parts, (list, tuple)) or len(parts) not in (2, 3):
+            raise TopologyError(f"{where}: must be [a, b] or [a, b, weight], got {raw!r}")
+        a, b, w = parts if len(parts) == 3 else (*parts, 1.0)
+        for j, site in enumerate((a, b)):
+            if isinstance(site, bool) or not isinstance(site, int):
+                raise TopologyError(f"{where}[{j}]: must be an integer, got {site!r}")
+            if not (0 <= site < n):
+                raise InvalidSiteError(f"{where}[{j}]: site {site} is outside 0..{n - 1}")
         if a == b:
-            raise SelfLoopError(f"link ({a}, {b}) is a self-loop")
-        if w <= 0:
-            raise NonPositiveWeightError(f"link ({a}, {b}) has non-positive weight {w}")
+            raise SelfLoopError(f"{where}: link ({a}, {b}) is a self-loop")
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise TopologyError(f"{where}[2]: must be a number, got {w!r}")
+        if not (0 < w < math.inf):
+            raise NonPositiveWeightError(f"{where}[2]: weight must be positive and finite, got {w}")
         key = (min(a, b), max(a, b))
         if key in seen:
-            raise DuplicateLinkError(f"link ({a}, {b}) appears more than once")
+            raise DuplicateLinkError(f"{where}: link ({a}, {b}) appears more than once")
         seen.add(key)
         norm.append(Link(a, b, w))
 
@@ -176,41 +183,43 @@ def _next_hop_table(adjacency: list[list[tuple[int, float]]], dist: np.ndarray) 
 
 
 def topology_from_dict(doc: dict) -> Topology:
-    """Build a topology from a parsed JSON document, coercing nothing.
+    """Build a topology from a parsed JSON document ``{"n": .., "links": ..}``.
 
-    ``n`` and site ids must be integers, weights numbers, each link
-    ``[a, b]`` or ``[a, b, weight]``, and no other key may appear; a
-    :class:`TopologyError` names the field that is not.
+    No other key may appear and ``n`` must be an integer;
+    :func:`build_topology` checks the links.
     """
     odd = sorted(set(doc) ^ {"n", "links"})
     if odd:
         raise TopologyError(f"topology: {'unknown' if odd[0] in doc else 'missing required'} key {odd[0]!r}")
-    _check_json(doc["n"], int, "topology.n")
-    if not isinstance(doc["links"], list):
-        raise TopologyError("topology.links: must be a list")
-    for i, link in enumerate(doc["links"]):
-        if not isinstance(link, list) or len(link) not in (2, 3):
-            raise TopologyError(f"topology.links[{i}]: must be [a, b] or [a, b, weight], got {link!r}")
-        for j, value in enumerate(link):
-            _check_json(value, int if j < 2 else (int, float), f"topology.links[{i}][{j}]")
+    if isinstance(doc["n"], bool) or not isinstance(doc["n"], int):
+        raise TopologyError(f"topology.n: must be an integer, got {doc['n']!r}")
     return build_topology(doc["n"], doc["links"])
 
 
-def _check_json(value, kind, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TopologyError(f"{where}: must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json_object(path, error: type[Exception], what: str) -> dict:
+    """Parse the JSON object in ``path``, raising ``error`` if it is not one.
+
+    ``NaN`` and ``Infinity``, which Python's reader accepts but RFC 8259
+    does not, are rejected as invalid JSON. I/O errors propagate as
+    OSError.
+    """
+    text = Path(path).read_text()
+    try:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return doc
 
 
 def load_topology(path) -> Topology:
     """Load a topology from a JSON file. I/O errors propagate as OSError."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise TopologyError(f"{path}: topology document must be a JSON object")
-    return topology_from_dict(doc)
+    return topology_from_dict(read_json_object(path, TopologyError, "topology document"))
 
 
 def complete_topology(n: int, weight: float = 1.0) -> Topology:

@@ -115,7 +115,8 @@ class WorkloadSpec:
     ``probs`` has one row per fragment summing to 1 over the sites.
     ``active`` (None means all sites) restricts requesters to a subset,
     renormalising the row. ``oscillation`` optionally swaps two sites'
-    masses periodically.
+    masses periodically. Every row needs mass on the active sites in each
+    oscillation phase.
     """
 
     probs: np.ndarray
@@ -131,7 +132,7 @@ class WorkloadSpec:
         if np.any(probs < 0):
             raise InvalidProbabilityError("probs entries must be non-negative")
         sums = probs.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL)[0]
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= _ROW_SUM_TOL))  # a NaN row fails too
         if bad.size:
             raise InvalidProbabilityError(f"probs row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
         object.__setattr__(self, "probs", probs)
@@ -145,10 +146,19 @@ class WorkloadSpec:
             if active[0] < 0 or active[-1] >= n:
                 raise InvalidProbabilityError(f"active sites {active} out of range for n={n}")
             object.__setattr__(self, "active", active)
+        phases = [probs]
         if self.oscillation is not None:
             osc = self.oscillation
             if osc.site_a >= n or osc.site_b >= n or min(osc.site_a, osc.site_b) < 0:
                 raise InvalidProbabilityError(f"oscillation sites ({osc.site_a}, {osc.site_b}) out of range for n={n}")
+            swap = list(range(n))
+            swap[osc.site_a], swap[osc.site_b] = osc.site_b, osc.site_a
+            phases.append(probs[:, swap])
+        sites = list(self.active if self.active is not None else range(n))
+        for table in phases:
+            empty = np.flatnonzero(table[:, sites].sum(axis=1) <= 0.0)
+            if empty.size:
+                raise EmptyActiveSetError(f"fragment {empty[0]} has zero probability mass on the active sites")
 
     @property
     def num_fragments(self) -> int:
@@ -202,10 +212,7 @@ class EventStream:
                 if phase == 1:
                     osc = spec.oscillation
                     vec[osc.site_a], vec[osc.site_b] = vec[osc.site_b], vec[osc.site_a]
-                cum = list(accumulate(float(vec[s]) for s in active))
-                if cum[-1] <= 0.0:
-                    raise EmptyActiveSetError(f"fragment {f} has zero probability mass on the active sites")
-                per_phase.append(np.array(cum))
+                per_phase.append(np.array(list(accumulate(float(vec[s]) for s in active))))
             self._tables.append(per_phase)
 
     def _draws(self, count: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -95,6 +96,75 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--log-decisions"]) == 2
         assert "config.output" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"num_steps": 0}, "config.num_steps"),
+            ({"fragments": {"count": 1, "size": 0.0}}, "config.fragments"),
+            ({"fragments": {"count": 2, "sizes": [1.0, -2.0]}, "initial_owners": 0}, "config.fragments"),
+            ({"per_hop_latency": 0}, "config.per_hop_latency"),
+            ({"designated": 5}, "config.designated"),
+            ({"designated": -1}, "config.designated"),
+            ({"initial_owners": 7}, "config.initial_owners"),
+            ({"initial_owners": [0, 1]}, "config.initial_owners"),
+            ({"workload": {"probs": [[0.2] * 5, [0.2] * 5]}}, "config.workload.probs"),
+            ({"workload": {"probs": [[0.25] * 4]}}, "config.workload.probs"),
+        ],
+        ids=[
+            "no-steps", "zero-size", "negative-size", "zero-latency", "designated-high", "designated-negative",
+            "owner-out-of-range", "owner-count", "probs-rows", "probs-width",
+        ],
+    )
+    def test_run_shape_error_names_its_key(self, tmp_path, capsys, overrides, key):
+        cfg = write_json(tmp_path / "run.json", base_run_doc(**overrides))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            {"x_s": 0.3, "hot": 9},
+            {"x_s": 0.3, "oscillation": {"site_a": -1, "site_b": 1, "period": 3}},
+            {"x_s": 0.3, "oscillation": {"site_a": 0, "site_b": 1, "period": 0}},
+            {"probs": [[1.0, 0.0, 0.0, 0.0, 0.0]], "active": [1]},
+        ],
+        ids=["hot-out-of-range", "oscillation-site", "oscillation-period", "zero-mass"],
+    )
+    def test_workload_rule_error_names_the_block(self, tmp_path, capsys, workload):
+        cfg = write_json(tmp_path / "run.json", base_run_doc(workload=workload))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config.workload" in capsys.readouterr().err
+
+    def test_null_output_name_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "run.json", base_run_doc(output={"metrics": None}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config.output.metrics" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"topology": {"n": 2, "links": [[0, 1, math.nan]]}, "workload": {"x_s": 0.5}},
+            {"workload": {"probs": [math.nan, 0.25, 0.25, 0.25, 0.25]}},
+            {"fragments": {"count": 1, "size": math.nan}, "migration_blocking": True},
+            {"per_hop_latency": math.nan},
+            {"per_hop_latency": math.inf},
+            {"workload": {"x_s": 0.28, "rate": -math.inf}},
+        ],
+        ids=["nan-weight", "nan-probs", "nan-size-blocking", "nan-latency", "infinite-latency", "minus-infinity"],
+    )
+    def test_non_finite_config_number_is_not_json(self, tmp_path, capsys, overrides):
+        cfg = write_json(tmp_path / "run.json", base_run_doc(**overrides))  # json.dumps writes NaN and Infinity
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_topology_weight_is_not_json(self, tmp_path, capsys):
+        write_json(tmp_path / "topo.json", {"n": 2, "links": [[0, 1, math.inf]]})
+        cfg = write_json(tmp_path / "run.json", base_run_doc(topology="topo.json", workload={"x_s": 0.5}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 3
@@ -272,6 +342,10 @@ class TestOracleCommand:
         assert main(["oracle", "--n", "5", "--x-s", "0.2", "--t", "-1", "--out", str(tmp_path)]) == 2
         assert "--t" in capsys.readouterr().err
 
+    def test_too_few_sites_names_the_cell(self, tmp_path, capsys):
+        assert main(["oracle", "--n", "1", "--x-s", "0.2", "--t", "0", "--out", str(tmp_path)]) == 2
+        assert "--n 1 --x-s 0.2 --t 0" in capsys.readouterr().err
+
     def test_oversized_threshold(self, tmp_path, capsys):
         # the dense lumped chain would need hundreds of GiB at this t
         assert main(["oracle", "--n", "3", "--x-s", "0.2", "--t", "100000", "--out", str(tmp_path)]) == 2
@@ -347,6 +421,20 @@ class TestCompareCommand:
             err = capsys.readouterr().err
             assert "num_steps" in err and "rate" in err
             assert list((tmp_path / "out").glob("decisions*.csv")) == []  # no partial log is left behind
+
+    def test_zero_mass_on_active_sites_writes_nothing(self, tmp_path, capsys):
+        # all mass is on the one active site until the oscillation swaps it away
+        doc = self.osc_doc()
+        doc["workload"] = {
+            "probs": [[0.0] * 6 + [1.0, 0.0, 0.0]],
+            "active": [6],
+            "oscillation": {"site_a": 6, "site_b": 7, "period": 50},
+        }
+        cfg = write_json(tmp_path / "cmp.json", doc)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--policies", "nna,fna", "--out", str(out), "--log-decisions"]) == 2
+        assert "config.workload" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_per_policy_decision_logs(self, tmp_path):
         doc = self.osc_doc()

@@ -61,6 +61,16 @@ class TestValidation:
             with pytest.raises(ValueError, match="size must be positive"):
                 run(threshold_config(sizes=[size]))
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_non_finite_size_rejected_under_blocking(self, size):
+        with pytest.raises(ValueError, match="fragments: fragment 0: size must be positive"):
+            run(threshold_config(sizes=[size], migration_blocking=True))
+
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_latency_rejected(self, latency):
+        with pytest.raises(ValueError, match="per_hop_latency"):
+            run(threshold_config(per_hop_latency=latency))
+
     def test_fragment_ids_sequential(self):
         # Fragment ids are the positions in ``sizes``: fragment 1 is the
         # one that moves here, so its size 2.5 is what the move costs.

@@ -386,6 +386,24 @@ class TestSerialization:
             topology_from_dict(doc)
         assert field in str(info.value)
 
+    def test_build_coerces_nothing(self):
+        with pytest.raises(TopologyError) as info:
+            build_topology(3, [(0, 1.9), (1, 2)])
+        assert "topology.links[0][1]" in str(info.value)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_build_rejects_non_finite_weight(self, weight):
+        with pytest.raises(NonPositiveWeightError) as info:
+            build_topology(2, [(0, 1, weight)])
+        assert "topology.links[0][2]" in str(info.value)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_number_rejected(self, tmp_path, constant):
+        path = tmp_path / "topo.json"
+        path.write_text(f'{{"n": 2, "links": [[0, 1, {constant}]]}}')
+        with pytest.raises(TopologyError, match="not valid JSON"):
+            load_topology(path)
+
     def test_from_dict_accepts_ints_and_numbers(self):
         topo = topology_from_dict({"n": 3, "links": [[0, 1], [1, 2, 2], [0, 2, 0.5]]})
         assert topo.links == (Link(0, 1, 1.0), Link(1, 2, 2.0), Link(0, 2, 0.5))

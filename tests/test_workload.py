@@ -69,6 +69,16 @@ class TestWorkloadSpecValidation:
         with pytest.raises(InvalidProbabilityError):
             WorkloadSpec(np.array([[1.0]]), rate=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(InvalidProbabilityError):
+            WorkloadSpec(np.array([[bad, 1.0]]))
+
+    def test_zero_mass_in_the_swapped_phase(self):
+        # all mass is on the one active site, until the oscillation moves it away
+        with pytest.raises(EmptyActiveSetError):
+            WorkloadSpec(np.array([[1.0, 0.0]]), active=(0,), oscillation=Oscillation(0, 1, 10))
+
     def test_must_be_two_dimensional(self):
         with pytest.raises(InvalidProbabilityError):
             WorkloadSpec(np.array([1.0]))
@@ -148,8 +158,8 @@ class TestEventStream:
         assert abs(freq1 - 1 / 3) <= 4 * sigma
 
     def test_zero_mass_on_active_sites(self):
-        spec = WorkloadSpec(np.array([[1.0, 0.0]]), active=(1,))
         with pytest.raises(EmptyActiveSetError):
+            spec = WorkloadSpec(np.array([[1.0, 0.0]]), active=(1,))
             EventStream(spec)
 
     def test_oscillation_swaps_in_exact_blocks(self):
