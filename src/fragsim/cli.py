@@ -10,7 +10,8 @@ configuration or parameters, 3 topology or file I/O problems.
 
 CSV output is deterministic byte for byte: floats are written with
 ``repr``, which round-trips exactly, and rows follow the iteration order
-of the config document.
+of the config document. That holds too where ``sweep`` and ``compare``
+spread their independent cells over forked worker processes.
 """
 
 from __future__ import annotations
@@ -96,6 +97,42 @@ def _simulate(setup, log_path=None):
     return metrics
 
 
+def _simulate_all(setups, log_paths) -> list:
+    """:func:`_simulate` each cell (``setups[i]``, ``log_paths[i]``); metrics in config order.
+
+    Cells share nothing, so where the host can fork and has more than one
+    usable CPU they run in a pool of forked workers, each cell still a
+    single-process simulation with its own seed. Otherwise they run one
+    after another. Either way a failure leaves what the serial loop
+    leaves: the first failing cell in config order raises, and only the
+    complete decision logs of the cells before it remain.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(setups), cpus)
+    if workers < 2 or not hasattr(os, "fork"):
+        return list(map(_simulate, setups, log_paths))
+
+    import concurrent.futures
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")  # workers start without re-importing; no thread runs here yet
+    sys.stdout.flush()  # a forked worker flushes the buffers it inherits when it exits
+    results = []
+    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+        try:
+            for metrics in pool.map(_simulate, setups, log_paths):
+                results.append(metrics)
+        except Exception:
+            # map has cancelled the cells no worker has taken yet. Wait for
+            # the others, so that none is still writing a log removed here.
+            pool.shutdown(wait=True)
+            failed = len(results)
+            for path in set(log_paths[failed:]) - set(log_paths[:failed]) - {None}:
+                path.unlink(missing_ok=True)
+            raise
+    return results
+
+
 def _effective_seed_override(args) -> int | None:
     if args.seed_override is not None:
         return args.seed_override
@@ -130,9 +167,11 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     doc = load_config(args.config)
     sweep = resolve_sweep(doc, Path(args.config).parent, seed_override=_effective_seed_override(args))
+    cells = [setup for _, setups in sweep.groups for setup in setups]
+    all_metrics = iter(_simulate_all(cells, [None] * len(cells)))
     rows = []
     for value, setups in sweep.groups:
-        results = [(setup, _simulate(setup)) for setup in setups]
+        results = [(setup, next(all_metrics)) for setup in setups]
         k = len(results)
         mean_os = sum(m.o_s_hat for _, m in results) / k
         mean_migrations = sum(m.migrations for _, m in results) / k
@@ -191,17 +230,19 @@ def _cmd_compare(args) -> int:
     doc = load_config(args.config)
     seed_override = _effective_seed_override(args)
     out = Path(args.out)
-    rows = []
-    for token, spec in zip(tokens, specs):
-        setup = resolve_run(
+    setups = [
+        resolve_run(
             doc,
             Path(args.config).parent,
             seed_override=seed_override,
             record_decisions=args.log_decisions,
             policy_override=spec,
         )
-        log_path = out / f"decisions_{token.replace(':', '_')}.csv" if setup.record_decisions else None
-        metrics = _simulate(setup, log_path)
+        for spec in specs
+    ]
+    log_paths = [out / f"decisions_{token.replace(':', '_')}.csv" if args.log_decisions else None for token in tokens]
+    rows = []
+    for token, setup, log_path, metrics in zip(tokens, setups, log_paths, _simulate_all(setups, log_paths)):
         if log_path is not None:
             print(f"wrote {log_path}")
         named = dict(zip(METRICS_HEADER, _metrics_row(setup, metrics)), policy=token)

@@ -301,6 +301,9 @@ def _resolve_workload(block, count: int, n: int, seed: int):
             raise ConfigError(f"{ctx}.hot: only valid with the x_s form")
         if not isinstance(block["probs"], list):
             raise ConfigError(f"{ctx}.probs: must be a list of rows")
+        for row in block["probs"]:
+            for entry in row if isinstance(row, list) else [row]:
+                _as_num(entry, f"{ctx}.probs")
         try:
             probs = np.asarray(block["probs"], dtype=float)
         except ValueError:

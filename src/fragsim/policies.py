@@ -248,9 +248,9 @@ class FnaParams:
             raise ValueError(f"history must be >= 1, got {self.history}")
         if not (0.0 <= self.inhibition_cutoff <= 1.0):
             raise ValueError(f"inhibition_cutoff must lie in [0, 1], got {self.inhibition_cutoff}")
-        if self.min_gap < 0:
+        if not self.min_gap >= 0:
             raise ValueError(f"min_gap must be non-negative, got {self.min_gap}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
 

@@ -1,11 +1,17 @@
 """End-to-end CLI tests: exit codes, CSV schemas, determinism, seed plumbing."""
 
+import concurrent.futures
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import fragsim.cli
 from fragsim.cli import (
     COMPARE_HEADER,
     METRICS_HEADER,
@@ -136,6 +142,17 @@ class TestRunCommand:
         cfg = write_json(tmp_path / "run.json", base_run_doc(workload=workload))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "config.workload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[[True, False, False, False, False]], [1.0, 0.0, 0.0, 0.0, False], [["0.2"] * 5]],
+        ids=["bool-rows", "bool-row", "string"],
+    )
+    def test_probs_entry_must_be_a_number(self, tmp_path, capsys, probs):
+        cfg = write_json(tmp_path / "run.json", base_run_doc(workload={"probs": probs}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config.workload.probs: must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_null_output_name_is_a_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", base_run_doc(output={"metrics": None}))
@@ -446,6 +463,129 @@ class TestCompareCommand:
         ]) == 0
         assert (tmp_path / "decisions_nna.csv").exists()
         assert (tmp_path / "decisions_threshold_3.csv").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the cell pool needs fork")
+class TestCellPool:
+    """sweep and compare fan their cells out over the usable CPUs; the bytes and the failures stay serial."""
+
+    def cpus(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+    def run_both_commands(self, tmp_path, out):
+        sweep = TestSweepCommand().sweep_doc()
+        compare = TestCompareCommand().osc_doc()
+        compare["num_steps"] = 2000
+        assert main(["sweep", "--config", write_json(tmp_path / "sweep.json", sweep), "--out", str(out)]) == 0
+        assert main([
+            "compare", "--config", write_json(tmp_path / "cmp.json", compare),
+            "--policies", "optimal,nna,fna", "--out", str(out), "--log-decisions",
+        ]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def test_serial_and_pooled_outputs_are_byte_identical(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for one usable CPU")
+
+        self.cpus(monkeypatch, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+            serial = self.run_both_commands(tmp_path, tmp_path / "serial")
+
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        pooled = self.run_both_commands(tmp_path, tmp_path / "pooled")
+        assert pools == [2, 2]
+        assert sorted(serial) == ["compare.csv", "decisions_fna.csv", "decisions_nna.csv", "decisions_optimal.csv", "sweep.csv"]
+        assert pooled == serial
+
+    @pytest.mark.parametrize(
+        "policies, slow_later_cell",
+        [
+            ("optimal,nna,fna", False),
+            ("optimal,nna,fna,threshold:3,threshold:5", True),
+            ("optimal,nna,optimal", True),
+        ],
+        ids=["later-cell-done", "later-cells-running-and-queued", "later-cell-rewriting-an-earlier-log"],
+    )
+    def test_first_failing_cell_leaves_what_the_serial_loop_leaves(
+        self, tmp_path, monkeypatch, capsys, policies, slow_later_cell
+    ):
+        doc = TestCompareCommand().osc_doc()
+        doc["num_steps"] = 2000
+        cfg = write_json(tmp_path / "cmp.json", doc)
+        assert main(["compare", "--config", cfg, "--policies", "optimal,nna", "--out", str(tmp_path / "ok"), "--log-decisions"]) == 0
+        capsys.readouterr()
+        real_run_sim = fragsim.cli.run_sim
+        runs = []  # forked workers inherit the patch, and each counts its own cells
+
+        def flaky_run_sim(sim, write=None):
+            runs.append(sim.policy.name)
+            if sim.policy.name == "nna":
+                time.sleep(0.3)
+                raise RuntimeError("nna cell failed")
+            if not (slow_later_cell and len(runs) > 1):
+                return real_run_sim(sim, write)
+            # A worker's second cell comes after nna in config order: it
+            # is still writing, one line in, when nna fails.
+            lines = []
+
+            def write_slowly(line):
+                write(line)
+                lines.append(line)
+                if len(lines) == 1:
+                    time.sleep(0.6)
+
+            return real_run_sim(sim, write_slowly)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(fragsim.cli, "run_sim", flaky_run_sim)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--policies", policies, "--out", str(out), "--log-decisions"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: nna cell failed\n"
+        assert sorted(path.name for path in out.iterdir()) == ["decisions_optimal.csv"]
+        assert (out / "decisions_optimal.csv").read_bytes() == (tmp_path / "ok" / "decisions_optimal.csv").read_bytes()
+
+    def test_killed_worker_fails_the_command(self, tmp_path):
+        # A worker killed outright cannot report back; the command must
+        # still end, and leave no log of the killed cell or those after it.
+        doc = TestCompareCommand().osc_doc()
+        doc["num_steps"] = 2000
+        cfg = write_json(tmp_path / "cmp.json", doc)
+        script = (
+            "import os, signal, sys, time\n"
+            "import fragsim.cli as cli\n"
+            "real_run_sim = cli.run_sim\n"
+            "def run_sim(sim, write=None):\n"
+            "    if sim.policy.name == 'nna':\n"
+            "        time.sleep(0.3)\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real_run_sim(sim, write)\n"
+            "cli.run_sim = run_sim\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "os.cpu_count = lambda: 2\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(fragsim.cli.__file__))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "compare", "--config", cfg, "--policies", "optimal,nna,fna",
+             "--out", str(out), "--log-decisions"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("internal error:")
+        assert sorted(path.name for path in out.iterdir()) == ["decisions_optimal.csv"]
 
 
 class TestFixturesCommand:

@@ -334,6 +334,11 @@ class TestFna:
         with pytest.raises(ValueError):
             FnaParams(eps=0.0)
 
+    @pytest.mark.parametrize("field", ["decay", "inhibition_cutoff", "min_gap", "eps"])
+    def test_nan_fails_every_float_bound(self, field):
+        with pytest.raises(ValueError, match=field):
+            FnaParams(**{field: float("nan")})
+
 
 class TestBuildPolicy:
     def test_builds_each_kind(self):
