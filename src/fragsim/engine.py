@@ -2,9 +2,8 @@
 
 Per step, every fragment gets one chance to emit an access. For each
 event the engine samples residency at the current owner (before the
-policy reacts), charges a round-trip response cost, asks the policy's
-``decide`` for a destination, and applies any migration to its
-``owners`` list.
+policy reacts), charges a round-trip response cost, lets the policy
+decide on a migration, and applies any move to its ``owners`` list.
 
 Costs:
 
@@ -17,16 +16,19 @@ Costs:
   ``ceil(size * distance(source, dest))`` steps.
 
 Accounting per block: the engine takes the events of a block of trials
-from :meth:`~fragsim.workload.EventStream.blocks` and loops over them in
-Python doing only what depends on earlier decisions: it looks up and
-records each event's owner, asks the policy, logs, and applies moves.
-After the block, ``np.bincount`` of the recorded owners adds to the
-residency counts, and the response costs are computed as arrays (under
-blocking, each access's window end comes from its fragment's latest
-earlier move) and added with ``np.cumsum`` seeded by the running total.
-``cumsum`` adds strictly left to right, so the total is the one a
-per-access ``response_cost += cost`` gives, bit for bit; ``np.sum``
-adds pairwise and would not be.
+from :meth:`~fragsim.workload.EventStream.blocks` and hands them to the
+policy's ``decide_block`` (see :mod:`~fragsim.policies`), which applies
+the block's moves to ``owners`` and returns each event's owner before
+its decision and the moves in access order. ``threshold`` decides the
+block with array operations; the other policies' ``decide`` is asked
+once per event. Apart from writing the decision log, the engine has no
+per-access Python loop: ``np.bincount`` of the owners adds to the
+residency counts, and the response and migration costs are computed as
+arrays (under blocking, each access's window end comes from its
+fragment's latest earlier move) and added with ``np.cumsum`` seeded by
+the running total. ``cumsum`` adds strictly left to right, so each total
+is the one a per-access or per-move ``+=`` gives, bit for bit;
+``np.sum`` adds pairwise and would not be.
 
 Blocking only adds waiting time; which events occur, what the policy
 decides, and where fragments travel are identical with blocking on or
@@ -37,13 +39,16 @@ Decision log: given a ``write`` callable, :func:`run` writes
 ``DECISIONS_HEADER`` and then one CSV line per access as the run goes, so
 no log is held in memory. A row holds only ints, fixed reason tags (their
 only punctuation is ``:``), ``repr`` floats and ``""`` for ``None``; no
-field ever needs quoting, so an f-string gives the bytes ``csv.writer`` would.
+field ever needs quoting, so joining the fields with commas gives the
+bytes ``csv.writer`` would. Lines are joined from cached pieces in
+``_row_writer``, the one place a row is formatted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -123,52 +128,42 @@ def run(cfg: SimConfig, write=None) -> SimMetrics:
     cfg.validate()
     topo = cfg.topology
     n = topo.n
-    sizes = cfg.sizes
-    num_fragments = len(sizes)
+    num_fragments = len(cfg.sizes)
     policy = build_policy(cfg.policy, num_fragments, n, topo.next_hop_matrix.tolist())
     stream = EventStream(cfg.workload)
 
-    dist = topo.distance_matrix.tolist()  # plain lists are faster in the loop
+    dist = topo.distance_matrix
+    sizes = np.array(cfg.sizes, dtype=float)
     owners = list(cfg.initial_owners)
     latency = cfg.per_hop_latency
     blocking = cfg.migration_blocking
     in_flight_until = [0] * num_fragments
 
+    log = None
     if write is not None:
         write(DECISIONS_HEADER)
-    decide = policy.decide
+        log = _row_writer(write, n)
     migrations = 0
     residency = np.zeros(n, dtype=np.int64)
     response_cost = 0.0
     migration_hop_cost = 0.0
 
     for steps, fragments, requesters in stream.blocks(cfg.num_steps):
-        owner_at = []
-        record = owner_at.append
-        moved = []  # (access index in the block, fragment, window end) of each move, under blocking
-        for step, f, requester in zip(steps.tolist(), fragments.tolist(), requesters.tolist()):
-            owner = owners[f]
-            record(owner)
-            dest = decide(f, requester, owner)
-            if write is not None:
-                inh = policy.inhibition
-                action = f"move,{dest}" if dest >= 0 else "stay,"
-                write(f"{step},{f},{requester},{owner},{action},{policy.reason},{'' if inh is None else inh}\n")
-            if dest >= 0:
-                hop = dist[owner][dest]
-                migration_hop_cost += sizes[f] * hop * latency
-                migrations += 1
-                if blocking:
-                    moved.append((len(owner_at) - 1, f, step + math.ceil(sizes[f] * hop)))
-                owners[f] = dest
-
-        owner_at = np.fromiter(owner_at, dtype=np.intp, count=len(owner_at))
+        owner_at, moves, dests, reasons, inhibitions = policy.decide_block(
+            fragments, requesters, owners, explain=log is not None
+        )
+        if log is not None:
+            log(steps, fragments, requesters, owner_at, moves, dests, reasons, inhibitions)
         residency += np.bincount(owner_at, minlength=n)
-        costs = 2.0 * topo.distance_matrix[requesters, owner_at] * latency
+        costs = 2.0 * dist[requesters, owner_at] * latency
+        moved_sizes = sizes[fragments[moves]]
+        hops = dist[owner_at[moves], dests]
+        migrations += moves.size
+        migration_hop_cost = _running_sum(migration_hop_cost, moved_sizes * hops * latency)
         if blocking:
-            costs += _blocking_waits(steps, fragments, moved, in_flight_until)
-        # add.accumulate is sequential, so this is the per-access ``+=`` bit for bit
-        response_cost = float(np.cumsum(np.concatenate(([response_cost], costs)))[-1])
+            windows = steps[moves] + np.ceil(moved_sizes * hops).astype(np.int64)
+            costs += _blocking_waits(steps, fragments, moves, windows, in_flight_until)
+        response_cost = _running_sum(response_cost, costs)
 
     residency = residency.tolist()
     return SimMetrics(
@@ -183,19 +178,66 @@ def run(cfg: SimConfig, write=None) -> SimMetrics:
     )
 
 
-def _blocking_waits(steps, fragments, moved, until) -> np.ndarray:
+def _running_sum(total: float, terms: np.ndarray) -> float:
+    """``total`` plus each of ``terms`` in order, bit for bit as a per-term ``+=`` gives it."""
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+
+
+def _row_writer(write, n):
+    """Return ``log``, which writes a block's decision-log lines to ``write``.
+
+    This is the one place a row is formatted. Each line is joined from
+    lookup tables: the step's text, made once per step; a cached
+    ``"fragment,requester,owner,"`` prefix; and a cached tail per
+    ``(dest, reason)``, followed by the inhibition.
+    """
+    prefixes = {}  # (f * n + requester) * n + owner -> "f,requester,owner,"
+    tails = {}  # (dest, reason) -> "move,dest,reason," or "stay,,reason,"
+    last = [-1, ""]  # the latest step and its text, which may continue into the next block
+
+    def log(steps, fragments, requesters, owner_at, moves, dests, reasons, inhibitions):
+        dest_at = np.full(steps.size, -1, dtype=np.intp)
+        dest_at[moves] = dests
+        keys = ((fragments * n + requesters) * n + owner_at).tolist()
+        step, head = last
+        if inhibitions is None:
+            inhibitions = repeat(None)
+        for s, key, dest, reason, inh in zip(steps.tolist(), keys, dest_at.tolist(), reasons, inhibitions):
+            if s != step:
+                step, head = s, f"{s},"
+            try:
+                prefix = prefixes[key]
+            except KeyError:
+                f, rest = divmod(key, n * n)
+                prefix = prefixes[key] = "{},{},{},".format(f, *divmod(rest, n))
+            try:
+                tail = tails[dest, reason]
+            except KeyError:
+                tail = tails[dest, reason] = f"move,{dest},{reason}," if dest >= 0 else f"stay,,{reason},"
+            if inh is None:
+                write(head + prefix + tail + "\n")
+            else:
+                write(f"{head}{prefix}{tail}{inh}\n")
+        last[:] = step, head
+
+    return log
+
+
+def _blocking_waits(steps, fragments, moves, windows, until) -> np.ndarray:
     """Queueing delay of each access of a block under migration blocking.
 
     An access waits ``end - step`` while its fragment's transfer window,
     set by the fragment's latest earlier move, ends after ``step``.
-    ``until`` holds each fragment's window end at the start of the block
-    and is advanced to its value at the end of it.
+    ``moves`` are the block's moving accesses in order and ``windows``
+    their window ends. ``until`` holds each fragment's window end at the
+    start of the block and is advanced to its value at the end of it.
     """
     ends = np.empty(steps.size, dtype=np.int64)
+    moved = fragments[moves]
     for f in range(len(until)):
         at = np.flatnonzero(fragments == f)
-        mine = [(i, end) for i, g, end in moved if g == f]
-        in_force = [until[f]] + [end for _, end in mine]  # entry k: after the k-th move of the block
-        ends[at] = np.array(in_force)[np.searchsorted([i for i, _ in mine], at)]
-        until[f] = in_force[-1]
+        mine = moved == f
+        in_force = np.concatenate(([until[f]], windows[mine]))  # entry k: after the k-th move of the block
+        ends[at] = in_force[np.searchsorted(moves[mine], at)]
+        until[f] = int(in_force[-1])
     return np.where(steps < ends, ends - steps, 0)

@@ -1,7 +1,8 @@
 """The four fragment migration policies.
 
-All of them answer the same per-access question (see ``decide`` below)
-and differ only in what they count and where they send the fragment:
+All of them answer the same per-access question (see ``decide_block``
+below) and differ only in what they count and where they send the
+fragment:
 
 ``optimal``
     Per-site access counters travel with the fragment. A remote requester
@@ -31,18 +32,29 @@ and differ only in what they count and where they send the fragment:
 A local access (requester already owns the fragment) is always a stay,
 whatever the counters say.
 
-Every policy has one entry point, ``decide(f, requester, owner)``, which
-the engine calls once per access of fragment ``f``:
+Every policy has one entry point, ``decide_block(fragments,
+requesters, owners, explain=False)``, which the engine calls once per
+block of events (int arrays in access order):
 
-* it returns the destination site of a move, or ``-1`` to stay; a move
-  never targets the current owner;
-* it sets ``self.reason`` to a short tag for the decision log, and
-  ``fna`` also sets ``self.inhibition`` (``None`` when no evaluation ran;
-  the other policies leave it ``None``);
-* when it returns a move, it has already done the policy's own move
-  bookkeeping (``threshold`` clears its count, ``nna`` its
-  remote-since-move count, ``fna`` records the destination in its
-  history). The caller only updates the owner.
+* it applies the block's moves to ``owners``, the list of each
+  fragment's current site, and does the policy's own move bookkeeping
+  (``threshold`` clears its count, ``nna`` its remote-since-move count,
+  ``fna`` records the destination in its history);
+* it returns ``(owner_at, moves, dests, reasons, inhibitions)``: each
+  event's owner before its decision, the positions of the moving events
+  in ascending order and their destinations, all int arrays; a move never
+  targets the current owner;
+* with ``explain``, ``reasons`` holds each event's tag for the decision
+  log and ``inhibitions`` its ``fna`` inhibition (``None`` when no
+  evaluation ran), or is ``None`` when the policy has none; without it
+  both are ``None``.
+
+``threshold`` decides a whole block with array operations (see
+:class:`ThresholdPolicy`). ``optimal``, ``nna`` and ``fna`` are written
+as ``decide(f, requester, owner)`` alone, which returns the destination
+site of a move or ``-1`` to stay and sets ``self.reason`` (``fna`` also
+``self.inhibition``); :class:`PerAccessPolicy` gives them
+``decide_block`` by asking ``decide`` once per event.
 
 The policy classes trust their arguments; :class:`PolicySpec` checks them.
 
@@ -72,12 +84,38 @@ def _bump(row: list, site: int, cap: Optional[int]) -> None:
     row[site] = value
 
 
-class OptimalPolicy:
+class PerAccessPolicy:
+    """Base of the policies written as ``decide``: asks it once per event of a block."""
+
+    reason = ""
+    inhibition = None
+
+    def decide_block(self, fragments, requesters, owners, explain=False):
+        owner_at = []
+        record = owner_at.append
+        moves, dests, reasons, inhibitions = [], [], [], []
+        decide = self.decide
+        for f, requester in zip(fragments.tolist(), requesters.tolist()):
+            owner = owners[f]
+            record(owner)
+            dest = decide(f, requester, owner)
+            if explain:
+                reasons.append(self.reason)
+                inhibitions.append(self.inhibition)
+            if dest >= 0:
+                moves.append(len(owner_at) - 1)
+                dests.append(dest)
+                owners[f] = dest
+        owner_at = np.fromiter(owner_at, dtype=np.intp, count=len(owner_at))
+        if not explain:
+            reasons = inhibitions = None
+        return owner_at, np.array(moves, dtype=np.intp), np.array(dests, dtype=np.intp), reasons, inhibitions
+
+
+class OptimalPolicy(PerAccessPolicy):
     """Full per-site access counters, migration on strict dominance."""
 
     name = "optimal"
-    reason = ""
-    inhibition = None
 
     def __init__(self, num_fragments: int, num_sites: int, counter_cap: Optional[int] = None):
         self.counters: list[list[int]] = [[0] * num_sites for _ in range(num_fragments)]
@@ -97,33 +135,91 @@ class OptimalPolicy:
         return -1
 
 
+def _stable_argsort(keys: np.ndarray, largest: int) -> np.ndarray:
+    # In the narrowest type that holds them, small keys sort by radix sort, not merge sort.
+    return np.argsort(keys.astype(np.min_scalar_type(largest)), kind="stable")
+
+
 class ThresholdPolicy:
-    """Consecutive-remote-access counter with reset on local access."""
+    """Consecutive-remote-access counter with reset on local access.
+
+    Decided a block at a time with array operations. For one fragment's
+    requesters ``r[0..m)``: after a move to, or a local access of, owner
+    ``o = r[j]`` the count is 0, and the next move comes at ``q + t + 1``,
+    where ``q`` ends the run of ``o``'s occurrences from ``j`` on whose
+    consecutive members are at most ``t + 1`` apart. ``chain[j]`` holds
+    that position for every ``j``, so the moves are a walk along it. The
+    walk starts from the owner and count carried into the block: the first
+    move is at ``t - count`` unless the owner occurs by then, and at
+    ``chain`` of its first occurrence if it does.
+    """
 
     name = "threshold"
-    reason = ""
-    inhibition = None
+    REASONS = np.array(["below-threshold", "local", "threshold-exceeded"], dtype=object)
 
     def __init__(self, num_fragments: int, t: int):
         self.t = t
-        self.counts: list[int] = [0] * num_fragments
+        self.counts: list[int] = [0] * num_fragments  # consecutive remote accesses, carried between blocks
 
-    def decide(self, f: int, requester: SiteId, owner: SiteId) -> SiteId:
-        if requester == owner:
-            self.counts[f] = 0
-            self.reason = "local"
-            return -1
-        count = self.counts[f] + 1
-        if count > self.t:
-            self.counts[f] = 0
-            self.reason = "threshold-exceeded"
-            return requester
-        self.counts[f] = count
-        self.reason = "below-threshold"
-        return -1
+    def decide_block(self, fragments, requesters, owners, explain=False):
+        m = requesters.size
+        k = self.t + 1
+        carried = np.array(owners, dtype=np.intp)
+        # Positions below index the events grouped by fragment, each group in access order.
+        by_fragment = _stable_argsort(fragments, len(owners) - 1)
+        frag = fragments[by_fragment]
+        r = requesters[by_fragment]
+        bounds = np.searchsorted(frag, np.arange(len(owners) + 1))
+        starts, ends = bounds[:-1], bounds[1:]
+
+        # chain[j]: the move after a reset at j. Sorting by (fragment, site) lines up
+        # each site's occurrences; a run ends at a new site or a gap above t + 1.
+        width = int(r.max(initial=0)) + 1
+        key = frag * width + r
+        order = _stable_argsort(key, len(owners) * width - 1)
+        key = key[order]
+        is_end = np.ones(m, dtype=bool)
+        is_end[:-1] = (key[1:] != key[:-1]) | (np.diff(order) > k)
+        run_ends = np.flatnonzero(is_end)
+        chain = np.empty(m, dtype=np.intp)
+        chain[order] = np.repeat(order[run_ends] + k, np.diff(run_ends, prepend=-1))
+        chain = chain.tolist()
+
+        # The first move uses the carried owner and count; the rest follow the chain.
+        own = np.flatnonzero(r == carried[frag])
+        first_own = np.append(own, m)[np.searchsorted(own, starts)]
+        moves = []
+        for f, (start, end, p) in enumerate(zip(starts.tolist(), ends.tolist(), first_own.tolist())):
+            j = start + k - 1 - self.counts[f]
+            if p <= min(j, end - 1):
+                j = chain[p]
+            while j < end:
+                moves.append(j)
+                j = chain[j]
+            if moves and moves[-1] >= start:
+                owners[f] = int(r[moves[-1]])
+        # The count carried on: accesses since the final owner's last occurrence, if any.
+        present = np.flatnonzero(r == np.array(owners, dtype=np.intp)[frag])
+        last = np.append(-1, present)[np.searchsorted(present, ends)]
+        self.counts = np.where(last >= starts, ends - 1 - last, np.array(self.counts) + ends - starts).tolist()
+
+        # Each event's owner: where its fragment's latest earlier move went, else the carried one.
+        moves = np.array(moves, dtype=np.intp)
+        latest = np.full(m + 1, -1, dtype=np.intp)
+        latest[moves + 1] = moves
+        latest = np.maximum.accumulate(latest[:-1])
+        owner_at = np.empty(m, dtype=np.intp)
+        owner_at[by_fragment] = np.where(latest >= starts[frag], r[latest], carried[frag])
+        moves = np.sort(by_fragment[moves])  # back into access order
+        reasons = None
+        if explain:
+            code = (requesters == owner_at).astype(np.intp)
+            code[moves] = 2
+            reasons = self.REASONS[code].tolist()
+        return owner_at, moves, requesters[moves], reasons, None
 
 
-class NnaPolicy:
+class NnaPolicy(PerAccessPolicy):
     """Nearest-neighbour allocation: jump decisions, one-hop moves.
 
     ``trigger`` selects when to consider moving:
@@ -139,8 +235,6 @@ class NnaPolicy:
     """
 
     name = "nna"
-    reason = ""
-    inhibition = None
 
     def __init__(
         self,
@@ -254,7 +348,7 @@ class FnaParams:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
 
-class FnaPolicy:
+class FnaPolicy(PerAccessPolicy):
     """Fuzzy nearest-neighbour allocation.
 
     Per fragment it maintains an exponentially decayed score vector ``v``
@@ -279,8 +373,6 @@ class FnaPolicy:
     """
 
     name = "fna"
-    reason = ""
-    inhibition = None
 
     def __init__(self, num_fragments: int, next_hop: list[list[SiteId]], params: FnaParams = FnaParams()):
         self.params = params

@@ -284,14 +284,22 @@ class TestDeterminismAndConservation:
 class TestBlockBoundaries:
     # 3 fragments over BLOCK_TRIALS // 3 + 1 steps leave a final block of 2
     # trials; at rate 0.137 a full block uses about 1.14 of its 2 draws per
-    # trial, so far more than 4 draws carry over into it
-    @pytest.mark.parametrize("num_steps", [1, 50, workload.BLOCK_TRIALS // 3 + 1])
-    def test_block_size_never_changes_a_run(self, monkeypatch, num_steps):
+    # trial, so far more than 4 draws carry over into it. t = 5000 carries
+    # a count across every block; the t = 0 cases keep their plain ids.
+    @pytest.mark.parametrize(
+        "num_steps, t",
+        [
+            pytest.param(num_steps, t, id=f"{num_steps}" if t == 0 else f"{num_steps}-t{t}")
+            for t in (0, 3, 5000)
+            for num_steps in (1, 50, workload.BLOCK_TRIALS // 3 + 1)
+        ],
+    )
+    def test_block_size_never_changes_a_run(self, monkeypatch, num_steps, t):
         cfg = SimConfig(
             topology=reference_topology(),
             sizes=[1.0, 2.5, 4.0],
             initial_owners=[0, 3, 8],
-            policy=PolicySpec("threshold", t=0),
+            policy=PolicySpec("threshold", t=t),
             workload=WorkloadSpec.symmetric(3, 9, 0.5, hot=6, rate=0.137, seed=13, oscillation=Oscillation(6, 2, 3)),
             num_steps=num_steps,
             designated=6,

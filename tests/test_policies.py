@@ -1,14 +1,17 @@
 """Policy behaviour, from scripted single traces up to property checks."""
 
+import csv
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragsim.cli import main
 from fragsim.config import parse_policy_token, resolve_run
+from fragsim.engine import SimConfig, run
 from fragsim.fixtures import reference_topology
 from fragsim.policies import (
     FnaParams,
@@ -24,6 +27,7 @@ from fragsim.policies import (
     oscillation_inhibition,
 )
 from fragsim.topology import build_topology, complete_topology
+from fragsim.workload import WorkloadSpec
 
 
 def hops(topo):
@@ -101,18 +105,61 @@ class TestOptimal:
             assert after[owner] == max(after)
 
 
+def drive_block(policy, initial_owner, requesters):
+    """``drive`` for one block of one fragment through ``decide_block``."""
+    owners = [initial_owner]
+    fragments = np.zeros(len(requesters), dtype=np.intp)
+    owner_at, moves, dests, reasons, _ = policy.decide_block(fragments, np.array(requesters, dtype=np.intp), owners, True)
+    assert not np.any(owner_at[moves] == dests), "a move never targets the current owner"
+    per_access = [-1] * len(requesters)
+    for i, dest in zip(moves.tolist(), dests.tolist()):
+        per_access[i] = dest
+    trail = [initial_owner] + dests.tolist()
+    assert owners == trail[-1:]
+    return trail, per_access, reasons
+
+
+def threshold_by_access(t, owners, counts, fragments, requesters):
+    """The threshold rule one access at a time: each event's (owner before, dest or -1, reason)."""
+    rows = []
+    for f, requester in zip(fragments, requesters):
+        owner = owners[f]
+        if requester == owner:
+            counts[f] = 0
+            rows.append((owner, -1, "local"))
+        elif counts[f] + 1 > t:
+            counts[f] = 0
+            owners[f] = requester
+            rows.append((owner, requester, "threshold-exceeded"))
+        else:
+            counts[f] += 1
+            rows.append((owner, -1, "below-threshold"))
+    return rows
+
+
+def block_rows(policy, owners, fragments, requesters):
+    """``decide_block`` on one block, as the rows ``threshold_by_access`` gives."""
+    owner_at, moves, dests, reasons, inhibitions = policy.decide_block(
+        np.array(fragments, dtype=np.intp), np.array(requesters, dtype=np.intp), owners, True
+    )
+    assert inhibitions is None
+    per_access = [-1] * len(requesters)
+    for i, dest in zip(moves.tolist(), dests.tolist()):
+        per_access[i] = dest
+    return list(zip(owner_at.tolist(), per_access, reasons))
+
+
 class TestThreshold:
     def test_local_access_resets_counter(self):
         policy = ThresholdPolicy(1, t=3)
-        for req in [1, 1, 1]:
-            policy.decide(0, req, 0)
+        drive_block(policy, 0, [1, 1, 1])
         assert policy.counts[0] == 3
-        policy.decide(0, 0, 0)
+        drive_block(policy, 0, [0])
         assert policy.counts[0] == 0
 
     def test_migration_on_exceeding_t(self):
         policy = ThresholdPolicy(1, t=3)
-        owners, dests, reasons = drive(policy, 0, [1, 2, 1, 2])
+        owners, dests, reasons = drive_block(policy, 0, [1, 2, 1, 2])
         assert [d >= 0 for d in dests] == [False, False, False, True]
         assert reasons == ["below-threshold"] * 3 + ["threshold-exceeded"]
         assert owners == [0, 2], "fragment jumps to the requester that broke the threshold"
@@ -121,7 +168,7 @@ class TestThreshold:
     def test_t_zero_chases_every_remote_access(self):
         policy = ThresholdPolicy(1, t=0)
         seq = [3, 1, 1, 2, 0]
-        owners, _, _ = drive(policy, 0, seq)
+        owners, _, _ = drive_block(policy, 0, seq)
         assert owners == [0, 3, 1, 2, 0]
 
     def test_negative_t_rejected(self):
@@ -134,11 +181,12 @@ class TestThreshold:
     )
     @settings(max_examples=80, deadline=None)
     def test_counter_stays_within_bounds_and_t0_tracks_last_requester(self, t, requesters):
+        # one block per access, so the count is carried from block to block
         policy = ThresholdPolicy(1, t=t)
         owner = 0
         consecutive = 0
         for requester in requesters:
-            dest = policy.decide(0, requester, owner)
+            _, (dest,), _ = drive_block(policy, owner, [requester])
             if requester == owner:
                 consecutive = 0
             else:
@@ -153,6 +201,82 @@ class TestThreshold:
             assert 0 <= policy.counts[0] <= t
         if t == 0:
             assert owner == requesters[-1]
+
+
+class TestThresholdBlock:
+    def test_move_on_the_last_event_of_a_block(self):
+        policy = ThresholdPolicy(1, t=2)
+        owners, dests, reasons = drive_block(policy, 0, [0, 1, 2, 1])
+        assert dests == [-1, -1, -1, 1]
+        assert reasons == ["local", "below-threshold", "below-threshold", "threshold-exceeded"]
+        assert owners == [0, 1] and policy.counts == [0]
+        # the new owner's next access is local, a remote one counts from zero
+        assert block_rows(policy, [1], [0, 0], [1, 0]) == [(1, -1, "local"), (1, -1, "below-threshold")]
+        assert policy.counts == [1]
+
+    def test_carried_count_reaches_t_before_the_owner_occurs(self):
+        policy = ThresholdPolicy(1, t=3)
+        drive_block(policy, 0, [1, 2])
+        assert policy.counts == [2]
+        owners, dests, reasons = drive_block(policy, 0, [2, 1, 0, 0])
+        assert dests == [-1, 1, -1, -1]
+        assert reasons == ["below-threshold", "threshold-exceeded", "below-threshold", "below-threshold"]
+        assert owners == [0, 1] and policy.counts == [2]
+
+    def test_owners_first_occurrence_resets_a_carried_count(self):
+        policy = ThresholdPolicy(1, t=3)
+        drive_block(policy, 0, [1, 2])
+        # without the reset at the local access, the third event would move
+        owners, dests, reasons = drive_block(policy, 0, [0, 1, 1, 1, 2, 0])
+        assert dests == [-1, -1, -1, -1, 2, -1]
+        assert reasons == ["local"] + ["below-threshold"] * 3 + ["threshold-exceeded", "below-threshold"]
+        assert owners == [0, 2] and policy.counts == [1]
+
+    def test_t_larger_than_the_block(self):
+        policy = ThresholdPolicy(1, t=5000)
+        for _ in range(3):
+            assert drive_block(policy, 0, [1, 2] * 50)[0] == [0]
+        assert policy.counts == [300]
+        owners, dests, _ = drive_block(policy, 0, [1, 2] * 3000)
+        # 4 701 more remote accesses pass t; after the move, 1 occurs again at 5 998
+        assert owners == [0, 1] and dests.index(1) == 4700
+        assert policy.counts == [1]
+
+    def test_interleaved_fragments_match_the_rule_by_access(self):
+        rng = random.Random(41)
+        policy = ThresholdPolicy(3, t=2)
+        owners, counts = [0, 1, 2], [0, 0, 0]
+        expected_owners, expected_counts = list(owners), list(counts)
+        for size in (1, 7, 40, 0, 300):
+            fragments = [rng.choice([0, 1, 1, 2, 2, 2]) for _ in range(size)]
+            requesters = [rng.choice([0, 0, 1, 2, 3]) for _ in range(size)]
+            expected = threshold_by_access(2, expected_owners, expected_counts, fragments, requesters)
+            assert block_rows(policy, owners, fragments, requesters) == expected
+            assert owners == expected_owners and policy.counts == expected_counts
+
+    def test_interleaved_fragments_total_migration_cost_per_move(self):
+        # Three fragments moving on a weighted graph: the engine's total,
+        # summed per block, must equal a per-move sum in access order.
+        topo = build_topology(4, [(0, 1, 0.3), (1, 2, 1.7), (2, 3, 0.1), (0, 3, 2.9)])
+        cfg = SimConfig(
+            topology=topo,
+            sizes=[0.5, 2.5, 4.0],
+            initial_owners=[0, 1, 2],
+            policy=PolicySpec("threshold", t=1),
+            workload=WorkloadSpec.symmetric(3, 4, 0.4, hot=1, rate=0.7, seed=5),
+            num_steps=3000,
+            per_hop_latency=0.7,
+        )
+        lines = []
+        metrics = run(cfg, lines.append)
+        dist = topo.distance_matrix.tolist()
+        total, moves = 0.0, 0
+        for row in csv.DictReader(lines):
+            if row["decision"] == "move":
+                total += cfg.sizes[int(row["fragment"])] * dist[int(row["owner_before"])][int(row["dest"])] * 0.7
+                moves += 1
+        assert moves == metrics.migrations > 1000
+        assert repr(metrics.migration_hop_cost) == repr(total)
 
 
 class TestNna:

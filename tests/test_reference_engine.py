@@ -23,7 +23,7 @@ from fragsim.topology import build_topology
 from fragsim.workload import Oscillation, WorkloadSpec
 
 POLICIES = st.one_of(
-    st.builds(PolicySpec, st.just("threshold"), t=st.integers(0, 4)),
+    st.builds(PolicySpec, st.just("threshold"), t=st.integers(0, 40)),
     st.builds(PolicySpec, st.just("optimal"), counter_cap=st.none() | st.integers(1, 5)),
     st.builds(PolicySpec, st.just("nna"), counter_cap=st.none() | st.integers(1, 5)),
     st.builds(PolicySpec, st.just("nna"), trigger=st.just("threshold"), t=st.integers(0, 3)),
