@@ -171,9 +171,15 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
     base = {k: v for k, v in doc.items() if k != "sweep"}
     base_seed = seed_override if seed_override is not None else _int_key(base, "config", "seed", default=0)
 
+    sites = None
+    if axis == "active_count":
+        # bound each count by the site count before its active list is built
+        _check_keys(base, "config", required=("topology",), optional=base)
+        sites = _resolve_topology(base["topology"], base_dir).n
+
     groups = []
     for value in values:
-        varied = _apply_axis(base, axis, value)
+        varied = _apply_axis(base, axis, value, sites)
         groups.append((value, [resolve_run(varied, base_dir, seed_override=base_seed + rep) for rep in range(replications)]))
     # resolve_run has checked the output block by now
     return SweepSetup(axis=axis, groups=groups, metrics_name=base.get("output", {}).get("metrics", "sweep.csv"))
@@ -321,7 +327,7 @@ def _resolve_workload(block, count: int, n: int, seed: int):
     return spec, x_s, hot
 
 
-def _apply_axis(base: dict, axis: str, value) -> dict:
+def _apply_axis(base: dict, axis: str, value, sites: Optional[int]) -> dict:
     doc = copy.deepcopy(base)
     if axis == "x_s":
         wl = doc.get("workload")
@@ -336,18 +342,25 @@ def _apply_axis(base: dict, axis: str, value) -> dict:
         if pol.get("name") == "nna":
             pol["trigger"] = "threshold"
     elif axis == "fragment_size":
-        frag = doc.setdefault("fragments", {"count": 1})
+        frag = _object_block(doc, "fragments", {"count": 1})
         frag.pop("sizes", None)
         frag["size"] = value
     elif axis == "rate":
-        wl = doc.setdefault("workload", {})
-        wl["rate"] = value
+        _object_block(doc, "workload", {})["rate"] = value
     elif axis == "active_count":
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"config.sweep.values: active_count values must be integers, got {value!r}")
-        wl = doc.setdefault("workload", {})
-        wl["active"] = list(range(value))
+        if value > sites:
+            raise ConfigError(f"config.sweep.values: active_count {value} exceeds the topology's {sites} sites")
+        _object_block(doc, "workload", {})["active"] = list(range(value))
     return doc
+
+
+def _object_block(doc: dict, key: str, default: dict) -> dict:
+    block = doc.setdefault(key, default)
+    if not isinstance(block, dict):
+        raise ConfigError(f"config.{key}: must be an object")
+    return block
 
 
 # ---------------------------------------------------------------------------

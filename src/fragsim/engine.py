@@ -47,6 +47,7 @@ bytes ``csv.writer`` would. Lines are joined from cached pieces in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -73,9 +74,14 @@ class SimConfig:
     migration_blocking: bool = False
 
     def validate(self) -> None:
-        """Check the run's shape. Each message starts with its config key; NaN fails every bound."""
+        """Check the run's shape. Each message starts with its config key; NaN fails every bound.
+
+        Step counts and site ids must be Python or numpy integers; bools are not.
+        """
         n = self.topology.n
         count = len(self.sizes)
+        if not _is_int(self.num_steps):
+            raise ValueError(f"num_steps: must be an integer, got {self.num_steps!r}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps: must be >= 1, got {self.num_steps}")
         if count < 1:
@@ -86,9 +92,9 @@ class SimConfig:
         if len(self.initial_owners) != count:
             raise ValueError(f"initial_owners: expected {count} entries, got {len(self.initial_owners)}")
         for owner in self.initial_owners:
-            if not (0 <= owner < n):
+            if not (_is_int(owner) and 0 <= owner < n):
                 raise ValueError(f"initial_owners: owner {owner!r} is not a site in 0..{n - 1}")
-        if not (0 <= self.designated < n):
+        if not (_is_int(self.designated) and 0 <= self.designated < n):
             raise ValueError(f"designated: {self.designated!r} is not a site in 0..{n - 1}")
         if not (0 < self.per_hop_latency < math.inf):
             raise ValueError(f"per_hop_latency: must be positive and finite, got {self.per_hop_latency}")
@@ -96,6 +102,10 @@ class SimConfig:
             raise ValueError(f"workload.probs: {self.workload.num_fragments} rows for {count} fragments")
         if self.workload.num_sites != n:
             raise ValueError(f"workload.probs: rows have {self.workload.num_sites} sites, topology has {n}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass

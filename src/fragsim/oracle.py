@@ -21,20 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .workload import InvalidProbabilityError
-
 _POWER_TOL = 1e-13
 _POWER_MAX_ITER = 1_500
 _POWER_CHECK_EVERY = 100
 LUMPED_MAX_T = 2_000  # the dense lumped matrix takes about 170 MB at this t
-
-
-class NonStochasticRowError(RuntimeError):
-    pass
-
-
-class ParamsTooLargeError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -47,9 +37,9 @@ class ChainParams:
 
     def __post_init__(self):
         if self.n < 2:
-            raise InvalidProbabilityError(f"need at least two sites, got n={self.n}")
+            raise ValueError(f"need at least two sites, got n={self.n}")
         if not (0.0 <= self.x_s <= 1.0):
-            raise InvalidProbabilityError(f"x_s must lie in [0, 1], got {self.x_s}")
+            raise ValueError(f"x_s must lie in [0, 1], got {self.x_s}")
         if self.t < 0:
             raise ValueError(f"threshold must be non-negative, got {self.t}")
 
@@ -78,7 +68,7 @@ def threshold_stationary(params: ChainParams) -> StationaryResult:
     otherwise. The matrix is dense, so ``t`` is capped at ``LUMPED_MAX_T``.
     """
     if params.t > LUMPED_MAX_T:
-        raise ParamsTooLargeError(f"the lumped chain is limited to t <= {LUMPED_MAX_T}, got t={params.t}")
+        raise ValueError(f"the lumped chain is limited to t <= {LUMPED_MAX_T}, got t={params.t}")
     P = _lumped_matrix(params)
     _check_stochastic(P)
     pi = _stationary(P)
@@ -96,7 +86,7 @@ def brute_force_stationary(params: ChainParams) -> StationaryResult:
     point is verification, not scale.
     """
     if params.t > 4 or params.n > 6:
-        raise ParamsTooLargeError(f"brute force is limited to t <= 4 and n <= 6, got t={params.t}, n={params.n}")
+        raise ValueError(f"brute force is limited to t <= 4 and n <= 6, got t={params.t}, n={params.n}")
     n, t = params.n, params.t
     x_s, x_d = params.x_s, params.x_d
     width = t + 1
@@ -158,9 +148,9 @@ def _check_stochastic(P: np.ndarray) -> None:
     sums = P.sum(axis=1)
     bad = np.nonzero(np.abs(sums - 1.0) > 1e-12)[0]
     if bad.size:
-        raise NonStochasticRowError(f"transition row {bad[0]} sums to {sums[bad[0]]!r}")
+        raise RuntimeError(f"transition row {bad[0]} sums to {sums[bad[0]]!r}")
     if np.any(P < 0):
-        raise NonStochasticRowError("transition matrix has negative entries")
+        raise RuntimeError("transition matrix has negative entries")
 
 
 def _stationary(P: np.ndarray) -> np.ndarray:

@@ -29,27 +29,7 @@ _PATH_TOL = 1e-9
 
 
 class TopologyError(Exception):
-    """Base class for all topology construction and routing errors."""
-
-
-class SelfLoopError(TopologyError):
-    pass
-
-
-class DuplicateLinkError(TopologyError):
-    pass
-
-
-class NonPositiveWeightError(TopologyError):
-    pass
-
-
-class DisconnectedGraphError(TopologyError):
-    pass
-
-
-class InvalidSiteError(TopologyError):
-    pass
+    """A topology that cannot be built: bad document, link or graph."""
 
 
 @dataclass(frozen=True)
@@ -90,13 +70,13 @@ def build_topology(n: int, links) -> Topology:
     coerces nothing. ``links`` is a list or tuple of ``Link`` objects or
     ``[a, b]`` / ``[a, b, weight]`` lists or tuples, with int site ids in
     ``0..n-1`` and positive, finite int or float weights (bools are
-    neither). A :class:`TopologyError` subclass naming
+    neither). A :class:`TopologyError` naming
     ``topology.links[i]`` or ``topology.links[i][j]`` reports any other
     link, a self-loop or a duplicate (in either direction); a
     disconnected graph raises too.
     """
     if n < 1:
-        raise InvalidSiteError(f"topology.n: need at least one site, got {n}")
+        raise TopologyError(f"topology.n: need at least one site, got {n}")
     if not isinstance(links, (list, tuple)):
         raise TopologyError("topology.links: must be a list")
 
@@ -112,16 +92,16 @@ def build_topology(n: int, links) -> Topology:
             if isinstance(site, bool) or not isinstance(site, int):
                 raise TopologyError(f"{where}[{j}]: must be an integer, got {site!r}")
             if not (0 <= site < n):
-                raise InvalidSiteError(f"{where}[{j}]: site {site} is outside 0..{n - 1}")
+                raise TopologyError(f"{where}[{j}]: site {site} is outside 0..{n - 1}")
         if a == b:
-            raise SelfLoopError(f"{where}: link ({a}, {b}) is a self-loop")
+            raise TopologyError(f"{where}: link ({a}, {b}) is a self-loop")
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise TopologyError(f"{where}[2]: must be a number, got {w!r}")
         if not (0 < w < math.inf):
-            raise NonPositiveWeightError(f"{where}[2]: weight must be positive and finite, got {w}")
+            raise TopologyError(f"{where}[2]: weight must be positive and finite, got {w}")
         key = (min(a, b), max(a, b))
         if key in seen:
-            raise DuplicateLinkError(f"{where}: link ({a}, {b}) appears more than once")
+            raise TopologyError(f"{where}: link ({a}, {b}) appears more than once")
         seen.add(key)
         norm.append(Link(a, b, w))
 
@@ -134,7 +114,7 @@ def build_topology(n: int, links) -> Topology:
         pairs.sort()
     dist = _all_pairs_distances(adjacency)
     if not np.all(np.isfinite(dist)):
-        raise DisconnectedGraphError("graph is not connected")
+        raise TopologyError("graph is not connected")
     next_hop_table = _next_hop_table(adjacency, dist)
     dist.setflags(write=False)
     next_hop_table.setflags(write=False)

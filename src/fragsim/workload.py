@@ -62,14 +62,6 @@ _ROW_SUM_TOL = 1e-9
 BLOCK_TRIALS = 4096
 
 
-class InvalidProbabilityError(ValueError):
-    pass
-
-
-class EmptyActiveSetError(ValueError):
-    pass
-
-
 def symmetric_spec(n: int, x_s: float, hot: SiteId = 0) -> np.ndarray:
     """Access vector with mass ``x_s`` at ``hot`` and the rest spread evenly.
 
@@ -78,11 +70,11 @@ def symmetric_spec(n: int, x_s: float, hot: SiteId = 0) -> np.ndarray:
     ``(1 - x_s) / (n - 1)`` each.
     """
     if n < 2:
-        raise InvalidProbabilityError(f"need at least two sites, got n={n}")
+        raise ValueError(f"need at least two sites, got n={n}")
     if not (0.0 <= x_s <= 1.0):
-        raise InvalidProbabilityError(f"x_s must lie in [0, 1], got {x_s}")
+        raise ValueError(f"x_s must lie in [0, 1], got {x_s}")
     if not (0 <= hot < n):
-        raise InvalidProbabilityError(f"hot site {hot} out of range for n={n}")
+        raise ValueError(f"hot site {hot} out of range for n={n}")
     vec = np.full(n, (1.0 - x_s) / (n - 1))
     vec[hot] = x_s
     return vec
@@ -103,9 +95,9 @@ class Oscillation:
 
     def __post_init__(self):
         if self.site_a == self.site_b:
-            raise InvalidProbabilityError("oscillation sites must differ")
+            raise ValueError("oscillation sites must differ")
         if self.period < 1:
-            raise InvalidProbabilityError(f"oscillation period must be >= 1, got {self.period}")
+            raise ValueError(f"oscillation period must be >= 1, got {self.period}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,29 +120,29 @@ class WorkloadSpec:
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
-            raise InvalidProbabilityError(f"probs must be 2-D (fragments x sites), got shape {probs.shape}")
+            raise ValueError(f"probs must be 2-D (fragments x sites), got shape {probs.shape}")
         if np.any(probs < 0):
-            raise InvalidProbabilityError("probs entries must be non-negative")
+            raise ValueError("probs entries must be non-negative")
         sums = probs.sum(axis=1)
         bad = np.flatnonzero(~(np.abs(sums - 1.0) <= _ROW_SUM_TOL))  # a NaN row fails too
         if bad.size:
-            raise InvalidProbabilityError(f"probs row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
+            raise ValueError(f"probs row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
         object.__setattr__(self, "probs", probs)
         if not (0.0 < self.rate <= 1.0):
-            raise InvalidProbabilityError(f"rate must lie in (0, 1], got {self.rate}")
+            raise ValueError(f"rate must lie in (0, 1], got {self.rate}")
         n = probs.shape[1]
         if self.active is not None:
             active = tuple(sorted(set(int(s) for s in self.active)))
             if not active:
-                raise EmptyActiveSetError("active site set is empty")
+                raise ValueError("active site set is empty")
             if active[0] < 0 or active[-1] >= n:
-                raise InvalidProbabilityError(f"active sites {active} out of range for n={n}")
+                raise ValueError(f"active sites {active} out of range for n={n}")
             object.__setattr__(self, "active", active)
         phases = [probs]
         if self.oscillation is not None:
             osc = self.oscillation
             if osc.site_a >= n or osc.site_b >= n or min(osc.site_a, osc.site_b) < 0:
-                raise InvalidProbabilityError(f"oscillation sites ({osc.site_a}, {osc.site_b}) out of range for n={n}")
+                raise ValueError(f"oscillation sites ({osc.site_a}, {osc.site_b}) out of range for n={n}")
             swap = list(range(n))
             swap[osc.site_a], swap[osc.site_b] = osc.site_b, osc.site_a
             phases.append(probs[:, swap])
@@ -158,7 +150,7 @@ class WorkloadSpec:
         for table in phases:
             empty = np.flatnonzero(table[:, sites].sum(axis=1) <= 0.0)
             if empty.size:
-                raise EmptyActiveSetError(f"fragment {empty[0]} has zero probability mass on the active sites")
+                raise ValueError(f"fragment {empty[0]} has zero probability mass on the active sites")
 
     @property
     def num_fragments(self) -> int:

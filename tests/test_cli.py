@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -310,6 +312,30 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", [None, True, 3, 2.5, "x", []])
+    @pytest.mark.parametrize(
+        "axis, value, block",
+        [("fragment_size", 2.0, "fragments"), ("rate", 0.5, "workload"), ("active_count", 2, "workload")],
+    )
+    def test_axis_block_must_be_an_object(self, tmp_path, capsys, axis, value, block, shape):
+        doc = self.sweep_doc()
+        doc["sweep"] = {"axis": axis, "values": [value]}
+        doc[block] = shape
+        cfg = write_json(tmp_path / "sweep.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"error: config.{block}: must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [6, 10**30])
+    def test_active_count_beyond_the_sites(self, tmp_path, capsys, count):
+        # rejected before an active list of that length is built
+        doc = self.sweep_doc()
+        doc["sweep"] = {"axis": "active_count", "values": [2, count]}
+        cfg = write_json(tmp_path / "sweep.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: config.sweep.values: active_count {count} exceeds the topology's 5 sites" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_t_axis_on_threshold_policy(self, tmp_path):
         doc = base_run_doc(num_steps=1000)
         doc["sweep"] = {"axis": "t", "values": [0, 5]}
@@ -586,6 +612,18 @@ class TestCellPool:
         assert proc.returncode == 1
         assert proc.stderr.startswith("internal error:")
         assert sorted(path.name for path in out.iterdir()) == ["decisions_optimal.csv"]
+
+
+def test_only_the_exit_code_errors_are_defined():
+    # main maps ConfigError to exit 2 and TopologyError to exit 3; any other
+    # error class would slip past that map as an internal error
+    defined = set()
+    for info in pkgutil.iter_modules(fragsim.__path__, "fragsim."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == info.name:
+                defined.add(obj.__name__)
+    assert defined == {"ConfigError", "TopologyError"}
 
 
 class TestFixturesCommand:

@@ -96,6 +96,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             run(cfg)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"num_steps": 2.5}, "num_steps: must be an integer, got 2.5"),
+            ({"num_steps": True}, "num_steps: must be an integer, got True"),
+            ({"initial_owners": [1.5]}, r"initial_owners: owner 1.5 is not a site in 0\.\.4"),
+            ({"initial_owners": [True]}, r"initial_owners: owner True is not a site in 0\.\.4"),
+            ({"designated": 1.5}, r"designated: 1.5 is not a site in 0\.\.4"),
+            ({"designated": True}, r"designated: True is not a site in 0\.\.4"),
+        ],
+    )
+    def test_non_integer_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            threshold_config(**overrides).validate()
+
+    def test_numpy_integers_accepted(self):
+        cfg = threshold_config(num_steps=np.int64(50), initial_owners=[np.int64(1)], designated=np.int32(1))
+        assert run(cfg) == run(threshold_config(num_steps=50, initial_owners=[1], designated=1))
+
 
 class TestEstimateOs:
     def test_basic_fraction(self):

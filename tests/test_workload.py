@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragsim.workload import (
-    EmptyActiveSetError,
     EventStream,
-    InvalidProbabilityError,
     Oscillation,
     WorkloadSpec,
     symmetric_spec,
@@ -44,61 +42,61 @@ class TestSymmetricSpec:
         assert np.allclose(symmetric_spec(3, 0.0), [0.0, 0.5, 0.5])
 
     def test_validation(self):
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match="need at least two sites, got n=1"):
             symmetric_spec(1, 0.5)
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match=r"x_s must lie in \[0, 1\], got 1.2"):
             symmetric_spec(5, 1.2)
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match=r"x_s must lie in \[0, 1\], got -0.1"):
             symmetric_spec(5, -0.1)
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match="hot site 9 out of range for n=5"):
             symmetric_spec(5, 0.5, hot=9)
 
 
 class TestWorkloadSpecValidation:
     def test_rows_must_sum_to_one(self):
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match=r"probs row 0 sums to .*0\.9.*, expected 1"):
             WorkloadSpec(np.array([[0.5, 0.4]]))
 
     def test_entries_must_be_non_negative(self):
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match="probs entries must be non-negative"):
             WorkloadSpec(np.array([[1.5, -0.5]]))
 
     def test_rate_bounds(self):
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match=r"rate must lie in \(0, 1\], got 0.0"):
             WorkloadSpec(np.array([[1.0]]), rate=0.0)
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match=r"rate must lie in \(0, 1\], got 1.5"):
             WorkloadSpec(np.array([[1.0]]), rate=1.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entries_rejected(self, bad):
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match="probs row 0 sums to .*, expected 1"):
             WorkloadSpec(np.array([[bad, 1.0]]))
 
     def test_zero_mass_in_the_swapped_phase(self):
         # all mass is on the one active site, until the oscillation moves it away
-        with pytest.raises(EmptyActiveSetError):
+        with pytest.raises(ValueError, match="fragment 0 has zero probability mass on the active sites"):
             WorkloadSpec(np.array([[1.0, 0.0]]), active=(0,), oscillation=Oscillation(0, 1, 10))
 
     def test_must_be_two_dimensional(self):
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match=r"probs must be 2-D \(fragments x sites\)"):
             WorkloadSpec(np.array([1.0]))
 
     def test_empty_active_set(self):
-        with pytest.raises(EmptyActiveSetError):
+        with pytest.raises(ValueError, match="active site set is empty"):
             WorkloadSpec(np.array([[0.5, 0.5]]), active=())
 
     def test_active_out_of_range(self):
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match=r"active sites \(0, 5\) out of range for n=2"):
             WorkloadSpec(np.array([[0.5, 0.5]]), active=(0, 5))
 
     def test_oscillation_site_range(self):
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match=r"oscillation sites \(0, 7\) out of range for n=2"):
             WorkloadSpec(np.array([[0.5, 0.5]]), oscillation=Oscillation(0, 7, 10))
 
     def test_oscillation_validation(self):
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match="oscillation sites must differ"):
             Oscillation(1, 1, 10)
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(ValueError, match="oscillation period must be >= 1, got 0"):
             Oscillation(0, 1, 0)
 
     def test_symmetric_constructor(self):
@@ -158,7 +156,7 @@ class TestEventStream:
         assert abs(freq1 - 1 / 3) <= 4 * sigma
 
     def test_zero_mass_on_active_sites(self):
-        with pytest.raises(EmptyActiveSetError):
+        with pytest.raises(ValueError, match="fragment 0 has zero probability mass on the active sites"):
             spec = WorkloadSpec(np.array([[1.0, 0.0]]), active=(1,))
             EventStream(spec)
 
