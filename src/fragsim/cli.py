@@ -11,19 +11,21 @@ configuration or parameters, 3 topology or file I/O problems.
 CSV output is deterministic byte for byte: floats are written with
 ``repr``, which round-trips exactly, and rows follow the iteration order
 of the config document. That holds too where ``sweep`` and ``compare``
-spread their independent cells over forked worker processes.
+run the cells that differ only in policy on one shared event stream, and
+spread their cells over forked worker processes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config, parse_policy_token, resolve_run, resolve_sweep
-from .engine import run as run_sim
+from .engine import run_group
 from .fixtures import write_fixtures
 from .oracle import ChainParams, threshold_stationary
 from .topology import TopologyError
@@ -71,66 +73,149 @@ def _metrics_row(setup, metrics):
     ]
 
 
-def _simulate(setup, log_path=None):
-    """Run one resolved simulation, streaming its decision log to ``log_path`` if given.
+def _simulate(setups, log_paths) -> list:
+    """Run cells that differ only in policy in one :func:`run_group`; their metrics in order.
 
-    A run that samples no access is a config error. A run that fails
-    leaves no partial decision log behind.
+    Cell ``i`` streams its decision log to ``log_paths[i]`` if that is not
+    ``None``. A cell that samples no access is a config error. A failure
+    leaves none of the cells' decision logs behind.
     """
-    sim = setup.sim
+    with contextlib.ExitStack() as logs:
+        try:
+            writes = []
+            for path in log_paths:
+                if path is None:
+                    writes.append(None)
+                else:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    writes.append(logs.enter_context(open(path, "w", newline="")).write)
+            all_metrics = run_group([setup.sim for setup in setups], writes)
+            for setup, metrics in zip(setups, all_metrics):
+                if metrics.accesses_total == 0:
+                    sim = setup.sim
+                    raise ConfigError(
+                        f"config: no accesses were sampled in num_steps={sim.num_steps} at rate={sim.workload.rate}; "
+                        "raise num_steps or rate"
+                    )
+        except BaseException:
+            logs.close()
+            for path in log_paths:
+                if path is not None:
+                    path.unlink(missing_ok=True)
+            raise
+    return all_metrics
+
+
+def _simulate_task(setups, log_paths) -> tuple:
+    """:func:`_simulate` one task's cells; ``(metrics, error)``, never raising an ``Exception``.
+
+    ``error`` is ``None``, or the exception of the first cell in order that
+    fails alone, and ``metrics`` holds the cells before it. A shared run
+    that fails is re-run one cell at a time to find that cell, since a
+    shared run may meet a later cell's failure first; runs are
+    deterministic, so this gives the serial loop's failure and logs.
+    """
     try:
-        if log_path is None:
-            metrics = run_sim(sim)
-        else:
-            log_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(log_path, "w", newline="") as fh:
-                metrics = run_sim(sim, fh.write)
-        if metrics.accesses_total == 0:
-            raise ConfigError(
-                f"config: no accesses were sampled in num_steps={sim.num_steps} at rate={sim.workload.rate}; "
-                "raise num_steps or rate"
-            )
-    except BaseException:
-        if log_path is not None:
-            log_path.unlink(missing_ok=True)
-        raise
-    return metrics
+        return _simulate(setups, log_paths), None
+    except Exception as exc:
+        if len(setups) == 1:
+            return [], exc
+    done = []
+    for setup, path in zip(setups, log_paths):
+        try:
+            done += _simulate([setup], [path])
+        except Exception as exc:
+            return done, exc
+    return done, None
+
+
+def _split(groups: list, target: int) -> list:
+    """Split each group into contiguous chunks of near-equal size, the largest that give ``target`` in all.
+
+    Where the groups have fewer cells than ``target``, every cell is its
+    own chunk. The chunks come back ordered by their first cell.
+    """
+    size = max(map(len, groups))
+    while size > 1 and sum(-(-len(group) // size) for group in groups) < target:
+        size -= 1
+    chunks = []
+    for group in groups:
+        k = -(-len(group) // size)
+        chunks += [group[j * len(group) // k : (j + 1) * len(group) // k] for j in range(k)]
+    return sorted(chunks)
 
 
 def _simulate_all(setups, log_paths) -> list:
-    """:func:`_simulate` each cell (``setups[i]``, ``log_paths[i]``); metrics in config order.
+    """Metrics of each cell (``setups[i]``, ``log_paths[i]``), in config order.
 
-    Cells share nothing, so where the host can fork and has more than one
-    usable CPU they run in a pool of forked workers, each cell still a
-    single-process simulation with its own seed. Otherwise they run one
-    after another. Either way a failure leaves what the serial loop
-    leaves: the first failing cell in config order raises, and only the
-    complete decision logs of the cells before it remain.
+    Equal cells (equal configs and log path, as a repeated ``compare``
+    token gives) run once. Cells whose configs differ only in policy share
+    one event stream: they are grouped by
+    :meth:`~fragsim.engine.SimConfig.stream_key`, and each group is split
+    into contiguous chunks in config order, one task each, so that there
+    are two tasks per usable CPU where the cells allow. Where the host can
+    fork and has more than one usable CPU the tasks run in a pool of
+    forked workers; otherwise one after another. Either way a failure
+    leaves what the serial loop leaves: the first failing cell in config
+    order raises, and only the complete decision logs of the cells before
+    it remain.
     """
+    cells = {}  # (stream key, policy, log path) -> the config index of the cell's first occurrence
+    of = [
+        cells.setdefault((setup.sim.stream_key(), setup.sim.policy, path), i)
+        for i, (setup, path) in enumerate(zip(setups, log_paths))
+    ]
+    groups = {}
+    for (key, _, _), i in cells.items():
+        groups.setdefault(key, []).append(i)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(len(setups), cpus)
+    tasks = _split(list(groups.values()), 2 * cpus if cpus > 1 else 1)
+
+    metrics = {}  # config index of a cell -> its metrics
+    failures = {}  # config index of a failing cell -> its exception
+
+    def settle(task, done, error):
+        metrics.update(zip(task, done))
+        if error is not None:
+            failures[task[len(done)]] = error
+
+    def cells_of(task):
+        return [setups[i] for i in task], [log_paths[i] for i in task]
+
+    workers = min(len(tasks), cpus)
     if workers < 2 or not hasattr(os, "fork"):
-        return list(map(_simulate, setups, log_paths))
+        for task in tasks:
+            if task[0] < min(failures, default=len(setups)):
+                settle(task, *_simulate_task(*cells_of(task)))
+    else:
+        import concurrent.futures
+        import multiprocessing
 
-    import concurrent.futures
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")  # workers start without re-importing; no thread runs here yet
-    sys.stdout.flush()  # a forked worker flushes the buffers it inherits when it exits
-    results = []
-    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-        try:
-            for metrics in pool.map(_simulate, setups, log_paths):
-                results.append(metrics)
-        except Exception:
-            # map has cancelled the cells no worker has taken yet. Wait for
-            # the others, so that none is still writing a log removed here.
-            pool.shutdown(wait=True)
-            failed = len(results)
-            for path in set(log_paths[failed:]) - set(log_paths[:failed]) - {None}:
-                path.unlink(missing_ok=True)
-            raise
-    return results
+        ctx = multiprocessing.get_context("fork")  # workers start without re-importing; no thread runs here yet
+        sys.stdout.flush()  # a forked worker flushes the buffers it inherits when it exits
+        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+            futures = {pool.submit(_simulate_task, *cells_of(task)): task for task in tasks}
+            for future in concurrent.futures.as_completed(futures):
+                if future.cancelled():
+                    continue
+                try:
+                    outcome = future.result()
+                except Exception as exc:  # a worker killed outright takes its task down with it
+                    outcome = [], exc
+                settle(futures[future], *outcome)
+                if failures:
+                    # cells after the first failure need not run; tasks already running go on
+                    for other, task in futures.items():
+                        if task[0] > min(failures):
+                            other.cancel()
+    if failures:
+        # Every task has ended, so no cell is still writing a log removed here.
+        failed = min(failures)
+        for i in cells.values():
+            if i >= failed and log_paths[i] is not None:
+                log_paths[i].unlink(missing_ok=True)
+        raise failures[failed]
+    return [metrics[i] for i in of]
 
 
 def _effective_seed_override(args) -> int | None:
@@ -155,7 +240,7 @@ def _cmd_run(args) -> int:
     )
     out = Path(args.out)
     decisions_path = out / setup.decisions_name if setup.record_decisions else None
-    metrics = _simulate(setup, decisions_path)
+    (metrics,) = _simulate([setup], [decisions_path])
     metrics_path = out / setup.metrics_name
     _write_csv(metrics_path, METRICS_HEADER, [_metrics_row(setup, metrics)])
     print(f"wrote {metrics_path}")

@@ -101,7 +101,9 @@ def resolve_run(
     seed_override: Optional[int] = None,
     record_decisions: bool = False,
     policy_override: Optional[PolicySpec] = None,
+    topology: Optional[Topology] = None,
 ) -> RunSetup:
+    """Resolve a run document; ``topology``, if given, stands for the already resolved ``doc["topology"]``."""
     ctx = "config"
     _check_keys(
         doc,
@@ -121,7 +123,7 @@ def resolve_run(
     if os.path.normpath(metrics_name) == os.path.normpath(decisions_name):
         raise ConfigError(f"config.output: metrics and decisions name the same file {metrics_name!r}")
 
-    topo = _resolve_topology(doc["topology"], base_dir)
+    topo = topology if topology is not None else _resolve_topology(doc["topology"], base_dir)
     sizes = _resolve_sizes(doc.get("fragments", {"count": 1, "size": 1.0}))
     seed = seed_override if seed_override is not None else _int_key(doc, ctx, "seed", default=0)
     workload, x_s_label, hot = _resolve_workload(doc["workload"], len(sizes), topo.n, seed)
@@ -171,16 +173,21 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
     base = {k: v for k, v in doc.items() if k != "sweep"}
     base_seed = seed_override if seed_override is not None else _int_key(base, "config", "seed", default=0)
 
-    sites = None
+    # No axis varies the topology: resolve it once and share it across the cells.
+    topology = None
     if axis == "active_count":
         # bound each count by the site count before its active list is built
         _check_keys(base, "config", required=("topology",), optional=base)
-        sites = _resolve_topology(base["topology"], base_dir).n
+        topology = _resolve_topology(base["topology"], base_dir)
 
     groups = []
     for value in values:
-        varied = _apply_axis(base, axis, value, sites)
-        groups.append((value, [resolve_run(varied, base_dir, seed_override=base_seed + rep) for rep in range(replications)]))
+        varied = _apply_axis(base, axis, value, topology)
+        setups = []
+        for rep in range(replications):
+            setups.append(resolve_run(varied, base_dir, seed_override=base_seed + rep, topology=topology))
+            topology = setups[-1].sim.topology
+        groups.append((value, setups))
     # resolve_run has checked the output block by now
     return SweepSetup(axis=axis, groups=groups, metrics_name=base.get("output", {}).get("metrics", "sweep.csv"))
 
@@ -327,7 +334,7 @@ def _resolve_workload(block, count: int, n: int, seed: int):
     return spec, x_s, hot
 
 
-def _apply_axis(base: dict, axis: str, value, sites: Optional[int]) -> dict:
+def _apply_axis(base: dict, axis: str, value, topology: Optional[Topology]) -> dict:
     doc = copy.deepcopy(base)
     if axis == "x_s":
         wl = doc.get("workload")
@@ -346,18 +353,27 @@ def _apply_axis(base: dict, axis: str, value, sites: Optional[int]) -> dict:
         frag.pop("sizes", None)
         frag["size"] = value
     elif axis == "rate":
-        _object_block(doc, "workload", {})["rate"] = value
+        _object_block(doc, "workload")["rate"] = value
     elif axis == "active_count":
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"config.sweep.values: active_count values must be integers, got {value!r}")
-        if value > sites:
-            raise ConfigError(f"config.sweep.values: active_count {value} exceeds the topology's {sites} sites")
-        _object_block(doc, "workload", {})["active"] = list(range(value))
+        if value > topology.n:
+            raise ConfigError(f"config.sweep.values: active_count {value} exceeds the topology's {topology.n} sites")
+        _object_block(doc, "workload")["active"] = list(range(value))
     return doc
 
 
-def _object_block(doc: dict, key: str, default: dict) -> dict:
-    block = doc.setdefault(key, default)
+def _object_block(doc: dict, key: str, default: Optional[dict] = None) -> dict:
+    """``doc[key]``, which must be an object; a missing one becomes ``default``.
+
+    Without a ``default`` a missing block stays missing, for
+    :func:`resolve_run` to report, and a detached empty object comes back.
+    """
+    if key not in doc:
+        if default is None:
+            return {}
+        doc[key] = default
+    block = doc[key]
     if not isinstance(block, dict):
         raise ConfigError(f"config.{key}: must be an object")
     return block

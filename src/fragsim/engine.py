@@ -30,6 +30,16 @@ the running total. ``cumsum`` adds strictly left to right, so each total
 is the one a per-access or per-move ``+=`` gives, bit for bit;
 ``np.sum`` adds pairwise and would not be.
 
+Shared stream: :func:`run_group` runs configs that are equal in every
+field but ``policy`` (equal :meth:`SimConfig.stream_key`) on one
+:class:`~fragsim.workload.EventStream`. Each block of events is drawn once
+and handed to each policy in the order of the configs. A policy never
+writes into the block's arrays, and each keeps its own ``owners``, cost
+totals, transfer windows and decision-log writer, so every config gets
+the metrics and log that a run of its own gives, bit for bit, while the
+events are drawn once. :func:`run` is the one-config case of the same
+loop.
+
 Blocking only adds waiting time; which events occur, what the policy
 decides, and where fragments travel are identical with blocking on or
 off. That makes blocking runs directly comparable against non-blocking
@@ -103,6 +113,30 @@ class SimConfig:
         if self.workload.num_sites != n:
             raise ValueError(f"workload.probs: rows have {self.workload.num_sites} sites, topology has {n}")
 
+    def stream_key(self) -> tuple:
+        """Every field but ``policy``, by value.
+
+        Configs with equal keys draw the same events, so :func:`run_group`
+        can run them on one event stream.
+        """
+        wl = self.workload
+        return (
+            self.topology.n,
+            self.topology.links,
+            wl.probs.shape,
+            wl.probs.tobytes(),
+            wl.rate,
+            wl.active,
+            wl.seed,
+            wl.oscillation,
+            tuple(self.sizes),
+            tuple(self.initial_owners),
+            self.num_steps,
+            self.designated,
+            self.per_hop_latency,
+            self.migration_blocking,
+        )
+
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -135,57 +169,83 @@ class SimMetrics:
 
 def run(cfg: SimConfig, write=None) -> SimMetrics:
     """Simulate ``cfg``; if ``write`` is given, stream the decision log to it."""
-    cfg.validate()
-    topo = cfg.topology
-    n = topo.n
-    num_fragments = len(cfg.sizes)
-    policy = build_policy(cfg.policy, num_fragments, n, topo.next_hop_matrix.tolist())
-    stream = EventStream(cfg.workload)
+    return run_group([cfg], [write])[0]
 
-    dist = topo.distance_matrix
-    sizes = np.array(cfg.sizes, dtype=float)
-    owners = list(cfg.initial_owners)
-    latency = cfg.per_hop_latency
-    blocking = cfg.migration_blocking
-    in_flight_until = [0] * num_fragments
 
-    log = None
-    if write is not None:
-        write(DECISIONS_HEADER)
-        log = _row_writer(write, n)
-    migrations = 0
-    residency = np.zeros(n, dtype=np.int64)
-    response_cost = 0.0
-    migration_hop_cost = 0.0
+def run_group(cfgs: list, writes=None) -> list:
+    """Simulate configs equal in every field but ``policy`` on one shared event stream.
 
-    for steps, fragments, requesters in stream.blocks(cfg.num_steps):
-        owner_at, moves, dests, reasons, inhibitions = policy.decide_block(
-            fragments, requesters, owners, explain=log is not None
+    Each block of events is drawn once and handed to each policy in the
+    order of ``cfgs``. ``writes[i]``, if given and not ``None``, receives
+    ``cfgs[i]``'s decision log. Metrics come back in the order of
+    ``cfgs``, each the one ``run(cfgs[i], writes[i])`` returns alone.
+    """
+    for cfg in cfgs:
+        cfg.validate()
+    first = cfgs[0]
+    if any(cfg.stream_key() != first.stream_key() for cfg in cfgs[1:]):
+        raise ValueError("policy: configs sharing a run may differ in their policy only")
+    if writes is None:
+        writes = [None] * len(cfgs)
+    runs = [_PolicyRun(cfg, write) for cfg, write in zip(cfgs, writes, strict=True)]
+    for steps, fragments, requesters in EventStream(first.workload).blocks(first.num_steps):
+        for one in runs:
+            one.take(steps, fragments, requesters)
+    return [one.metrics() for one in runs]
+
+
+class _PolicyRun:
+    """One policy's side of a run: the policy, its ``owners``, its totals and its decision log."""
+
+    def __init__(self, cfg: SimConfig, write):
+        topo = cfg.topology
+        self.cfg = cfg
+        self.policy = build_policy(cfg.policy, len(cfg.sizes), topo.n, topo.next_hop_matrix.tolist())
+        self.sizes = np.array(cfg.sizes, dtype=float)
+        self.owners = list(cfg.initial_owners)
+        self.in_flight_until = [0] * len(cfg.sizes)
+        self.log = None
+        if write is not None:
+            write(DECISIONS_HEADER)
+            self.log = _row_writer(write, topo.n)
+        self.migrations = 0
+        self.residency = np.zeros(topo.n, dtype=np.int64)
+        self.response_cost = 0.0
+        self.migration_hop_cost = 0.0
+
+    def take(self, steps, fragments, requesters) -> None:
+        """Decide one block of events, log it and add its costs."""
+        cfg = self.cfg
+        dist = cfg.topology.distance_matrix
+        latency = cfg.per_hop_latency
+        owner_at, moves, dests, reasons, inhibitions = self.policy.decide_block(
+            fragments, requesters, self.owners, explain=self.log is not None
         )
-        if log is not None:
-            log(steps, fragments, requesters, owner_at, moves, dests, reasons, inhibitions)
-        residency += np.bincount(owner_at, minlength=n)
+        if self.log is not None:
+            self.log(steps, fragments, requesters, owner_at, moves, dests, reasons, inhibitions)
+        self.residency += np.bincount(owner_at, minlength=cfg.topology.n)
         costs = 2.0 * dist[requesters, owner_at] * latency
-        moved_sizes = sizes[fragments[moves]]
+        moved_sizes = self.sizes[fragments[moves]]
         hops = dist[owner_at[moves], dests]
-        migrations += moves.size
-        migration_hop_cost = _running_sum(migration_hop_cost, moved_sizes * hops * latency)
-        if blocking:
+        self.migrations += moves.size
+        self.migration_hop_cost = _running_sum(self.migration_hop_cost, moved_sizes * hops * latency)
+        if cfg.migration_blocking:
             windows = steps[moves] + np.ceil(moved_sizes * hops).astype(np.int64)
-            costs += _blocking_waits(steps, fragments, moves, windows, in_flight_until)
-        response_cost = _running_sum(response_cost, costs)
+            costs += _blocking_waits(steps, fragments, moves, windows, self.in_flight_until)
+        self.response_cost = _running_sum(self.response_cost, costs)
 
-    residency = residency.tolist()
-    return SimMetrics(
-        num_steps=cfg.num_steps,
-        designated=cfg.designated,
-        accesses_total=sum(residency),
-        residency=residency,
-        migrations=migrations,
-        migration_hop_cost=migration_hop_cost,
-        response_cost=response_cost,
-        final_owners=dict(enumerate(owners)),
-    )
+    def metrics(self) -> SimMetrics:
+        residency = self.residency.tolist()
+        return SimMetrics(
+            num_steps=self.cfg.num_steps,
+            designated=self.cfg.designated,
+            accesses_total=sum(residency),
+            residency=residency,
+            migrations=self.migrations,
+            migration_hop_cost=self.migration_hop_cost,
+            response_cost=self.response_cost,
+            final_owners=dict(enumerate(self.owners)),
+        )
 
 
 def _running_sum(total: float, terms: np.ndarray) -> float:

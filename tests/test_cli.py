@@ -14,6 +14,8 @@ import time
 import pytest
 
 import fragsim.cli
+import fragsim.engine
+import fragsim.topology
 from fragsim.cli import (
     COMPARE_HEADER,
     METRICS_HEADER,
@@ -21,6 +23,7 @@ from fragsim.cli import (
     SWEEP_HEADER,
     main,
 )
+from fragsim.config import resolve_sweep
 from fragsim.engine import DECISIONS_HEADER
 from fragsim.fixtures import reference_topology_dict
 
@@ -336,6 +339,33 @@ class TestSweepCommand:
         assert f"error: config.sweep.values: active_count {count} exceeds the topology's 5 sites" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("axis, value", [("rate", 0.5), ("active_count", 2)])
+    def test_missing_workload_is_named(self, tmp_path, capsys, axis, value):
+        doc = self.sweep_doc()
+        doc["sweep"] = {"axis": axis, "values": [value]}
+        del doc["workload"]
+        cfg = write_json(tmp_path / "sweep.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: config: missing required key 'workload'\n"
+
+    @pytest.mark.parametrize("axis, values", [("t", list(range(10))), ("active_count", [1, 2, 3, 4, 5])])
+    def test_topology_is_built_once(self, tmp_path, monkeypatch, axis, values):
+        built = []
+        real_build = fragsim.topology.build_topology
+
+        def counted_build(n, links):
+            built.append(n)
+            return real_build(n, links)
+
+        monkeypatch.setattr(fragsim.topology, "build_topology", counted_build)
+        doc = base_run_doc(num_steps=10)
+        doc["sweep"] = {"axis": axis, "values": values, "replications": 3}
+        sweep = resolve_sweep(doc, tmp_path)
+        setups = [setup for _, group in sweep.groups for setup in group]
+        assert len(setups) == 3 * len(values)
+        assert built == [5]
+        assert all(setup.sim.topology is setups[0].sim.topology for setup in setups)
+
     def test_t_axis_on_threshold_policy(self, tmp_path):
         doc = base_run_doc(num_steps=1000)
         doc["sweep"] = {"axis": "t", "values": [0, 5]}
@@ -534,46 +564,48 @@ class TestCellPool:
         assert pooled == serial
 
     @pytest.mark.parametrize(
-        "policies, slow_later_cell",
+        "policies, slow_later_cell, shared_task",
         [
-            ("optimal,nna,fna", False),
-            ("optimal,nna,fna,threshold:3,threshold:5", True),
-            ("optimal,nna,optimal", True),
+            ("optimal,nna,fna", False, None),
+            ("optimal,nna,fna,threshold:3,threshold:5", True, None),
+            ("optimal,nna,optimal", True, None),  # the repeated cell runs once
+            ("optimal,nna,fna," + ",".join(f"threshold:{t}" for t in range(9)), False, "optimal,nna,fna"),
         ],
-        ids=["later-cell-done", "later-cells-running-and-queued", "later-cell-rewriting-an-earlier-log"],
+        ids=[
+            "later-cell-done",
+            "later-cells-running-and-queued",
+            "later-cell-rewriting-an-earlier-log",
+            "failing-cell-mid-task",
+        ],
     )
     def test_first_failing_cell_leaves_what_the_serial_loop_leaves(
-        self, tmp_path, monkeypatch, capsys, policies, slow_later_cell
+        self, tmp_path, monkeypatch, capsys, policies, slow_later_cell, shared_task
     ):
         doc = TestCompareCommand().osc_doc()
         doc["num_steps"] = 2000
         cfg = write_json(tmp_path / "cmp.json", doc)
         assert main(["compare", "--config", cfg, "--policies", "optimal,nna", "--out", str(tmp_path / "ok"), "--log-decisions"]) == 0
         capsys.readouterr()
-        real_run_sim = fragsim.cli.run_sim
+        real_run_group = fragsim.cli.run_group
         runs = []  # forked workers inherit the patch, and each counts its own cells
+        tasks = tmp_path / "tasks"  # one line per shared run, from every process
 
-        def flaky_run_sim(sim, write=None):
-            runs.append(sim.policy.name)
-            if sim.policy.name == "nna":
+        def flaky_run_group(sims, writes):
+            names = [sim.policy.name for sim in sims]
+            with open(tasks, "a") as fh:
+                fh.write(",".join(names) + "\n")
+            runs.extend(names)
+            if "nna" in names:
                 time.sleep(0.3)
                 raise RuntimeError("nna cell failed")
             if not (slow_later_cell and len(runs) > 1):
-                return real_run_sim(sim, write)
-            # A worker's second cell comes after nna in config order: it
-            # is still writing, one line in, when nna fails.
-            lines = []
-
-            def write_slowly(line):
-                write(line)
-                lines.append(line)
-                if len(lines) == 1:
-                    time.sleep(0.6)
-
-            return real_run_sim(sim, write_slowly)
+                return real_run_group(sims, writes)
+            # A worker's later cells come after nna in config order: they
+            # are still writing, one line in, when nna fails.
+            return real_run_group(sims, [self.slowly(write) for write in writes])
 
         self.cpus(monkeypatch, 2)
-        monkeypatch.setattr(fragsim.cli, "run_sim", flaky_run_sim)
+        monkeypatch.setattr(fragsim.cli, "run_group", flaky_run_group)
         out = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--policies", policies, "--out", str(out), "--log-decisions"]) == 1
         captured = capsys.readouterr()
@@ -581,6 +613,88 @@ class TestCellPool:
         assert captured.err == "internal error: nna cell failed\n"
         assert sorted(path.name for path in out.iterdir()) == ["decisions_optimal.csv"]
         assert (out / "decisions_optimal.csv").read_bytes() == (tmp_path / "ok" / "decisions_optimal.csv").read_bytes()
+        if shared_task is not None:
+            # nna shared a run with an earlier and a later cell, and was then run alone
+            assert shared_task in tasks.read_text().splitlines()
+
+    @staticmethod
+    def slowly(write):
+        lines = []
+
+        def write_slowly(line):
+            write(line)
+            lines.append(line)
+            if len(lines) == 1:
+                time.sleep(0.6)
+
+        return write_slowly
+
+    def count_streams(self, monkeypatch, tally):
+        """Count the event streams built from here on, in this process and in forked workers."""
+        tally.touch()
+
+        class CountedStream(fragsim.engine.EventStream):
+            def __init__(self, spec):
+                with open(tally, "a") as fh:
+                    fh.write(f"{spec.seed}\n")
+                super().__init__(spec)
+
+        monkeypatch.setattr(fragsim.engine, "EventStream", CountedStream)
+        return lambda: len(tally.read_text().splitlines())
+
+    def test_sweep_draws_one_stream_per_task(self, tmp_path, monkeypatch):
+        # 10 t values x 3 seeds: one group of 10 cells per seed, split in
+        # two on 2 CPUs (two tasks per CPU at least) and whole on one
+        doc = base_run_doc(num_steps=500)
+        doc["sweep"] = {"axis": "t", "values": list(range(10)), "replications": 3}
+        cfg = write_json(tmp_path / "sweep.json", doc)
+        outputs = {}
+        for cpus, streams in ((1, 3), (2, 6)):
+            self.cpus(monkeypatch, cpus)
+            count = self.count_streams(monkeypatch, tmp_path / f"streams{cpus}")
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / str(cpus))]) == 0
+            assert count() == streams
+            outputs[cpus] = (tmp_path / str(cpus) / "sweep.csv").read_bytes()
+        assert outputs[2] == outputs[1]
+        assert len(outputs[1].splitlines()) == 31
+
+    @pytest.mark.parametrize("policies, streams", [("optimal,nna,fna", 3), ("optimal,nna,optimal", 2)])
+    def test_compare_draws_one_stream_per_distinct_cell_on_two_cpus(self, tmp_path, monkeypatch, policies, streams):
+        doc = TestCompareCommand().osc_doc()
+        doc["num_steps"] = 2000
+        cfg = write_json(tmp_path / "cmp.json", doc)
+        self.cpus(monkeypatch, 2)
+        count = self.count_streams(monkeypatch, tmp_path / "streams")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--policies", policies, "--out", str(out), "--log-decisions"]) == 0
+        assert count() == streams
+        rows = read_rows(out / "compare.csv")
+        assert [row["policy"] for row in rows] == policies.split(",")
+        if policies.endswith(",optimal"):
+            assert rows[2] == rows[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failing_cell_across_interleaved_groups(self, tmp_path, monkeypatch, capsys, cpus):
+        # Replication r of each t value is a cell of seed r's group, so the
+        # groups interleave in config order: (t0, r0), (t0, r1), (t1, r0), ...
+        # Cell 2 fails in the first group and cell 1, the serial loop's
+        # first failure, in the second.
+        doc = base_run_doc(num_steps=200)
+        doc["sweep"] = {"axis": "t", "values": [0, 1], "replications": 2}
+        cfg = write_json(tmp_path / "sweep.json", doc)
+        real_run_group = fragsim.cli.run_group
+
+        def flaky_run_group(sims, writes):
+            for sim in sims:
+                if (sim.policy.t, sim.workload.seed) in ((1, 1), (0, 2)):
+                    raise RuntimeError(f"cell t={sim.policy.t} seed={sim.workload.seed} failed")
+            return real_run_group(sims, writes)
+
+        self.cpus(monkeypatch, cpus)
+        monkeypatch.setattr(fragsim.cli, "run_group", flaky_run_group)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "internal error: cell t=0 seed=2 failed\n"
+        assert not (tmp_path / "out").exists()
 
     def test_killed_worker_fails_the_command(self, tmp_path):
         # A worker killed outright cannot report back; the command must
@@ -591,13 +705,13 @@ class TestCellPool:
         script = (
             "import os, signal, sys, time\n"
             "import fragsim.cli as cli\n"
-            "real_run_sim = cli.run_sim\n"
-            "def run_sim(sim, write=None):\n"
-            "    if sim.policy.name == 'nna':\n"
+            "real_run_group = cli.run_group\n"
+            "def run_group(sims, writes):\n"
+            "    if any(sim.policy.name == 'nna' for sim in sims):\n"
             "        time.sleep(0.3)\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return real_run_sim(sim, write)\n"
-            "cli.run_sim = run_sim\n"
+            "    return real_run_group(sims, writes)\n"
+            "cli.run_group = run_group\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "os.cpu_count = lambda: 2\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"

@@ -10,7 +10,7 @@ import pytest
 
 import reference_engine
 from fragsim import workload
-from fragsim.engine import DECISIONS_HEADER, SimConfig, SimMetrics, run
+from fragsim.engine import DECISIONS_HEADER, SimConfig, SimMetrics, run, run_group
 from fragsim.fixtures import reference_topology
 from fragsim.policies import PolicySpec
 from fragsim.topology import build_topology, complete_topology
@@ -114,6 +114,29 @@ class TestValidation:
     def test_numpy_integers_accepted(self):
         cfg = threshold_config(num_steps=np.int64(50), initial_owners=[np.int64(1)], designated=np.int32(1))
         assert run(cfg) == run(threshold_config(num_steps=50, initial_owners=[1], designated=1))
+
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"num_steps": 2001},
+            {"workload": WorkloadSpec.symmetric(1, 5, 0.28, seed=2)},
+            {"initial_owners": [1]},
+            {"migration_blocking": True},
+        ],
+        ids=["steps", "seed", "owners", "blocking"],
+    )
+    def test_shared_run_takes_configs_differing_in_policy_only(self, overrides):
+        with pytest.raises(ValueError, match="differ in their policy only"):
+            run_group([threshold_config(), threshold_config(policy=PolicySpec("nna"), **overrides)])
+
+    def test_stream_key_compares_by_value(self):
+        # topologies and workloads built apart still share a stream
+        a = threshold_config()
+        b = threshold_config(policy=PolicySpec("optimal"))
+        assert a.topology is not b.topology and a.workload is not b.workload
+        assert a.stream_key() == b.stream_key()
+        assert run_group([a, b]) == [run(a), run(b)]
 
 
 class TestEstimateOs:

@@ -5,10 +5,11 @@ dense and thinned rates, optional active sets, oscillation and blocking
 with sizes other than 1, every policy, and block sizes from one trial
 up. Both engines must agree on
 every ``SimMetrics`` field, compared by ``repr`` so floats match bit for
-bit and ints stay Python ints, and on the whole decision log.
+bit and ints stay Python ints, and on the whole decision log. The same
+holds for each of several policies run together on one shared stream.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import reference_engine
 from fragsim import workload
-from fragsim.engine import SimConfig, SimMetrics, run
+from fragsim.engine import SimConfig, SimMetrics, run, run_group
 from fragsim.policies import FnaParams, PolicySpec
 from fragsim.topology import build_topology
 from fragsim.workload import Oscillation, WorkloadSpec
@@ -91,3 +92,17 @@ def test_engine_matches_reference(cfg, block):
     for name in (f.name for f in fields(SimMetrics)):
         assert repr(getattr(metrics, name)) == repr(getattr(expected, name)), name
     assert lines == expected_lines
+
+
+@given(cfg=configs(), policies=st.lists(POLICIES, min_size=1, max_size=4), block=st.sampled_from([2, 7, 64, 4096]))
+@settings(max_examples=150, deadline=None)
+def test_shared_stream_matches_reference(cfg, policies, block):
+    cfgs = [replace(cfg, policy=policy) for policy in policies]
+    logs = [[] for _ in cfgs]
+    with mock.patch.object(workload, "BLOCK_TRIALS", block, create=True):
+        all_metrics = run_group(cfgs, [log.append for log in logs])
+    for one, metrics, lines in zip(cfgs, all_metrics, logs):
+        expected, expected_lines = reference_engine.run(one)
+        for name in (f.name for f in fields(SimMetrics)):
+            assert repr(getattr(metrics, name)) == repr(getattr(expected, name)), name
+        assert lines == expected_lines
