@@ -15,30 +15,36 @@ Costs:
   per_hop_latency``, with a transfer window of
   ``ceil(size * distance(source, dest))`` steps.
 
-Accounting per block: the engine takes the events of a block of trials
-from :meth:`~fragsim.workload.EventStream.blocks` and hands them to the
-policy's ``decide_block`` (see :mod:`~fragsim.policies`), which applies
-the block's moves to ``owners`` and returns each event's owner before
-its decision and the moves in access order. ``threshold`` decides the
-block with array operations; the other policies' ``decide`` is asked
-once per event. Apart from writing the decision log, the engine has no
-per-access Python loop: ``np.bincount`` of the owners adds to the
-residency counts, and the response and migration costs are computed as
-arrays (under blocking, each access's window end comes from its
-fragment's latest earlier move) and added with ``np.cumsum`` seeded by
-the running total. ``cumsum`` adds strictly left to right, so each total
-is the one a per-access or per-move ``+=`` gives, bit for bit;
-``np.sum`` adds pairwise and would not be.
+Accounting per block: the engine takes each
+:class:`~fragsim.workload.Block` of events from
+:meth:`~fragsim.workload.EventStream.blocks` and hands it to the policy's
+``decide_block`` (see :mod:`~fragsim.policies`), which applies the
+block's moves to ``owners`` and returns each event's owner before its
+decision and the moves in access order. ``threshold`` decides the block
+with array operations; the other policies' ``decide`` is asked once per
+event. Apart from writing the decision log, the engine has no per-access
+Python loop: ``np.bincount`` of the owners adds to the residency counts,
+and the response and migration costs are computed as arrays. An access's
+response cost is read from a table of ``(2.0 * distance) * latency`` by
+requester and owner, made once per run. Under blocking, each access's
+window end comes from its fragment's latest earlier move, and the
+fragment's accesses come from the block's grouping by fragment. Each
+array of costs is added to its running total by seeding its first term
+in place (``costs[0] += total``) and taking ``np.cumsum``. ``cumsum``
+adds strictly left to right, so each total is the one a per-access or
+per-move ``+=`` gives, bit for bit; ``np.sum`` adds pairwise and would
+not be.
 
 Shared stream: :func:`run_group` runs configs that are equal in every
 field but ``policy`` (equal :meth:`SimConfig.stream_key`) on one
 :class:`~fragsim.workload.EventStream`. Each block of events is drawn once
 and handed to each policy in the order of the configs. A policy never
-writes into the block's arrays, and each keeps its own ``owners``, cost
-totals, transfer windows and decision-log writer, so every config gets
-the metrics and log that a run of its own gives, bit for bit, while the
-events are drawn once. :func:`run` is the one-config case of the same
-loop.
+writes into the block's arrays; the block's index is built at most once,
+for the first policy that reads it, and shared by the rest. Each policy
+keeps its own ``owners``, cost totals, transfer windows and
+decision-log writer, so every config gets the metrics and log that a run
+of its own gives, bit for bit, while the events are drawn once.
+:func:`run` is the one-config case of the same loop.
 
 Blocking only adds waiting time; which events occur, what the policy
 decides, and where fragments travel are identical with blocking on or
@@ -188,9 +194,9 @@ def run_group(cfgs: list, writes=None) -> list:
     if writes is None:
         writes = [None] * len(cfgs)
     runs = [_PolicyRun(cfg, write) for cfg, write in zip(cfgs, writes, strict=True)]
-    for steps, fragments, requesters in EventStream(first.workload).blocks(first.num_steps):
+    for block in EventStream(first.workload).blocks(first.num_steps):
         for one in runs:
-            one.take(steps, fragments, requesters)
+            one.take(block)
     return [one.metrics() for one in runs]
 
 
@@ -212,26 +218,29 @@ class _PolicyRun:
         self.residency = np.zeros(topo.n, dtype=np.int64)
         self.response_cost = 0.0
         self.migration_hop_cost = 0.0
+        # response cost of an access by requester * n + owner
+        self.prices = (2.0 * topo.distance_matrix * cfg.per_hop_latency).ravel()
 
-    def take(self, steps, fragments, requesters) -> None:
+    def take(self, block) -> None:
         """Decide one block of events, log it and add its costs."""
         cfg = self.cfg
-        dist = cfg.topology.distance_matrix
+        n = cfg.topology.n
         latency = cfg.per_hop_latency
+        steps, fragments, requesters = block.steps, block.fragments, block.requesters
         owner_at, moves, dests, reasons, inhibitions = self.policy.decide_block(
-            fragments, requesters, self.owners, explain=self.log is not None
+            block, self.owners, explain=self.log is not None
         )
         if self.log is not None:
             self.log(steps, fragments, requesters, owner_at, moves, dests, reasons, inhibitions)
-        self.residency += np.bincount(owner_at, minlength=cfg.topology.n)
-        costs = 2.0 * dist[requesters, owner_at] * latency
+        self.residency += np.bincount(owner_at, minlength=n)
+        costs = self.prices[requesters * n + owner_at]
         moved_sizes = self.sizes[fragments[moves]]
-        hops = dist[owner_at[moves], dests]
+        hops = cfg.topology.distance_matrix[owner_at[moves], dests]
         self.migrations += moves.size
         self.migration_hop_cost = _running_sum(self.migration_hop_cost, moved_sizes * hops * latency)
         if cfg.migration_blocking:
             windows = steps[moves] + np.ceil(moved_sizes * hops).astype(np.int64)
-            costs += _blocking_waits(steps, fragments, moves, windows, self.in_flight_until)
+            costs += _blocking_waits(block, moves, windows, self.in_flight_until)
         self.response_cost = _running_sum(self.response_cost, costs)
 
     def metrics(self) -> SimMetrics:
@@ -249,8 +258,14 @@ class _PolicyRun:
 
 
 def _running_sum(total: float, terms: np.ndarray) -> float:
-    """``total`` plus each of ``terms`` in order, bit for bit as a per-term ``+=`` gives it."""
-    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+    """``total`` plus each of ``terms`` in order, bit for bit as a per-term ``+=`` gives it.
+
+    The total is seeded into ``terms[0]`` in place, so ``terms`` must be a scratch array.
+    """
+    if not terms.size:
+        return total
+    terms[0] += total
+    return float(np.cumsum(terms)[-1])
 
 
 def _row_writer(write, n):
@@ -293,7 +308,7 @@ def _row_writer(write, n):
     return log
 
 
-def _blocking_waits(steps, fragments, moves, windows, until) -> np.ndarray:
+def _blocking_waits(block, moves, windows, until) -> np.ndarray:
     """Queueing delay of each access of a block under migration blocking.
 
     An access waits ``end - step`` while its fragment's transfer window,
@@ -302,10 +317,12 @@ def _blocking_waits(steps, fragments, moves, windows, until) -> np.ndarray:
     their window ends. ``until`` holds each fragment's window end at the
     start of the block and is advanced to its value at the end of it.
     """
+    steps = block.steps
+    order, bounds = block.by_fragment
     ends = np.empty(steps.size, dtype=np.int64)
-    moved = fragments[moves]
+    moved = block.fragments[moves]
     for f in range(len(until)):
-        at = np.flatnonzero(fragments == f)
+        at = order[bounds[f] : bounds[f + 1]]
         mine = moved == f
         in_force = np.concatenate(([until[f]], windows[mine]))  # entry k: after the k-th move of the block
         ends[at] = in_force[np.searchsorted(moves[mine], at)]

@@ -32,9 +32,10 @@ fragment:
 A local access (requester already owns the fragment) is always a stay,
 whatever the counters say.
 
-Every policy has one entry point, ``decide_block(fragments,
-requesters, owners, explain=False)``, which the engine calls once per
-block of events (int arrays in access order):
+Every policy has one entry point, ``decide_block(block, owners,
+explain=False)``, which the engine calls once per
+:class:`~fragsim.workload.Block` of events (its ``fragments`` and
+``requesters`` are int arrays in access order):
 
 * it applies the block's moves to ``owners``, the list of each
   fragment's current site, and does the policy's own move bookkeeping
@@ -49,7 +50,8 @@ block of events (int arrays in access order):
   evaluation ran), or is ``None`` when the policy has none; without it
   both are ``None``.
 
-``threshold`` decides a whole block with array operations (see
+``threshold`` decides a whole block with array operations from the
+block's index, which every policy handed the block shares (see
 :class:`ThresholdPolicy`). ``optimal``, ``nna`` and ``fna`` are written
 as ``decide(f, requester, owner)`` alone, which returns the destination
 site of a move or ``-1`` to stay and sets ``self.reason`` (``fna`` also
@@ -90,12 +92,12 @@ class PerAccessPolicy:
     reason = ""
     inhibition = None
 
-    def decide_block(self, fragments, requesters, owners, explain=False):
+    def decide_block(self, block, owners, explain=False):
         owner_at = []
         record = owner_at.append
         moves, dests, reasons, inhibitions = [], [], [], []
         decide = self.decide
-        for f, requester in zip(fragments.tolist(), requesters.tolist()):
+        for f, requester in zip(block.fragments.tolist(), block.requesters.tolist()):
             owner = owners[f]
             record(owner)
             dest = decide(f, requester, owner)
@@ -135,23 +137,30 @@ class OptimalPolicy(PerAccessPolicy):
         return -1
 
 
-def _stable_argsort(keys: np.ndarray, largest: int) -> np.ndarray:
-    # In the narrowest type that holds them, small keys sort by radix sort, not merge sort.
-    return np.argsort(keys.astype(np.min_scalar_type(largest)), kind="stable")
-
-
 class ThresholdPolicy:
     """Consecutive-remote-access counter with reset on local access.
 
-    Decided a block at a time with array operations. For one fragment's
-    requesters ``r[0..m)``: after a move to, or a local access of, owner
-    ``o = r[j]`` the count is 0, and the next move comes at ``q + t + 1``,
-    where ``q`` ends the run of ``o``'s occurrences from ``j`` on whose
-    consecutive members are at most ``t + 1`` apart. ``chain[j]`` holds
-    that position for every ``j``, so the moves are a walk along it. The
-    walk starts from the owner and count carried into the block: the first
-    move is at ``t - count`` unless the owner occurs by then, and at
-    ``chain`` of its first occurrence if it does.
+    Decided a block at a time from the block's shared
+    :class:`~fragsim.workload.BlockIndex`. For one fragment's requesters
+    ``r[0..m)``: after a move to, or a local access of, owner ``o = r[j]``
+    the count is 0, and the next move comes at ``q + t + 1``, where ``q``
+    ends the run of ``o``'s occurrences from ``j`` on whose consecutive
+    members are at most ``t + 1`` apart. ``chain[j]`` holds that position
+    for every ``j``, so the moves are a walk along it. Per ``t``:
+
+    * the runs end where the index's gap to the site's next occurrence
+      exceeds ``t + 1``, one comparison for the block;
+    * ``chain`` is each run's end plus ``t + 1``, spread over the run's
+      members with ``np.repeat``;
+    * the walk starts from the owner and count carried into the block: the
+      first move is at ``t - count`` unless the owner occurs by then (its
+      first position comes from the index), and at ``chain`` of that
+      occurrence if it does; it reads ``chain`` through a ``memoryview``;
+    * the count carried on is the number of accesses since the final
+      owner's last position in the block, from the index, or the old count
+      plus the fragment's accesses when the owner does not occur;
+    * each event's owner is an ``np.repeat`` of the owner segments, the
+      carried owner up to the first move and each move's requester after it.
     """
 
     name = "threshold"
@@ -161,62 +170,51 @@ class ThresholdPolicy:
         self.t = t
         self.counts: list[int] = [0] * num_fragments  # consecutive remote accesses, carried between blocks
 
-    def decide_block(self, fragments, requesters, owners, explain=False):
-        m = requesters.size
-        k = self.t + 1
-        carried = np.array(owners, dtype=np.intp)
-        # Positions below index the events grouped by fragment, each group in access order.
-        by_fragment = _stable_argsort(fragments, len(owners) - 1)
-        frag = fragments[by_fragment]
-        r = requesters[by_fragment]
-        bounds = np.searchsorted(frag, np.arange(len(owners) + 1))
-        starts, ends = bounds[:-1], bounds[1:]
-
-        # chain[j]: the move after a reset at j. Sorting by (fragment, site) lines up
-        # each site's occurrences; a run ends at a new site or a gap above t + 1.
-        width = int(r.max(initial=0)) + 1
-        key = frag * width + r
-        order = _stable_argsort(key, len(owners) * width - 1)
-        key = key[order]
-        is_end = np.ones(m, dtype=bool)
-        is_end[:-1] = (key[1:] != key[:-1]) | (np.diff(order) > k)
-        run_ends = np.flatnonzero(is_end)
+    def decide_block(self, block, owners, explain=False):
+        m = block.requesters.size
+        t = self.t
+        k = min(t + 1, m)  # no gap within a block reaches m, so a larger t + 1 acts as m
+        order, bounds = block.by_fragment
+        index = block.index
+        # chain[j], for every grouped position j, from the runs that end at this t
+        run_ends = np.flatnonzero(index.gaps > k)
         chain = np.empty(m, dtype=np.intp)
-        chain[order] = np.repeat(order[run_ends] + k, np.diff(run_ends, prepend=-1))
-        chain = chain.tolist()
+        chain[index.by_site] = np.repeat(index.by_site[run_ends] + k, np.diff(run_ends, prepend=-1))
+        chain = memoryview(chain)
+        r, first, last, width = memoryview(index.requesters), memoryview(index.first), memoryview(index.last), index.width
 
-        # The first move uses the carried owner and count; the rest follow the chain.
-        own = np.flatnonzero(r == carried[frag])
-        first_own = np.append(own, m)[np.searchsorted(own, starts)]
-        moves = []
-        for f, (start, end, p) in enumerate(zip(starts.tolist(), ends.tolist(), first_own.tolist())):
-            j = start + k - 1 - self.counts[f]
+        carried = list(owners)
+        counts = self.counts
+        moves, cut = [], []  # cut[f]: how many moves come before fragment f's
+        spans = bounds.tolist()
+        for f, (start, end) in enumerate(zip(spans, spans[1:])):
+            cut.append(len(moves))
+            owner = owners[f]
+            j = start + t - counts[f]  # the first move, unless the owner occurs by then
+            p = first[f * width + owner] if owner < width else m
             if p <= min(j, end - 1):
                 j = chain[p]
             while j < end:
                 moves.append(j)
                 j = chain[j]
-            if moves and moves[-1] >= start:
-                owners[f] = int(r[moves[-1]])
-        # The count carried on: accesses since the final owner's last occurrence, if any.
-        present = np.flatnonzero(r == np.array(owners, dtype=np.intp)[frag])
-        last = np.append(-1, present)[np.searchsorted(present, ends)]
-        self.counts = np.where(last >= starts, ends - 1 - last, np.array(self.counts) + ends - starts).tolist()
+            if len(moves) > cut[f]:
+                owner = owners[f] = r[moves[-1]]
+            q = last[f * width + owner] if owner < width else -1
+            counts[f] = end - 1 - q if q >= start else counts[f] + end - start
 
-        # Each event's owner: where its fragment's latest earlier move went, else the carried one.
-        moves = np.array(moves, dtype=np.intp)
-        latest = np.full(m + 1, -1, dtype=np.intp)
-        latest[moves + 1] = moves
-        latest = np.maximum.accumulate(latest[:-1])
+        # Each event's owner: the carried one up to the fragment's first move, then each move's requester.
+        moves = np.fromiter(moves, dtype=np.intp, count=len(moves))
+        edges = np.insert(moves + 1, cut, bounds[:-1])
+        held = np.insert(index.requesters[moves], cut, carried)
         owner_at = np.empty(m, dtype=np.intp)
-        owner_at[by_fragment] = np.where(latest >= starts[frag], r[latest], carried[frag])
-        moves = np.sort(by_fragment[moves])  # back into access order
+        owner_at[order] = np.repeat(held, np.diff(edges, append=m))
+        moves = np.sort(order[moves])  # back into access order
         reasons = None
         if explain:
-            code = (requesters == owner_at).astype(np.intp)
+            code = (block.requesters == owner_at).astype(np.intp)
             code[moves] = 2
             reasons = self.REASONS[code].tolist()
-        return owner_at, moves, requesters[moves], reasons, None
+        return owner_at, moves, block.requesters[moves], reasons, None
 
 
 class NnaPolicy(PerAccessPolicy):

@@ -31,8 +31,11 @@ trials at a time, without a Python call per trial:
   immediately before it, back to the last draw at or above ``rate``, has
   even length: a miss is always followed by a start, and after it starts
   and requester draws alternate. ``np.maximum.accumulate`` over the miss
-  positions finds that run for every position at once. At ``rate == 1``
-  nothing misses and the requester draw is every odd one.
+  positions finds that run for every position at once.
+* When no draw of a block misses, which is every block at ``rate == 1``,
+  that search is skipped: trial ``i`` of the block starts at draw ``2i``
+  and emits, its requester draw is ``2i + 1``, and the draws from ``2k``
+  on carry over.
 * Draws beyond the block's last trial carry over to the next block, even
   when they outnumber all that the (shorter) final block needs.
 * Requesters come from ``np.searchsorted(cum, u * cum[-1],
@@ -41,6 +44,14 @@ trials at a time, without a Python call per trial:
   fragment's emitted count plus its rank among the fragment's events in
   the block.
 
+Each block comes as a :class:`Block`, which keeps an index of its events
+that depends on no policy: the events grouped by fragment and, in
+:class:`BlockIndex`, each event's distance to the next access by the same
+site of the same fragment and each (fragment, site)'s first and last
+position. Both are computed on first use, so a run whose policies never
+read them never builds them, and every policy handed the block shares
+them.
+
 Only ``random.Random`` draws; ``numpy.random`` is never imported.
 """
 
@@ -48,6 +59,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
@@ -60,6 +72,9 @@ _ROW_SUM_TOL = 1e-9
 # Trials per block. A constant in trials, not steps, keeps a block's arrays
 # (two draws a trial at most) at about 100 KB however many fragments a run has.
 BLOCK_TRIALS = 4096
+
+# BlockIndex.gaps of an event whose site does not occur again in its fragment's group
+NO_NEXT = np.iinfo(np.intp).max
 
 
 def symmetric_spec(n: int, x_s: float, hot: SiteId = 0) -> np.ndarray:
@@ -212,10 +227,10 @@ class EventStream:
         words = np.frombuffer(self._rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
         return (((words & 0xFFFFFFFF) >> 5) << 26 | words >> 38).astype(float) * 2.0**-53
 
-    def blocks(self, num_steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield ``(steps, fragments, requesters)`` of every event of ``num_steps`` steps.
+    def blocks(self, num_steps: int) -> Iterator["Block"]:
+        """Yield a :class:`Block` of every event of ``num_steps`` steps.
 
-        Each yield covers the next ``BLOCK_TRIALS`` trials (the last one
+        Each block covers the next ``BLOCK_TRIALS`` trials (the last one
         fewer) and holds one int array entry per emitted access, in trial
         order: step-major, fragment-minor.
         """
@@ -227,15 +242,23 @@ class EventStream:
             trials = min(BLOCK_TRIALS, total - first)
             need = 2 * trials - carry.size  # no trial takes more than two draws
             draws = np.concatenate((carry, self._draws(need))) if need > 0 else carry
-            # a trial starts where the run of hits right before it has even length
-            position = np.arange(draws.size)
-            last_miss = np.maximum.accumulate(np.where(draws >= rate, position, -1))
-            since_miss = position - np.concatenate(([-1], last_miss[:-1])) - 1
-            starts = np.flatnonzero(since_miss % 2 == 0)[:trials]
-            hit = draws[starts] < rate
-            carry = draws[starts[-1] + 1 + hit[-1] :]
-            steps, fragments = np.divmod(first + np.flatnonzero(hit), num_fragments)
-            yield steps, fragments, self._requesters(fragments, draws[starts[hit] + 1])
+            miss = draws >= rate
+            if miss.any():
+                # a trial starts where the run of hits right before it has even length
+                position = np.arange(draws.size)
+                last_miss = np.maximum.accumulate(np.where(miss, position, -1))
+                since_miss = position - np.concatenate(([-1], last_miss[:-1])) - 1
+                starts = np.flatnonzero(since_miss % 2 == 0)[:trials]
+                hit = draws[starts] < rate
+                carry = draws[starts[-1] + 1 + hit[-1] :]
+                emitted = first + np.flatnonzero(hit)
+                u = draws[starts[hit] + 1]
+            else:  # every trial emits, so trial i takes draws 2i and 2i + 1
+                carry = draws[2 * trials :]
+                emitted = np.arange(first, first + trials)
+                u = draws[1 : 2 * trials : 2]
+            steps, fragments = np.divmod(emitted, num_fragments)
+            yield Block(steps, fragments, self._requesters(fragments, u), num_fragments)
 
     def _requesters(self, fragments: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Requester of each event, from its second draw, by inverse CDF."""
@@ -251,3 +274,73 @@ class EventStream:
                 at = events if osc is None else events[phase == p]
                 picked[at] = np.searchsorted(cum, draws[at] * cum[-1], side="right")
         return self._sites[picked]
+
+
+def _stable_argsort(keys: np.ndarray, largest: int) -> np.ndarray:
+    # In the narrowest type that holds them, small keys sort by radix sort, not merge sort.
+    return np.argsort(keys.astype(np.min_scalar_type(largest)), kind="stable")
+
+
+class Block:
+    """The events of one block of trials, with an index that every policy handed the block shares.
+
+    ``steps``, ``fragments`` and ``requesters`` hold one int entry per
+    emitted access, in trial order, and ``num_fragments`` is the run's
+    fragment count; nothing writes into them. :attr:`by_fragment` and
+    :attr:`index` depend on no policy: each is computed on first use and
+    kept with the block.
+    """
+
+    def __init__(self, steps: np.ndarray, fragments: np.ndarray, requesters: np.ndarray, num_fragments: int):
+        self.steps = steps
+        self.fragments = fragments
+        self.requesters = requesters
+        self.num_fragments = num_fragments
+
+    @cached_property
+    def by_fragment(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, bounds)``: fragment ``f``'s events are ``order[bounds[f]:bounds[f + 1]]``, in access order."""
+        order = _stable_argsort(self.fragments, self.num_fragments - 1)
+        bounds = np.searchsorted(self.fragments[order], np.arange(self.num_fragments + 1))
+        return order, bounds
+
+    @cached_property
+    def index(self) -> "BlockIndex":
+        """The block's :class:`BlockIndex`."""
+        return BlockIndex(self)
+
+
+class BlockIndex:
+    """Where each (fragment, site) occurs in a block, in grouped positions.
+
+    Grouped position ``p`` is the block's event ``order[p]`` of
+    :attr:`Block.by_fragment`, so each fragment's events are contiguous:
+
+    * ``requesters[p]`` is that event's requester;
+    * ``by_site`` lists the grouped positions sorted by (fragment, site),
+      each pair's occurrences in access order, and ``gaps[i]`` is the
+      distance from ``by_site[i]`` to the pair's next occurrence, or
+      ``NO_NEXT``, larger than any gap, at its last;
+    * ``first[f * width + s]`` and ``last[f * width + s]`` are the first
+      and last grouped positions of site ``s`` in fragment ``f``, or the
+      block's size and -1 where the site does not occur; ``width`` is one
+      more than the largest requester, so larger sites never occur.
+    """
+
+    def __init__(self, block: Block):
+        order, bounds = block.by_fragment
+        m = order.size
+        self.requesters = block.requesters[order]
+        self.width = width = int(self.requesters.max(initial=0)) + 1
+        key = np.repeat(np.arange(block.num_fragments) * width, np.diff(bounds)) + self.requesters
+        self.by_site = _stable_argsort(key, block.num_fragments * width - 1)
+        key = key[self.by_site]
+        is_last = np.ones(m, dtype=bool)
+        is_last[:-1] = key[1:] != key[:-1]
+        is_first = np.ones(m, dtype=bool)
+        is_first[1:] = is_last[:-1]
+        self.gaps = np.where(is_last, NO_NEXT, np.diff(self.by_site, append=0))
+        self.first = np.full(block.num_fragments * width, m, dtype=np.intp)
+        self.first[key[is_first]] = self.by_site[is_first]
+        self.last = np.full(block.num_fragments * width, -1, dtype=np.intp)
+        self.last[key[is_last]] = self.by_site[is_last]

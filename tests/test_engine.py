@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -353,6 +354,43 @@ class TestBlockBoundaries:
             lines = []
             runs.append((run(cfg, lines.append), lines))
         assert runs[0] == runs[1] == runs[2] == reference_engine.run(cfg)
+
+
+class TestSharedBlockIndex:
+    """The cells of a group read one index per block; cells that never read it never build it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        init = workload.BlockIndex.__init__
+
+        def counting(index, block):
+            built.append(block)
+            init(index, block)
+
+        monkeypatch.setattr(workload.BlockIndex, "__init__", counting)
+        return built
+
+    def cells(self, *policies):
+        cfg = threshold_config(
+            sizes=[1.0, 2.5, 4.0],
+            initial_owners=[0, 3, 4],
+            workload=WorkloadSpec.symmetric(3, 5, 0.4, hot=2, rate=0.5, seed=3),
+            num_steps=3000,
+            migration_blocking=True,
+        )
+        return [replace(cfg, policy=policy) for policy in policies]
+
+    def test_threshold_cells_build_one_index_per_block(self, built):
+        thresholds = [PolicySpec("threshold", t=t) for t in (0, 3, 7)]
+        cells = self.cells(thresholds[0], PolicySpec("optimal"), *thresholds[1:])
+        shared = run_group(cells)
+        assert len(built) == len({id(block) for block in built}) == -(-3000 * 3 // workload.BLOCK_TRIALS)
+        assert [repr(m) for m in shared] == [repr(run(cell)) for cell in cells]
+
+    def test_other_policies_never_build_it(self, built):
+        run_group(self.cells(PolicySpec("optimal"), PolicySpec("nna"), PolicySpec("fna")))
+        assert built == []
 
 
 def test_run_never_imports_numpy_random():

@@ -27,7 +27,7 @@ from fragsim.policies import (
     oscillation_inhibition,
 )
 from fragsim.topology import build_topology, complete_topology
-from fragsim.workload import WorkloadSpec
+from fragsim.workload import Block, WorkloadSpec
 
 
 def hops(topo):
@@ -108,8 +108,9 @@ class TestOptimal:
 def drive_block(policy, initial_owner, requesters):
     """``drive`` for one block of one fragment through ``decide_block``."""
     owners = [initial_owner]
-    fragments = np.zeros(len(requesters), dtype=np.intp)
-    owner_at, moves, dests, reasons, _ = policy.decide_block(fragments, np.array(requesters, dtype=np.intp), owners, True)
+    steps = np.arange(len(requesters))
+    block = Block(steps, np.zeros_like(steps), np.array(requesters, dtype=np.intp), 1)
+    owner_at, moves, dests, reasons, _ = policy.decide_block(block, owners, True)
     assert not np.any(owner_at[moves] == dests), "a move never targets the current owner"
     per_access = [-1] * len(requesters)
     for i, dest in zip(moves.tolist(), dests.tolist()):
@@ -139,9 +140,9 @@ def threshold_by_access(t, owners, counts, fragments, requesters):
 
 def block_rows(policy, owners, fragments, requesters):
     """``decide_block`` on one block, as the rows ``threshold_by_access`` gives."""
-    owner_at, moves, dests, reasons, inhibitions = policy.decide_block(
-        np.array(fragments, dtype=np.intp), np.array(requesters, dtype=np.intp), owners, True
-    )
+    fragments = np.array(fragments, dtype=np.intp)
+    block = Block(np.zeros_like(fragments), fragments, np.array(requesters, dtype=np.intp), len(owners))
+    owner_at, moves, dests, reasons, inhibitions = policy.decide_block(block, owners, True)
     assert inhibitions is None
     per_access = [-1] * len(requesters)
     for i, dest in zip(moves.tolist(), dests.tolist()):
@@ -241,6 +242,12 @@ class TestThresholdBlock:
         # 4 701 more remote accesses pass t; after the move, 1 occurs again at 5 998
         assert owners == [0, 1] and dests.index(1) == 4700
         assert policy.counts == [1]
+
+    def test_t_beyond_a_machine_integer(self):
+        policy = ThresholdPolicy(1, t=10**30)
+        owners, dests, _ = drive_block(policy, 0, [1, 2] * 3000)
+        assert owners == [0] and dests == [-1] * 6000
+        assert policy.counts == [6000]
 
     def test_interleaved_fragments_match_the_rule_by_access(self):
         rng = random.Random(41)

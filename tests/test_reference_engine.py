@@ -6,7 +6,8 @@ with sizes other than 1, every policy, and block sizes from one trial
 up. Both engines must agree on
 every ``SimMetrics`` field, compared by ``repr`` so floats match bit for
 bit and ints stay Python ints, and on the whole decision log. The same
-holds for each of several policies run together on one shared stream.
+holds for each of several policies run together on one shared stream,
+among them groups of ``threshold`` cells that share each block's index.
 """
 
 from dataclasses import fields, replace
@@ -94,8 +95,21 @@ def test_engine_matches_reference(cfg, block):
     assert lines == expected_lines
 
 
-@given(cfg=configs(), policies=st.lists(POLICIES, min_size=1, max_size=4), block=st.sampled_from([2, 7, 64, 4096]))
-@settings(max_examples=150, deadline=None)
+# 2 to 5 threshold cells with distinct t, the group that shares each block's index,
+# shuffled in among up to two other policies.
+THRESHOLD_GROUPS = st.builds(
+    lambda ts, others: [PolicySpec("threshold", t=t) for t in ts] + others,
+    st.lists(st.integers(0, 40), min_size=2, max_size=5, unique=True),
+    st.lists(POLICIES, max_size=2),
+).flatmap(st.permutations)
+
+
+@given(
+    cfg=configs(),
+    policies=st.lists(POLICIES, min_size=1, max_size=4) | THRESHOLD_GROUPS,
+    block=st.sampled_from([2, 7, 64, 4096]),
+)
+@settings(max_examples=200, deadline=None)
 def test_shared_stream_matches_reference(cfg, policies, block):
     cfgs = [replace(cfg, policy=policy) for policy in policies]
     logs = [[] for _ in cfgs]

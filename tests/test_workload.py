@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_engine
+from fragsim import workload
 from fragsim.workload import (
+    NO_NEXT,
+    Block,
     EventStream,
     Oscillation,
     WorkloadSpec,
@@ -17,8 +21,8 @@ from fragsim.workload import (
 def draw_events(spec, num_steps, fragment=0):
     """Requesters of the events one fragment emits over ``num_steps`` steps."""
     out = []
-    for _, fragments, requesters in EventStream(spec).blocks(num_steps):
-        out += requesters[fragments == fragment].tolist()
+    for block in EventStream(spec).blocks(num_steps):
+        out += block.requesters[block.fragments == fragment].tolist()
     return out
 
 
@@ -191,8 +195,52 @@ class TestEventStream:
         sigma = math.sqrt(len(events) * p * (1 - p))
         assert abs(both - len(events) * p) <= 4 * sigma
 
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_blocks_without_a_miss_match_the_reference(self, monkeypatch, block):
+        # At rate 0.95 most blocks of one or two trials draw no miss and skip
+        # the search for trial starts; the blocks that miss carry draws over
+        # into them. Three fragments put a block's first trial on each.
+        spec = WorkloadSpec.symmetric(3, 5, 0.4, rate=0.95, seed=7, oscillation=Oscillation(0, 2, 3))
+        monkeypatch.setattr(workload, "BLOCK_TRIALS", block)
+        blocks = list(EventStream(spec).blocks(400))
+        every_trial_emits = sum(b.fragments.size == block for b in blocks)
+        assert every_trial_emits > 0.8 * len(blocks) and every_trial_emits < len(blocks)
+        events = []
+        for b in blocks:
+            events += zip(b.steps.tolist(), b.fragments.tolist(), b.requesters.tolist())
+        assert events == list(reference_engine.events(spec, 400))
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_streams_are_reproducible_for_any_seed(self, seed):
         spec = WorkloadSpec.symmetric(1, 4, 0.4, rate=0.7, seed=seed)
         assert draw_events(spec, 300) == draw_events(spec, 300)
+
+
+class TestBlockIndex:
+    @given(
+        num_fragments=st.integers(1, 4),
+        events=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)), max_size=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_scan(self, num_fragments, events):
+        fragments = [f % num_fragments for f, _ in events]
+        requesters = [r for _, r in events]
+        m = len(events)
+        block = Block(np.zeros(m, dtype=np.intp), np.array(fragments, dtype=np.intp), np.array(requesters, dtype=np.intp), num_fragments)
+        order, bounds = block.by_fragment
+        for f in range(num_fragments):
+            assert order[bounds[f] : bounds[f + 1]].tolist() == [i for i in range(m) if fragments[i] == f]
+        index = block.index
+        pairs = [(fragments[i], requesters[i]) for i in order.tolist()]  # by grouped position
+        assert index.requesters.tolist() == [r for _, r in pairs]
+        assert index.by_site.tolist() == sorted(range(m), key=lambda p: (pairs[p], p))
+        for p, gap in zip(index.by_site.tolist(), index.gaps.tolist()):
+            later = [q for q in range(p + 1, m) if pairs[q] == pairs[p]]
+            assert gap == (later[0] - p if later else NO_NEXT)
+        assert index.width == max(requesters, default=0) + 1
+        for f in range(num_fragments):
+            for s in range(index.width):
+                at = [p for p in range(m) if pairs[p] == (f, s)]
+                assert index.first[f * index.width + s] == (at[0] if at else m)
+                assert index.last[f * index.width + s] == (at[-1] if at else -1)
