@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ["nna_walkthrough.py", "fna_vs_nna_oscillation.py", "threshold_convergence.py"]
+DEMOS = ["nna_walkthrough.py", "fna_vs_nna_oscillation.py", "threshold_convergence.py", "oracle_vs_simulation.py"]
 
 
 @pytest.mark.parametrize("script", DEMOS)

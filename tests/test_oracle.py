@@ -1,11 +1,14 @@
 """Steady-state model tests.
 
-Three independent routes keep the lumped chain honest: the brute-force
-full-state chain (different state space, different solver path), an exact
-rational solve via sympy for one small case, and the frozen values below,
+Four independent routes keep the lumped chain honest: the brute-force
+full-state chain (different state space, same solver), an exact rational
+solve via sympy for one small case, the renewal closed form evaluated in
+``Fraction`` from the exact float inputs, and the frozen values below,
 which were produced by a standalone prototype before this module existed
 and double-checked against long direct simulations of the policy itself.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +22,6 @@ from fragsim.oracle import (
     _check_stochastic,
     _direct_stationary,
     _lumped_matrix,
-    _stationary,
     brute_force_stationary,
     threshold_stationary,
 )
@@ -34,6 +36,26 @@ FROZEN = {
     (5, 0.28, 30): 0.9253521907583704,
     (5, 0.12, 30): 0.006535988367716144,
 }
+
+
+def closed_form_os(n, x_s, t):
+    """Renewal closed form of o_s, exact in rationals.
+
+    With k = t + 1, E(p) = (1 - p^k) / ((1 - p) p^k) is the expected number
+    of accesses until k remote accesses in a row at remote probability p.
+    A sojourn at the designated site lasts E_d = E(1 - x_s) accesses, the
+    time away from it E_o = E(1 - x_d) (1 - x_d) / x_s.
+    """
+    x = Fraction(x_s)
+    q = 1 - (1 - x) / (n - 1)
+    k = t + 1
+
+    def expected_run(p):
+        return (1 - p**k) / ((1 - p) * p**k)
+
+    e_d = expected_run(1 - x)
+    e_o = expected_run(q) * q / x
+    return e_d / (e_d + e_o)
 
 
 class TestChainParams:
@@ -79,6 +101,16 @@ class TestKnownPoints:
         assert result.pi.sum() == pytest.approx(1.0)
         assert np.all(result.pi >= 0)
 
+    @pytest.mark.parametrize("n, x_s, t", [(2, 0.7, 36), (7, 0.5674677931506273, 60)])
+    def test_rounding_does_not_push_os_above_one(self, n, x_s, t):
+        # the designated mass of cells like these can round to 1.0000000000000002
+        assert threshold_stationary(ChainParams(n, x_s, t)).o_s <= 1.0
+
+    @given(n=st.integers(2, 9), x_s=st.floats(0.0, 1.0), t=st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_os_is_a_probability(self, n, x_s, t):
+        assert 0.0 <= threshold_stationary(ChainParams(n, x_s, t)).o_s <= 1.0
+
 
 class TestMonotonicity:
     def test_os_increases_with_t_when_hot_site_dominates(self):
@@ -115,6 +147,10 @@ class TestAgainstBruteForce:
         with pytest.raises(ValueError, match="the lumped chain is limited to t <= 2000, got t=100000"):
             threshold_stationary(ChainParams(3, 0.2, 100_000))
 
+    def test_brute_force_os_is_at_most_one(self):
+        # unclipped, the designated mass of this cell rounds to 1.0000000000000002
+        assert brute_force_stationary(ChainParams(3, 0.999757088148279, 4)).o_s <= 1.0
+
     def test_non_designated_states_spread_evenly(self):
         # lumpability in the other direction: the full chain puts equal
         # mass on every non-designated site
@@ -144,6 +180,19 @@ class TestExactRationalSolve:
         got = threshold_stationary(ChainParams(2, 0.7, 1)).o_s
         assert got == pytest.approx(float(exact), abs=1e-12)
         assert float(exact) == pytest.approx(0.8063291139240232, abs=1e-12)
+        # the closed form gives the same rational, and a slightly different
+        # value from the float 0.7, which is not exactly 7/10
+        form = closed_form_os(2, Fraction(7, 10), 1)
+        assert sympy.Rational(form.numerator, form.denominator) == exact
+        assert float(closed_form_os(2, 0.7, 1)) == 0.8063291139240506
+
+    @pytest.mark.parametrize(
+        "n, x_s, t",
+        [(5, 0.28, 60), (5, 0.28, 100), (5, 0.28, 200), (5, 0.12, 100), (3, 0.2, 100), (2, 0.4, 28)],
+    )
+    def test_slowly_mixing_cells_against_the_closed_form(self, n, x_s, t):
+        got = threshold_stationary(ChainParams(n, x_s, t)).o_s
+        assert got == pytest.approx(float(closed_form_os(n, x_s, t)), abs=1e-9)
 
 
 class TestSolverInternals:
@@ -154,13 +203,8 @@ class TestSolverInternals:
         with pytest.raises(RuntimeError, match="transition matrix has negative entries"):
             _check_stochastic(np.array([[1.5, -0.5], [0.0, 1.0]]))
 
-    def test_power_iteration_and_direct_solve_agree(self):
-        P = _lumped_matrix(ChainParams(5, 0.28, 3))
-        assert np.allclose(_stationary(P), _direct_stationary(P), atol=1e-9)
-
     def test_direct_solve_handles_slow_mixing(self):
-        # t = 40 at x_s = 0.28 mixes glacially; the bail-out must kick in
-        # and still produce a proper distribution
+        # t = 40 at x_s = 0.28 mixes glacially
         params = ChainParams(5, 0.28, 40)
         result = threshold_stationary(params)
         assert result.pi.sum() == pytest.approx(1.0)
@@ -174,7 +218,9 @@ class TestSolverInternals:
     @settings(max_examples=60, deadline=None)
     def test_stationary_vector_is_a_fixed_point(self, n, x_s, t):
         P = _lumped_matrix(ChainParams(n, x_s, t))
-        pi = _stationary(P)
+        before = P.copy()
+        pi = _direct_stationary(P)
+        assert np.array_equal(P, before)
         assert pi.sum() == pytest.approx(1.0)
         assert np.all(pi >= 0)
         assert np.allclose(pi @ P, pi, atol=1e-8)
