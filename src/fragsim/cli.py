@@ -155,7 +155,8 @@ def _simulate_all(setups, log_paths) -> list:
     into contiguous chunks in config order, one task each, so that there
     are two tasks per usable CPU where the cells allow. Where the host can
     fork and has more than one usable CPU the tasks run in a pool of
-    forked workers; otherwise one after another. Either way a failure
+    forked workers, one per task, so every task starts at once and the
+    CPUs share them; otherwise one after another. Either way a failure
     leaves what the serial loop leaves: the first failing cell in config
     order raises, and only the complete decision logs of the cells before
     it remain.
@@ -169,7 +170,8 @@ def _simulate_all(setups, log_paths) -> list:
     for (key, _, _), i in cells.items():
         groups.setdefault(key, []).append(i)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    tasks = _split(list(groups.values()), 2 * cpus if cpus > 1 else 1)
+    target = 2 * cpus if cpus > 1 else 1
+    tasks = _split(list(groups.values()), target)
 
     metrics = {}  # config index of a cell -> its metrics
     failures = {}  # config index of a failing cell -> its exception
@@ -182,7 +184,7 @@ def _simulate_all(setups, log_paths) -> list:
     def cells_of(task):
         return [setups[i] for i in task], [log_paths[i] for i in task]
 
-    workers = min(len(tasks), cpus)
+    workers = min(len(tasks), target)  # one worker per task: a long task never waits for a short one to end
     if workers < 2 or not hasattr(os, "fork"):
         for task in tasks:
             if task[0] < min(failures, default=len(setups)):

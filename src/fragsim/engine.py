@@ -20,20 +20,20 @@ Accounting per block: the engine takes each
 :meth:`~fragsim.workload.EventStream.blocks` and hands it to the policy's
 ``decide_block`` (see :mod:`~fragsim.policies`), which applies the
 block's moves to ``owners`` and returns each event's owner before its
-decision and the moves in access order. ``threshold`` decides the block
-with array operations; the other policies' ``decide`` is asked once per
-event. Apart from writing the decision log, the engine has no per-access
-Python loop: ``np.bincount`` of the owners adds to the residency counts,
-and the response and migration costs are computed as arrays. An access's
-response cost is read from a table of ``(2.0 * distance) * latency`` by
-requester and owner, made once per run. Under blocking, each access's
-window end comes from its fragment's latest earlier move, and the
-fragment's accesses come from the block's grouping by fragment. Each
-array of costs is added to its running total by seeding its first term
-in place (``costs[0] += total``) and taking ``np.cumsum``. ``cumsum``
-adds strictly left to right, so each total is the one a per-access or
-per-move ``+=`` gives, bit for bit; ``np.sum`` adds pairwise and would
-not be.
+decision and the moves in access order. ``threshold`` and ``fna``
+decide the block with array operations; ``optimal``'s and ``nna``'s
+``decide`` is asked once per event. Apart from writing the decision
+log, the engine has no per-access Python loop: ``np.bincount`` of the
+owners adds to the residency counts, and the response and migration
+costs are computed as arrays. An access's response cost is read from a
+table of ``(2.0 * distance) * latency`` by requester and owner, made
+once per run. Under blocking, each access's window end comes from its
+fragment's latest earlier move, and the fragment's accesses come from
+the block's grouping by fragment. Each array of costs is added to its
+running total by seeding its first term in place (``costs[0] +=
+total``) and taking ``np.cumsum``. ``cumsum`` adds strictly left to
+right, so each total is the one a per-access or per-move ``+=`` gives,
+bit for bit; ``np.sum`` adds pairwise and would not be.
 
 Shared stream: :func:`run_group` runs configs that are equal in every
 field but ``policy`` (equal :meth:`SimConfig.stream_key`) on one
@@ -56,8 +56,10 @@ Decision log: given a ``write`` callable, :func:`run` writes
 no log is held in memory. A row holds only ints, fixed reason tags (their
 only punctuation is ``:``), ``repr`` floats and ``""`` for ``None``; no
 field ever needs quoting, so joining the fields with commas gives the
-bytes ``csv.writer`` would. Lines are joined from cached pieces in
-``_row_writer``, the one place a row is formatted.
+bytes ``csv.writer`` would. ``_row_writer`` is the one place a row is
+formatted: it caches the text of each distinct (fragment, requester,
+owner, decision, destination, reason), so a row costs one table lookup
+and one join with its step's text.
 """
 
 from __future__ import annotations
@@ -271,41 +273,47 @@ def _running_sum(total: float, terms: np.ndarray) -> float:
 def _row_writer(write, n):
     """Return ``log``, which writes a block's decision-log lines to ``write``.
 
-    This is the one place a row is formatted. Each line is joined from
-    lookup tables: the step's text, made once per step; a cached
-    ``"fragment,requester,owner,"`` prefix; and a cached tail per
-    ``(dest, reason)``, followed by the inhibition.
+    This is the one place a row is formatted. Each line is the step's
+    text, made once per step, joined to a cached
+    ``"fragment,requester,owner,decision,dest,reason,"`` text, followed
+    by the inhibition. The texts are kept one table per reason, indexed
+    by the int ``((fragment * n + requester) * n + owner) * (n + 1) +
+    dest + 1``, with ``dest`` -1 for a stay, and each ends in the newline
+    of a row without an inhibition.
     """
-    prefixes = {}  # (f * n + requester) * n + owner -> "f,requester,owner,"
-    tails = {}  # (dest, reason) -> "move,dest,reason," or "stay,,reason,"
+    texts = {}  # reason -> {key -> "f,requester,owner,move,dest,reason,\n" or "f,requester,owner,stay,,reason,\n"}
     last = [-1, ""]  # the latest step and its text, which may continue into the next block
 
     def log(steps, fragments, requesters, owner_at, moves, dests, reasons, inhibitions):
         dest_at = np.full(steps.size, -1, dtype=np.intp)
         dest_at[moves] = dests
-        keys = ((fragments * n + requesters) * n + owner_at).tolist()
+        keys = (((fragments * n + requesters) * n + owner_at) * (n + 1) + dest_at + 1).tolist()
         step, head = last
         if inhibitions is None:
             inhibitions = repeat(None)
-        for s, key, dest, reason, inh in zip(steps.tolist(), keys, dest_at.tolist(), reasons, inhibitions):
+        for s, key, reason, inh in zip(steps.tolist(), keys, reasons, inhibitions):
             if s != step:
                 step, head = s, f"{s},"
             try:
-                prefix = prefixes[key]
+                text = texts[reason][key]
             except KeyError:
-                f, rest = divmod(key, n * n)
-                prefix = prefixes[key] = "{},{},{},".format(f, *divmod(rest, n))
-            try:
-                tail = tails[dest, reason]
-            except KeyError:
-                tail = tails[dest, reason] = f"move,{dest},{reason}," if dest >= 0 else f"stay,,{reason},"
+                text = texts.setdefault(reason, {})[key] = _row_text(key, n, reason)
             if inh is None:
-                write(head + prefix + tail + "\n")
+                write(head + text)
             else:
-                write(f"{head}{prefix}{tail}{inh}\n")
+                write(f"{head}{text[:-1]}{inh}\n")
         last[:] = step, head
 
     return log
+
+
+def _row_text(key, n, reason) -> str:
+    """The cached text of a decision-log row between its step and its inhibition, newline included."""
+    rest, dest = divmod(key, n + 1)
+    rest, owner = divmod(rest, n)
+    f, requester = divmod(rest, n)
+    decision = f"move,{dest - 1}" if dest else "stay,"
+    return f"{f},{requester},{owner},{decision},{reason},\n"
 
 
 def _blocking_waits(block, moves, windows, until) -> np.ndarray:

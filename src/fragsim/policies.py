@@ -50,12 +50,14 @@ explain=False)``, which the engine calls once per
   evaluation ran), or is ``None`` when the policy has none; without it
   both are ``None``.
 
-``threshold`` decides a whole block with array operations from the
-block's index, which every policy handed the block shares (see
-:class:`ThresholdPolicy`). ``optimal``, ``nna`` and ``fna`` are written
-as ``decide(f, requester, owner)`` alone, which returns the destination
-site of a move or ``-1`` to stay and sets ``self.reason`` (``fna`` also
-``self.inhibition``); :class:`PerAccessPolicy` gives them
+``threshold`` and ``fna`` decide a whole block with array operations,
+``threshold`` from the block's index and ``fna`` from its grouping by
+fragment, which every policy handed the block shares (see
+:class:`ThresholdPolicy` and :class:`FnaPolicy`); both then find each
+event's owner from the moves the same way (:func:`_owners_from_moves`).
+``optimal`` and ``nna`` are written as ``decide(f, requester, owner)``
+alone, which returns the destination site of a move or ``-1`` to stay
+and sets ``self.reason``; :class:`PerAccessPolicy` gives them
 ``decide_block`` by asking ``decide`` once per event.
 
 The policy classes trust their arguments; :class:`PolicySpec` checks them.
@@ -87,15 +89,14 @@ def _bump(row: list, site: int, cap: Optional[int]) -> None:
 
 
 class PerAccessPolicy:
-    """Base of the policies written as ``decide``: asks it once per event of a block."""
+    """Base of ``optimal`` and ``nna``, which are written as ``decide``: asks it once per event of a block."""
 
     reason = ""
-    inhibition = None
 
     def decide_block(self, block, owners, explain=False):
         owner_at = []
         record = owner_at.append
-        moves, dests, reasons, inhibitions = [], [], [], []
+        moves, dests, reasons = [], [], []
         decide = self.decide
         for f, requester in zip(block.fragments.tolist(), block.requesters.tolist()):
             owner = owners[f]
@@ -103,15 +104,34 @@ class PerAccessPolicy:
             dest = decide(f, requester, owner)
             if explain:
                 reasons.append(self.reason)
-                inhibitions.append(self.inhibition)
             if dest >= 0:
                 moves.append(len(owner_at) - 1)
                 dests.append(dest)
                 owners[f] = dest
         owner_at = np.fromiter(owner_at, dtype=np.intp, count=len(owner_at))
-        if not explain:
-            reasons = inhibitions = None
-        return owner_at, np.array(moves, dtype=np.intp), np.array(dests, dtype=np.intp), reasons, inhibitions
+        return owner_at, np.array(moves, dtype=np.intp), np.array(dests, dtype=np.intp), reasons if explain else None, None
+
+
+def _owners_from_moves(block, carried, moves, dests):
+    """``(owner_at, moves, dests)`` in access order, from a block's moves in grouped positions.
+
+    ``moves`` are grouped positions of :attr:`~fragsim.workload.Block.by_fragment`
+    in ascending order, ``dests`` their destinations and ``carried`` each
+    fragment's owner at the start of the block. A fragment's events are
+    owned by its carried owner up to its first move and by each move's
+    destination after it; a move at a fragment's last event owns none of
+    them, so the next fragment starts with its own carried owner.
+    """
+    order, bounds = block.by_fragment
+    m = order.size
+    cut = np.searchsorted(moves, bounds[:-1])  # cut[f]: how many moves come before fragment f's
+    edges = np.insert(moves + 1, cut, bounds[:-1])
+    held = np.insert(dests, cut, carried)
+    owner_at = np.empty(m, dtype=np.intp)
+    owner_at[order] = np.repeat(held, np.diff(edges, append=m))
+    at = order[moves]
+    by_access = np.argsort(at)
+    return owner_at, at[by_access], dests[by_access]
 
 
 class OptimalPolicy(PerAccessPolicy):
@@ -159,8 +179,8 @@ class ThresholdPolicy:
     * the count carried on is the number of accesses since the final
       owner's last position in the block, from the index, or the old count
       plus the fragment's accesses when the owner does not occur;
-    * each event's owner is an ``np.repeat`` of the owner segments, the
-      carried owner up to the first move and each move's requester after it.
+    * each event's owner follows from the moves, each move's destination
+      being its requester (:func:`_owners_from_moves`).
     """
 
     name = "threshold"
@@ -174,7 +194,7 @@ class ThresholdPolicy:
         m = block.requesters.size
         t = self.t
         k = min(t + 1, m)  # no gap within a block reaches m, so a larger t + 1 acts as m
-        order, bounds = block.by_fragment
+        bounds = block.by_fragment[1]
         index = block.index
         # chain[j], for every grouped position j, from the runs that end at this t
         run_ends = np.flatnonzero(index.gaps > k)
@@ -185,10 +205,10 @@ class ThresholdPolicy:
 
         carried = list(owners)
         counts = self.counts
-        moves, cut = [], []  # cut[f]: how many moves come before fragment f's
+        moves = []
         spans = bounds.tolist()
         for f, (start, end) in enumerate(zip(spans, spans[1:])):
-            cut.append(len(moves))
+            before = len(moves)
             owner = owners[f]
             j = start + t - counts[f]  # the first move, unless the owner occurs by then
             p = first[f * width + owner] if owner < width else m
@@ -197,24 +217,19 @@ class ThresholdPolicy:
             while j < end:
                 moves.append(j)
                 j = chain[j]
-            if len(moves) > cut[f]:
+            if len(moves) > before:
                 owner = owners[f] = r[moves[-1]]
             q = last[f * width + owner] if owner < width else -1
             counts[f] = end - 1 - q if q >= start else counts[f] + end - start
 
-        # Each event's owner: the carried one up to the fragment's first move, then each move's requester.
         moves = np.fromiter(moves, dtype=np.intp, count=len(moves))
-        edges = np.insert(moves + 1, cut, bounds[:-1])
-        held = np.insert(index.requesters[moves], cut, carried)
-        owner_at = np.empty(m, dtype=np.intp)
-        owner_at[order] = np.repeat(held, np.diff(edges, append=m))
-        moves = np.sort(order[moves])  # back into access order
+        owner_at, moves, dests = _owners_from_moves(block, carried, moves, index.requesters[moves])
         reasons = None
         if explain:
             code = (block.requesters == owner_at).astype(np.intp)
             code[moves] = 2
             reasons = self.REASONS[code].tolist()
-        return owner_at, moves, block.requesters[moves], reasons, None
+        return owner_at, moves, dests, reasons, None
 
 
 class NnaPolicy(PerAccessPolicy):
@@ -346,7 +361,7 @@ class FnaParams:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
 
-class FnaPolicy(PerAccessPolicy):
+class FnaPolicy:
     """Fuzzy nearest-neighbour allocation.
 
     Per fragment it maintains an exponentially decayed score vector ``v``
@@ -364,63 +379,123 @@ class FnaPolicy(PerAccessPolicy):
     gap ``(v[target] - v[owner]) / (|v|_1 + eps)`` reaches ``min_gap``,
     and the inhibition stays at or below ``inhibition_cutoff``.
 
-    Scores are plain float lists: the per-access decay and bump are
-    elementwise, so they round exactly as numpy would. The two norms at
-    evaluation time go through ``np.sum``, whose pairwise order differs
-    from a sequential ``sum`` in the last bit.
+    Decided a block at a time. The scores do not depend on the owner, so
+    every fragment's are evolved together as one (fragments x sites)
+    array, one event rank at a time, a rank being an event's position
+    among its fragment's events in the block (from
+    :attr:`~fragsim.workload.Block.by_fragment`):
+
+    * each rank multiplies the array by a factor, ``decay`` where the
+      fragment has an event at that rank and 1.0 where it has none, then
+      adds a one-hot bump, 0.0 where it has none. ``x * 1.0`` and
+      ``x + 0.0`` leave a non-negative float as it is, so every score is
+      the one a per-access update gives, bit for bit;
+    * the array after each rank is kept, and the rows at evaluation events
+      (every ``window``-th event of a fragment, counted across blocks)
+      give every evaluation's norm, churn and argmax target at once. A
+      row-wise ``sum(axis=1)`` adds each row pairwise, as ``np.sum`` of
+      the row does, so the norms keep their bits too;
+    * the gap test, the alternation, the inhibition and the hop depend on
+      the owner and the history, and run in Python once per evaluation;
+    * each event's owner follows from the moves (:func:`_owners_from_moves`).
     """
 
     name = "fna"
+    REASONS = np.array(["no-eval", "local"], dtype=object)
 
     def __init__(self, num_fragments: int, next_hop: list[list[SiteId]], params: FnaParams = FnaParams()):
         self.params = params
         self.next_hop = next_hop
         num_sites = len(next_hop)
-        self.vectors: list[list[float]] = [[0.0] * num_sites for _ in range(num_fragments)]
-        self._prev: list[list[float]] = [[0.0] * num_sites for _ in range(num_fragments)]
-        self._since_eval = [0] * num_fragments
+        self.vectors = np.zeros((num_fragments, num_sites))
+        self._prev = np.zeros((num_fragments, num_sites))  # each fragment's scores at its latest evaluation
+        self._since_eval = np.zeros(num_fragments, dtype=np.intp)
         self._history: list[deque] = [deque(maxlen=params.history) for _ in range(num_fragments)]
+        self._toward = [f"toward:{s}" for s in range(num_sites)]
 
-    def decide(self, f: int, requester: SiteId, owner: SiteId) -> SiteId:
+    def decide_block(self, block, owners, explain=False):
         p = self.params
-        decay = p.decay
-        self.vectors[f] = v = [x * decay for x in self.vectors[f]]
-        v[requester] += 1.0
-        self._since_eval[f] += 1
-        if self._since_eval[f] < p.window:
-            self.reason = "local" if requester == owner else "no-eval"
-            self.inhibition = None
-            return -1
-        dest = self._evaluate(f, owner)
-        self._prev[f] = v[:]
-        self._since_eval[f] = 0
-        if requester == owner:
-            self.reason = "local"
-            return -1
-        if dest >= 0:
-            self._history[f].append(dest)
-        return dest
+        order, bounds = block.by_fragment
+        num_fragments, n = self.vectors.shape
+        counts = np.diff(bounds)
+        fragment = np.repeat(np.arange(num_fragments), counts)  # of each grouped position
+        rank = np.arange(order.size) - np.repeat(bounds[:-1], counts)
+        requesters = block.requesters[order]
 
-    def _evaluate(self, f: int, owner: SiteId) -> SiteId:
-        """Set ``reason`` and ``inhibition``; return the hop to take or -1."""
-        p = self.params
-        v = self.vectors[f]
-        row = np.array(v)
-        total = float(row.sum()) + p.eps
-        churn = min(1.0, float(np.abs(row - self._prev[f]).sum()) / total)
-        self.inhibition = oscillation_inhibition(churn, alternation_score(self._history[f]))
-        target = v.index(max(v))
-        if target == owner:
-            self.reason = "at-target"
-            return -1
-        if (v[target] - v[owner]) / total < p.min_gap:
-            self.reason = "gap-below-min"
-            return -1
-        if self.inhibition > p.inhibition_cutoff:
-            self.reason = "inhibited"
-            return -1
-        self.reason = f"toward:{target}"
-        return self.next_hop[owner][target]
+        # scores[k + 1]: every fragment's scores after its event of rank k; it holds the bumps until then.
+        # Flat rows and full-width factors make each step two plain 1-D ufunc calls.
+        depth = int(counts.max(initial=0))
+        scores = np.zeros((depth + 1, num_fragments, n))
+        scores[0] = self.vectors
+        scores[rank + 1, fragment, requesters] = 1.0
+        factors = np.ones((depth, num_fragments, n))
+        factors[rank, fragment] = p.decay
+        width = num_fragments * n
+        flat = scores.reshape(depth + 1, width)
+        decayed = np.empty(width)
+        multiply, add = np.multiply, np.add
+        for before, after, factor in zip(flat, flat[1:], factors.reshape(depth, width)):
+            multiply(before, factor, decayed)
+            add(after, decayed, after)
+        self.vectors = scores[-1].copy()
+
+        # every evaluation of the block, by fragment and then rank
+        evals = np.flatnonzero((np.repeat(self._since_eval, counts) + rank + 1) % p.window == 0)
+        self._since_eval = (self._since_eval + counts) % p.window
+        at = fragment[evals]
+        rows = scores[rank[evals] + 1, at]
+        prev = rows[np.arange(at.size) - 1]
+        first = np.ones(at.size, dtype=bool)
+        first[1:] = at[1:] != at[:-1]
+        prev[first] = self._prev[at[first]]
+        last = np.roll(first, -1)
+        self._prev[at[last]] = rows[last]
+        totals = rows.sum(axis=1) + p.eps
+        churns = np.minimum(1.0, np.abs(rows - prev).sum(axis=1) / totals)
+        targets = rows.argmax(axis=1)
+        # short[i][o]: evaluation i's gap to the target, from owner o, is below min_gap
+        short = (rows[np.arange(at.size), targets][:, None] - rows) / totals[:, None] < p.min_gap
+
+        carried = list(owners)
+        next_hop, cutoff, toward = self.next_hop, p.inhibition_cutoff, self._toward
+        moves, dests, outcomes = [], [], []
+        f = -1
+        for g, j, requester, churn, target, too_short in zip(
+            at.tolist(), evals.tolist(), requesters[evals].tolist(), churns.tolist(), targets.tolist(), short.tolist()
+        ):
+            if g != f:
+                f, owner, history = g, owners[g], self._history[g]
+                alternation = alternation_score(history)  # changes only with a move
+            inhibition = oscillation_inhibition(churn, alternation)
+            if requester == owner:
+                reason = "local"
+            elif target == owner:
+                reason = "at-target"
+            elif too_short[owner]:
+                reason = "gap-below-min"
+            elif inhibition > cutoff:
+                reason = "inhibited"
+            else:
+                reason = toward[target]
+                owner = owners[f] = next_hop[owner][target]
+                history.append(owner)
+                alternation = alternation_score(history)
+                moves.append(j)
+                dests.append(owner)
+            if explain:
+                outcomes.append((reason, inhibition))
+
+        owner_at, moves, dests = _owners_from_moves(
+            block, carried, np.array(moves, dtype=np.intp), np.array(dests, dtype=np.intp)
+        )
+        reasons = inhibitions = None
+        if explain:
+            reasons = self.REASONS[(block.requesters == owner_at).astype(np.intp)].tolist()
+            inhibitions = [None] * len(reasons)
+            for i, (reason, inhibition) in zip(order[evals].tolist(), outcomes):
+                reasons[i] = reason
+                inhibitions[i] = inhibition
+        return owner_at, moves, dests, reasons, inhibitions
 
 
 # ---------------------------------------------------------------------------

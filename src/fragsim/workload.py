@@ -38,19 +38,20 @@ trials at a time, without a Python call per trial:
   on carry over.
 * Draws beyond the block's last trial carry over to the next block, even
   when they outnumber all that the (shorter) final block needs.
-* Requesters come from ``np.searchsorted(cum, u * cum[-1],
-  side="right")``, the same float product and ``bisect_right`` as a
-  per-trial draw, with each event's oscillation phase from the
-  fragment's emitted count plus its rank among the fragment's events in
-  the block.
+* The block's events are grouped by fragment with one stable sort, and
+  each fragment's requesters come from ``np.searchsorted(cum, u *
+  cum[-1], side="right")`` over its slice of the grouping, the same
+  float product and ``bisect_right`` as a per-trial draw. An event's
+  oscillation phase comes from the fragment's emitted count plus the
+  event's rank in that slice.
 
 Each block comes as a :class:`Block`, which keeps an index of its events
-that depends on no policy: the events grouped by fragment and, in
-:class:`BlockIndex`, each event's distance to the next access by the same
-site of the same fragment and each (fragment, site)'s first and last
-position. Both are computed on first use, so a run whose policies never
-read them never builds them, and every policy handed the block shares
-them.
+that depends on no policy: the events grouped by fragment, which the
+stream hands in, and, in :class:`BlockIndex`, each event's distance to
+the next access by the same site of the same fragment and each
+(fragment, site)'s first and last position. The index is computed on
+first use, so a run whose policies never read it never builds it, and
+every policy handed the block shares both.
 
 Only ``random.Random`` draws; ``numpy.random`` is never imported.
 """
@@ -206,7 +207,7 @@ class EventStream:
     def __init__(self, spec: WorkloadSpec):
         self.spec = spec
         self._rng = random.Random(spec.seed)
-        self._emitted = [0] * spec.num_fragments
+        self._emitted = np.zeros(spec.num_fragments, dtype=np.int64)
         active = spec.active if spec.active is not None else tuple(range(spec.num_sites))
         self._sites = np.array(active)
         phases = 1 if spec.oscillation is None else 2
@@ -258,22 +259,39 @@ class EventStream:
                 emitted = np.arange(first, first + trials)
                 u = draws[1 : 2 * trials : 2]
             steps, fragments = np.divmod(emitted, num_fragments)
-            yield Block(steps, fragments, self._requesters(fragments, u), num_fragments)
+            by_fragment = _group(fragments, num_fragments)
+            yield Block(steps, fragments, self._requesters(by_fragment, u), num_fragments, by_fragment)
 
-    def _requesters(self, fragments: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Requester of each event, from its second draw, by inverse CDF."""
-        picked = np.empty(draws.size, dtype=np.intp)
+    def _requesters(self, by_fragment: tuple[np.ndarray, np.ndarray], draws: np.ndarray) -> np.ndarray:
+        """Requester of each event, from its second draw, by inverse CDF.
+
+        Each fragment's events are a slice of the grouping ``by_fragment``,
+        and an event's oscillation phase comes from its rank in that slice.
+        """
+        order, bounds = by_fragment
+        counts = np.diff(bounds)
+        draws = draws[order]
+        picked = np.empty((len(self._tables[0]), draws.size), dtype=np.intp)  # by phase, in grouped order
+        spans = bounds.tolist()
+        for f, (start, end) in enumerate(zip(spans, spans[1:])):
+            for phase, cum in enumerate(self._tables[f]):
+                picked[phase, start:end] = np.searchsorted(cum, draws[start:end] * cum[-1], side="right")
         osc = self.spec.oscillation
-        for f, tables in enumerate(self._tables):
-            events = np.flatnonzero(fragments == f)
-            emitted = self._emitted[f]
-            self._emitted[f] = emitted + events.size
-            if osc is not None:
-                phase = (emitted + np.arange(events.size)) // osc.period % 2
-            for p, cum in enumerate(tables):
-                at = events if osc is None else events[phase == p]
-                picked[at] = np.searchsorted(cum, draws[at] * cum[-1], side="right")
-        return self._sites[picked]
+        if osc is not None:
+            rank = np.arange(draws.size) - np.repeat(bounds[:-1], counts)
+            swapped = (np.repeat(self._emitted, counts) + rank) // osc.period % 2 == 1
+            picked[0, swapped] = picked[1, swapped]
+        self._emitted += counts
+        requesters = np.empty(draws.size, dtype=np.intp)
+        requesters[order] = self._sites[picked[0]]
+        return requesters
+
+
+def _group(fragments: np.ndarray, num_fragments: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, bounds)``: fragment ``f``'s events are ``order[bounds[f]:bounds[f + 1]]``, in access order."""
+    order = _stable_argsort(fragments, num_fragments - 1)
+    bounds = np.searchsorted(fragments[order], np.arange(num_fragments + 1))
+    return order, bounds
 
 
 def _stable_argsort(keys: np.ndarray, largest: int) -> np.ndarray:
@@ -288,21 +306,29 @@ class Block:
     emitted access, in trial order, and ``num_fragments`` is the run's
     fragment count; nothing writes into them. :attr:`by_fragment` and
     :attr:`index` depend on no policy: each is computed on first use and
-    kept with the block.
+    kept with the block, unless the stream, which groups the events by
+    fragment to draw their requesters, hands its grouping in.
     """
 
-    def __init__(self, steps: np.ndarray, fragments: np.ndarray, requesters: np.ndarray, num_fragments: int):
+    def __init__(
+        self,
+        steps: np.ndarray,
+        fragments: np.ndarray,
+        requesters: np.ndarray,
+        num_fragments: int,
+        by_fragment: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    ):
         self.steps = steps
         self.fragments = fragments
         self.requesters = requesters
         self.num_fragments = num_fragments
+        if by_fragment is not None:
+            self.by_fragment = by_fragment
 
     @cached_property
     def by_fragment(self) -> tuple[np.ndarray, np.ndarray]:
         """``(order, bounds)``: fragment ``f``'s events are ``order[bounds[f]:bounds[f + 1]]``, in access order."""
-        order = _stable_argsort(self.fragments, self.num_fragments - 1)
-        bounds = np.searchsorted(self.fragments[order], np.arange(self.num_fragments + 1))
-        return order, bounds
+        return _group(self.fragments, self.num_fragments)
 
     @cached_property
     def index(self) -> "BlockIndex":

@@ -559,9 +559,42 @@ class TestCellPool:
         self.cpus(monkeypatch, 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
         pooled = self.run_both_commands(tmp_path, tmp_path / "pooled")
-        assert pools == [2, 2]
+        assert pools == [4, 3]  # one worker per task: the sweep's 4 tasks, compare's 3 cells
         assert sorted(serial) == ["compare.csv", "decisions_fna.csv", "decisions_nna.csv", "decisions_optimal.csv", "sweep.csv"]
         assert pooled == serial
+
+    def test_compare_starts_every_cell_at_once_on_two_cpus(self, tmp_path, monkeypatch):
+        # Each cell waits until all three have started before it simulates:
+        # with fewer workers than cells the waits would time out.
+        doc = TestCompareCommand().osc_doc()
+        doc["num_steps"] = 2000
+        cfg = write_json(tmp_path / "cmp.json", doc)
+        command = ["compare", "--config", cfg, "--policies", "optimal,nna,fna", "--log-decisions", "--out"]
+        self.cpus(monkeypatch, 1)
+        assert main(command + [str(tmp_path / "serial")]) == 0
+        real_run_group = fragsim.cli.run_group
+        starts, seen = tmp_path / "starts", tmp_path / "seen"
+        starts.touch()
+
+        def gathered_run_group(sims, writes):
+            with open(starts, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            deadline = time.monotonic() + 5
+            while len(started := starts.read_text().splitlines()) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with open(seen, "a") as fh:
+                fh.write(f"{len(started)}\n")
+            return real_run_group(sims, writes)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(fragsim.cli, "run_group", gathered_run_group)
+        assert main(command + [str(tmp_path / "pooled")]) == 0
+        pids = starts.read_text().splitlines()
+        assert len(set(pids)) == 3 and str(os.getpid()) not in pids
+        assert seen.read_text().splitlines() == ["3"] * 3, "every cell saw all three started before it ran"
+        serial = {path.name: path.read_bytes() for path in (tmp_path / "serial").iterdir()}
+        assert {path.name: path.read_bytes() for path in (tmp_path / "pooled").iterdir()} == serial
+        assert len(serial) == 4
 
     @pytest.mark.parametrize(
         "policies, slow_later_cell, shared_task",

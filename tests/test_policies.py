@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import reference_engine
 from fragsim.cli import main
 from fragsim.config import parse_policy_token, resolve_run
 from fragsim.engine import SimConfig, run
@@ -105,19 +107,24 @@ class TestOptimal:
             assert after[owner] == max(after)
 
 
-def drive_block(policy, initial_owner, requesters):
-    """``drive`` for one block of one fragment through ``decide_block``."""
+def block_trace(policy, initial_owner, requesters):
+    """``drive`` for one block of one fragment through ``decide_block``, with each event's inhibition."""
     owners = [initial_owner]
     steps = np.arange(len(requesters))
     block = Block(steps, np.zeros_like(steps), np.array(requesters, dtype=np.intp), 1)
-    owner_at, moves, dests, reasons, _ = policy.decide_block(block, owners, True)
+    owner_at, moves, dests, reasons, inhibitions = policy.decide_block(block, owners, True)
     assert not np.any(owner_at[moves] == dests), "a move never targets the current owner"
     per_access = [-1] * len(requesters)
     for i, dest in zip(moves.tolist(), dests.tolist()):
         per_access[i] = dest
     trail = [initial_owner] + dests.tolist()
     assert owners == trail[-1:]
-    return trail, per_access, reasons
+    return trail, per_access, reasons, inhibitions
+
+
+def drive_block(policy, initial_owner, requesters):
+    """``drive`` for one block of one fragment through ``decide_block``."""
+    return block_trace(policy, initial_owner, requesters)[:3]
 
 
 def threshold_by_access(t, owners, counts, fragments, requesters):
@@ -397,55 +404,57 @@ class TestFuzzyPieces:
 class TestFna:
     def test_decay_and_bump(self):
         policy = FnaPolicy(1, hops(complete_topology(3)), FnaParams(window=100))
-        policy.decide(0, 1, 0)
-        policy.decide(0, 2, 0)
-        assert policy.vectors[0] == pytest.approx([0.0, 0.95, 1.0])
+        block_trace(policy, 0, [1, 2])
+        assert policy.vectors[0].tolist() == pytest.approx([0.0, 0.95, 1.0])
 
     def test_moves_one_hop_toward_best_scoring_site(self):
         topo = build_topology(3, [(0, 1), (1, 2)])
         policy = FnaPolicy(1, hops(topo), FnaParams(window=1))
-        assert policy.decide(0, 2, 0) == 1
-        assert policy.reason == "toward:2"
+        _, dests, reasons, _ = block_trace(policy, 0, [2])
+        assert dests == [1]
+        assert reasons == ["toward:2"]
         assert list(policy._history[0]) == [1], "the move is recorded in the history"
 
     def test_local_access_always_stays(self):
         topo = build_topology(3, [(0, 1), (1, 2)])
         policy = FnaPolicy(1, hops(topo), FnaParams(window=1))
         policy.vectors[0] = [0.0, 0.0, 50.0]  # evaluation wants to leave
-        assert policy.decide(0, 0, 0) == -1
-        assert policy.reason == "local"
-        assert policy.inhibition is not None, "the evaluation still ran"
+        _, dests, reasons, inhibitions = block_trace(policy, 0, [0])
+        assert dests == [-1]
+        assert reasons == ["local"]
+        assert inhibitions[0] is not None, "the evaluation still ran"
 
     def test_small_gap_blocks_the_move(self):
         topo = build_topology(2, [(0, 1)])
         policy = FnaPolicy(1, hops(topo), FnaParams(window=2, min_gap=0.05))
-        policy.decide(0, 0, 0)
         # scores 0.95 vs 1.0: gap just over 0.025, below min_gap
-        assert policy.decide(0, 1, 0) == -1
-        assert policy.reason == "gap-below-min"
+        _, dests, reasons, _ = block_trace(policy, 0, [0, 1])
+        assert dests[1] == -1
+        assert reasons[1] == "gap-below-min"
 
     def test_inhibited_when_history_is_ping_pong_and_scores_churn(self):
         topo = build_topology(3, [(0, 1), (1, 2)])
         policy = FnaPolicy(1, hops(topo), FnaParams(window=1))
         policy._history[0].extend([1, 2, 1, 2, 1, 2])  # plant a perfect alternation
-        assert policy.decide(0, 2, 0) == -1
-        assert policy.reason == "inhibited"
-        assert policy.inhibition == pytest.approx(1.0)
+        _, dests, reasons, inhibitions = block_trace(policy, 0, [2])
+        assert dests == [-1]
+        assert reasons == ["inhibited"]
+        assert inhibitions[0] == pytest.approx(1.0)
 
     def test_between_windows_nothing_happens(self):
         policy = FnaPolicy(1, hops(complete_topology(3)), FnaParams(window=5))
-        for _ in range(4):
-            assert policy.decide(0, 2, 0) == -1
-            assert policy.reason == "no-eval"
-            assert policy.inhibition is None
-        assert policy.decide(0, 2, 0) >= 0, "fifth event completes the window"
+        _, dests, reasons, inhibitions = block_trace(policy, 0, [2] * 4)
+        assert dests == [-1] * 4
+        assert reasons == ["no-eval"] * 4
+        assert inhibitions == [None] * 4
+        assert block_trace(policy, 0, [2])[1][0] >= 0, "fifth event completes the window"
 
     def test_history_is_bounded(self):
         # on the path 0-1-...-10 with every access from site 10, each
         # evaluation takes one more hop; only the last four are kept
         path = build_topology(11, [(k, k + 1) for k in range(10)])
         policy = FnaPolicy(1, hops(path), FnaParams(window=1, history=4))
-        owners, _, _ = drive(policy, 0, [10] * 10)
+        owners, _, _, _ = block_trace(policy, 0, [10] * 10)
         assert owners == list(range(11))
         assert list(policy._history[0]) == [7, 8, 9, 10]
 
@@ -469,6 +478,141 @@ class TestFna:
     def test_nan_fails_every_float_bound(self, field):
         with pytest.raises(ValueError, match=field):
             FnaParams(**{field: float("nan")})
+
+
+def fna_rows(policy, owners, fragments, requesters):
+    """``decide_block`` on one block, as (owner before, dest or -1, reason, inhibition) per event."""
+    fragments = np.array(fragments, dtype=np.intp)
+    block = Block(np.zeros_like(fragments), fragments, np.array(requesters, dtype=np.intp), len(owners))
+    owner_at, moves, dests, reasons, inhibitions = policy.decide_block(block, owners, True)
+    per_access = [-1] * len(requesters)
+    for i, dest in zip(moves.tolist(), dests.tolist()):
+        per_access[i] = dest
+    return list(zip(owner_at.tolist(), per_access, reasons, inhibitions))
+
+
+def fna_by_access(reference, owners, fragments, requesters):
+    """The same rows from ``reference_engine``'s per-access ``fna``, applying its moves to ``owners``."""
+    rows = []
+    for f, requester in zip(fragments, requesters):
+        owner = owners[f]
+        dest, reason, inhibition = reference.decide(f, requester, owner)
+        rows.append((owner, dest, reason, inhibition))
+        if dest >= 0:
+            owners[f] = dest
+    return rows
+
+
+class TestFnaBlock:
+    """The block rule of ``fna`` against the per-access rule, block by block."""
+
+    def check_blocks(self, topo, params, owners, blocks):
+        """Run ``blocks`` of (fragments, requesters) through both rules; every row and the state must agree."""
+        policy = FnaPolicy(len(owners), hops(topo), params)
+        reference = reference_engine.Policy(PolicySpec("fna", fna=params), len(owners), topo.n, hops(topo))
+        expected_owners = list(owners)
+        all_rows = []
+        for fragments, requesters in blocks:
+            expected = fna_by_access(reference, expected_owners, fragments, requesters)
+            rows = fna_rows(policy, owners, fragments, requesters)
+            assert [repr(row) for row in rows] == [repr(row) for row in expected]
+            assert owners == expected_owners
+            assert policy.vectors.tolist() == reference.v
+            assert policy._since_eval.tolist() == reference.since
+            assert [list(h) for h in policy._history] == [list(h) for h in reference.history]
+            all_rows += rows
+        return all_rows
+
+    def test_evaluation_at_a_fragments_first_event(self):
+        # window 3: two events in the first block carry since_eval = 2, so the
+        # second block's first event evaluates, and so does its fourth
+        topo = build_topology(3, [(0, 1), (1, 2)])
+        policy = FnaPolicy(1, hops(topo), FnaParams(window=3))
+        block_trace(policy, 0, [2, 2])
+        assert policy._since_eval.tolist() == [2]
+        rows = self.check_blocks(topo, FnaParams(window=3), [0], [([0, 0], [2, 2]), ([0] * 5, [2] * 5)])
+        assert [reason for _, _, reason, _ in rows] == ["no-eval"] * 2 + ["toward:2", "no-eval", "no-eval", "toward:2", "local"]
+        assert [owner for owner, _, _, _ in rows] == [0, 0, 0, 1, 1, 1, 2]
+
+    def test_move_at_a_fragments_last_event_leaves_the_next_fragment_its_owner(self):
+        # fragment 0's only event moves it; fragment 1, grouped right after
+        # it, must keep its own owner 2 and stay local
+        topo = build_topology(3, [(0, 1), (1, 2)])
+        rows = self.check_blocks(topo, FnaParams(window=1), [0, 2], [([1, 0, 1], [2, 2, 2])])
+        assert rows == [(2, -1, "local", 0.0), (0, 1, "toward:2", 0.0), (2, -1, "local", 0.0)]
+
+    def test_fragment_with_no_event_in_a_block(self):
+        topo = reference_topology()
+        rng = random.Random(3)
+        blocks = []
+        for size in (30, 25, 40):
+            fragments = [rng.choice([0, 2]) for _ in range(size)]
+            blocks.append((fragments, [rng.choice([6, 6, 7, 2]) for _ in range(size)]))
+        blocks.append(([0, 1, 2] * 10, [6, 7, 6] * 10))  # fragment 1 resumes with its scores untouched
+        rows = self.check_blocks(topo, FnaParams(window=2), [0, 3, 5], blocks)
+        assert rows[95 + 1] == (3, -1, "no-eval", None), "fragment 1's first event, its count still at 0"
+        assert [] == fna_rows(FnaPolicy(3, hops(topo)), [0, 3, 5], [], []), "an empty block decides nothing"
+
+    @pytest.mark.parametrize("window, history", [(1, 1), (1, 6), (4, 1)])
+    def test_window_one_and_history_one(self, window, history):
+        topo = reference_topology()
+        rng = random.Random(window * 10 + history)
+        blocks = []
+        for size in (1, 7, 40, 0, 300):
+            fragments = [rng.choice([0, 1, 1, 2]) for _ in range(size)]
+            blocks.append((fragments, [rng.choice([6, 6, 7, 7, 0, 4]) for _ in range(size)]))
+        params = FnaParams(window=window, history=history, min_gap=0.01, inhibition_cutoff=0.2)
+        rows = self.check_blocks(topo, params, [0, 4, 8], blocks)
+        reasons = {reason.split(":")[0] for _, _, reason, _ in rows}
+        assert {"toward", "local"} <= reasons
+        if window > 1:
+            assert "no-eval" in reasons
+        if history > 2:
+            assert "inhibited" in reasons
+
+    def test_interleaved_fragments_match_the_rule_by_access(self):
+        topo = reference_topology()
+        rng = random.Random(7)
+        blocks = []
+        for size in (1, 7, 40, 0, 300, 500):
+            fragments = [rng.choice(range(6)) for _ in range(size)]
+            blocks.append((fragments, [rng.choice([6, 6, 6, 7, 7, 2, 0]) for _ in range(size)]))
+        params = FnaParams(window=5, decay=0.8, min_gap=0.1, inhibition_cutoff=0.3)
+        rows = self.check_blocks(topo, params, [0, 1, 2, 3, 4, 5], blocks)
+        reasons = {reason.split(":")[0] for _, _, reason, _ in rows}
+        assert reasons == {"no-eval", "local", "toward", "at-target", "gap-below-min", "inhibited"}
+
+
+SCORES = st.floats(min_value=0.0, allow_nan=False).map(abs)  # non-negative, +0.0, subnormals and inf included
+
+
+class TestFnaExactness:
+    """The float identities the block rule of ``fna`` relies on."""
+
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.sampled_from([1, 8, 9, 16, 128, 129, 300]) | st.integers(1, 300)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_row_sums_are_each_rows_np_sum(self, shape, data):
+        table = data.draw(arrays(np.float64, shape, elements=st.floats(0.0, 1e6), fill=st.nothing()))
+        picked = table[np.arange(shape[0])[::-1]]  # rows gathered by fancy indexing, as the rule takes them
+        for array in (table, picked):
+            expected = np.array([np.sum(row) for row in array])
+            assert array.sum(axis=1).tobytes() == expected.tobytes()
+
+    @given(st.lists(SCORES, min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_times_one_plus_zero_leave_a_score_unchanged(self, scores):
+        scores += [0.0, 5e-324, 2.2250738585072009e-308, 1.0, 1e308]  # +0.0, the least and greatest subnormals
+        v = np.array(scores)
+        out = np.empty_like(v)
+        np.multiply(v, np.ones_like(v), out)
+        assert out.tobytes() == v.tobytes()
+        np.add(np.zeros_like(v), out, out)
+        assert out.tobytes() == v.tobytes()
+        assert [x * 1.0 + 0.0 for x in scores] == scores
+        assert all(str(x * 1.0 + 0.0) == str(x) for x in scores)
 
 
 class TestBuildPolicy:

@@ -1,9 +1,9 @@
 """The engine against ``reference_engine``, field by field and line by line.
 
-Hypothesis draws small connected graphs, multi-fragment workloads at
-dense and thinned rates, optional active sets, oscillation and blocking
-with sizes other than 1, every policy, and block sizes from one trial
-up. Both engines must agree on
+Hypothesis draws small connected graphs, multi-fragment workloads (up
+to 12 fragments under ``fna``) at dense and thinned rates, optional
+active sets, oscillation and blocking with sizes other than 1, every
+policy, and block sizes from one trial up. Both engines must agree on
 every ``SimMetrics`` field, compared by ``repr`` so floats match bit for
 bit and ints stay Python ints, and on the whole decision log. The same
 holds for each of several policies run together on one shared stream,
@@ -32,7 +32,15 @@ POLICIES = st.one_of(
     st.builds(
         PolicySpec,
         st.just("fna"),
-        fna=st.builds(FnaParams, window=st.sampled_from([1, 2, 5, 20]), history=st.integers(1, 6)),
+        fna=st.builds(
+            FnaParams,
+            window=st.sampled_from([1, 2, 5, 20]),
+            history=st.integers(1, 6),
+            decay=st.sampled_from([0.5, 0.8, 0.95, 0.99]),
+            # small cutoffs and large gaps make "inhibited" and "gap-below-min" common
+            min_gap=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+            inhibition_cutoff=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        ),
     ),
 )
 
@@ -47,7 +55,8 @@ def configs(draw):
             edges.add((min(a, b), max(a, b)))
     topology = build_topology(n, [(a, b, draw(weight)) for a, b in sorted(edges)])
 
-    k = draw(st.integers(1, 4))
+    policy = draw(POLICIES)
+    k = draw(st.integers(1, 12 if policy.name == "fna" else 4))  # fna groups its scores across fragments
     active = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     oscillation = None
     if n >= 2 and draw(st.booleans()):
@@ -73,7 +82,7 @@ def configs(draw):
         topology=topology,
         sizes=draw(st.lists(st.sampled_from([0.5, 1.0, 2.5, 4.0]), min_size=k, max_size=k)),
         initial_owners=draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)),
-        policy=draw(POLICIES),
+        policy=policy,
         workload=workload,
         num_steps=draw(st.integers(1, 300)),
         designated=draw(st.integers(0, n - 1)),
