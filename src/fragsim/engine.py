@@ -20,9 +20,8 @@ Accounting per block: the engine takes each
 :meth:`~fragsim.workload.EventStream.blocks` and hands it to the policy's
 ``decide_block`` (see :mod:`~fragsim.policies`), which applies the
 block's moves to ``owners`` and returns each event's owner before its
-decision and the moves in access order. ``threshold`` and ``fna``
-decide the block with array operations; ``optimal``'s and ``nna``'s
-``decide`` is asked once per event. Apart from writing the decision
+decision and the moves in access order. Every policy decides the
+block with array operations. Apart from writing the decision
 log, the engine has no per-access Python loop: ``np.bincount`` of the
 owners adds to the residency counts, and the response and migration
 costs are computed as arrays. An access's response cost is read from a

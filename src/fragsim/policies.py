@@ -50,15 +50,10 @@ explain=False)``, which the engine calls once per
   evaluation ran), or is ``None`` when the policy has none; without it
   both are ``None``.
 
-``threshold`` and ``fna`` decide a whole block with array operations,
-``threshold`` from the block's index and ``fna`` from its grouping by
-fragment, which every policy handed the block shares (see
-:class:`ThresholdPolicy` and :class:`FnaPolicy`); both then find each
+Each policy decides a whole block with array operations, ``threshold``
+from the block's index and the others from its grouping by fragment,
+which every policy handed the block shares; all of them then find each
 event's owner from the moves the same way (:func:`_owners_from_moves`).
-``optimal`` and ``nna`` are written as ``decide(f, requester, owner)``
-alone, which returns the destination site of a move or ``-1`` to stay
-and sets ``self.reason``; :class:`PerAccessPolicy` gives them
-``decide_block`` by asking ``decide`` once per event.
 
 The policy classes trust their arguments; :class:`PolicySpec` checks them.
 
@@ -76,40 +71,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .topology import SiteId
-
-
-def _bump(row: list, site: int, cap: Optional[int]) -> None:
-    # Saturating increment. With a finite cap, ties at the ceiling are
-    # never broken, which is exactly the misbehaviour narrow hardware
-    # counters would show; tests pin that down.
-    value = row[site] + 1
-    if cap is not None and value > cap:
-        value = cap
-    row[site] = value
-
-
-class PerAccessPolicy:
-    """Base of ``optimal`` and ``nna``, which are written as ``decide``: asks it once per event of a block."""
-
-    reason = ""
-
-    def decide_block(self, block, owners, explain=False):
-        owner_at = []
-        record = owner_at.append
-        moves, dests, reasons = [], [], []
-        decide = self.decide
-        for f, requester in zip(block.fragments.tolist(), block.requesters.tolist()):
-            owner = owners[f]
-            record(owner)
-            dest = decide(f, requester, owner)
-            if explain:
-                reasons.append(self.reason)
-            if dest >= 0:
-                moves.append(len(owner_at) - 1)
-                dests.append(dest)
-                owners[f] = dest
-        owner_at = np.fromiter(owner_at, dtype=np.intp, count=len(owner_at))
-        return owner_at, np.array(moves, dtype=np.intp), np.array(dests, dtype=np.intp), reasons if explain else None, None
 
 
 def _owners_from_moves(block, carried, moves, dests):
@@ -132,29 +93,6 @@ def _owners_from_moves(block, carried, moves, dests):
     at = order[moves]
     by_access = np.argsort(at)
     return owner_at, at[by_access], dests[by_access]
-
-
-class OptimalPolicy(PerAccessPolicy):
-    """Full per-site access counters, migration on strict dominance."""
-
-    name = "optimal"
-
-    def __init__(self, num_fragments: int, num_sites: int, counter_cap: Optional[int] = None):
-        self.counters: list[list[int]] = [[0] * num_sites for _ in range(num_fragments)]
-        self.counter_cap = counter_cap
-
-    def decide(self, f: int, requester: SiteId, owner: SiteId) -> SiteId:
-        row = self.counters[f]
-        _bump(row, requester, self.counter_cap)
-        if requester == owner:
-            self.reason = "local"
-            return -1
-        if row[requester] > row[owner]:
-            # counters travel with the fragment, nothing to reset
-            self.reason = "dominance"
-            return requester
-        self.reason = "no-dominance"
-        return -1
 
 
 class ThresholdPolicy:
@@ -232,19 +170,32 @@ class ThresholdPolicy:
         return owner_at, moves, dests, reasons, None
 
 
-class NnaPolicy(PerAccessPolicy):
+class NnaPolicy:
     """Nearest-neighbour allocation: jump decisions, one-hop moves.
 
     ``trigger`` selects when to consider moving:
 
-    * ``"dominance"`` (default): same strict-dominance test as
-      ``optimal``.
+    * ``"dominance"`` (default): the requester's counter strictly exceeds
+      the owner's.
     * ``"threshold"``: after more than ``t`` remote accesses since the
       last migration of the fragment.
 
     The destination is always the next hop on the shortest path from the
     owner toward the site with the highest access counter (ties to the
     lowest site id). Counters travel with the fragment.
+
+    Decided a block at a time in the grouped positions of
+    :attr:`~fragsim.workload.Block.by_fragment`. Each event's counters
+    after its bump are a segmented ``cumsum``, capped by ``np.minimum``:
+    counts only grow, so this equals saturating each bump, and, as with
+    narrow hardware counters, ties at the cap are never broken. Their
+    ``argmax`` is the target. For every owner ``o`` at once, a reverse
+    ``minimum.accumulate`` over the events that would move a fragment ``o``
+    owns gives the next one from any position, so a fragment's walk costs
+    one lookup per move. Under the threshold trigger the walk first skips,
+    by ``searchsorted`` in ``o``'s cumulative remote counts, to the access
+    that takes the count past ``t``; the remote accesses from there to the
+    move are ``at-target``.
     """
 
     name = "nna"
@@ -261,30 +212,88 @@ class NnaPolicy(PerAccessPolicy):
         self.trigger = trigger
         self.t = t
         self.counter_cap = counter_cap
-        self.counters: list[list[int]] = [[0] * len(next_hop) for _ in range(num_fragments)]
-        self.remote_since_move: list[int] = [0] * num_fragments
+        self.counters = np.zeros((num_fragments, len(next_hop)), dtype=np.int64)
+        self.remote_since_move: list[int] = [0] * num_fragments  # counted under the threshold trigger
+        toward = [f"toward:{s}" for s in range(len(next_hop))]
+        self.reasons = np.array(toward + ["no-trigger", "local", "at-target"], dtype=object)  # by code
 
-    def decide(self, f: int, requester: SiteId, owner: SiteId) -> SiteId:
-        row = self.counters[f]
-        _bump(row, requester, self.counter_cap)
-        if requester == owner:
-            self.reason = "local"
-            return -1
+    def decide_block(self, block, owners, explain=False):
+        order, bounds = block.by_fragment
+        m, n = order.size, self.counters.shape[1]
+        counts = np.diff(bounds)
+        requesters = block.requesters[order]
+        sums = np.zeros((m + 1, n), dtype=np.int64)
+        sums[np.arange(1, m + 1), requesters] = 1
+        np.cumsum(sums, axis=0, out=sums)
+        rows = sums[1:] - np.repeat(sums[bounds[:-1]] - self.counters, counts, axis=0)  # after each bump
+        if self.counter_cap is not None:
+            np.minimum(rows, self.counter_cap, out=rows)
+        self.counters[counts > 0] = rows[bounds[1:][counts > 0] - 1]
+        targets = rows.argmax(axis=1)
+
+        remote = None
         if self.trigger == "dominance":
-            fired = row[requester] > row[owner]
+            marks = rows < rows[np.arange(m), requesters][:, None]
         else:
-            self.remote_since_move[f] += 1
-            fired = self.remote_since_move[f] > self.t
-        if not fired:
-            self.reason = "no-trigger"
-            return -1
-        target = row.index(max(row))
-        if target == owner:
-            self.reason = "at-target"
-            return -1
-        self.remote_since_move[f] = 0
-        self.reason = f"toward:{target}"
-        return self.next_hop[owner][target]
+            sites = np.arange(n)
+            marks = (requesters[:, None] != sites) & (targets[:, None] != sites)
+            remote = np.zeros((n, m + 1), dtype=np.int64)  # remote[o, j]: events before j remote to o
+            np.cumsum(requesters != sites[:, None], axis=1, out=remote[:, 1:])
+        # after[j, o]: the first event at or after j that moves a fragment o owns, m if none
+        after = np.where(marks, np.arange(m, dtype=np.int32)[:, None], np.int32(m))
+        after = memoryview(np.minimum.accumulate(after[::-1], axis=0)[::-1])
+
+        carried = list(owners)
+        next_hop, t, since, target = self.next_hop, self.t, self.remote_since_move, memoryview(targets)
+        moves, dests = [], []
+        fired = np.zeros(m, dtype=bool)  # the events where the threshold trigger fires
+        spans = bounds.tolist()
+        for f, (start, end) in enumerate(zip(spans, spans[1:])):
+            owner, j, count = owners[f], start, since[f]
+            while True:
+                q = j
+                if remote is not None:
+                    need = max(1, min(t + 1 - count, m + 1))
+                    q = int(np.searchsorted(remote[owner], remote[owner, j] + need)) - 1
+                k = min(after[q, owner], end) if q < end else end
+                if remote is not None:
+                    fired[q:k] = True  # the remote accesses there are at-target
+                if k == end:
+                    break
+                moves.append(k)
+                owner = next_hop[owner][target[k]]
+                dests.append(owner)
+                j, count = k + 1, 0
+            owners[f] = owner
+            if remote is not None:
+                since[f] = count + int(remote[owner, end] - remote[owner, j])
+
+        moved = np.array(moves, dtype=np.intp)
+        owner_at, moves, dests = _owners_from_moves(block, carried, moved, np.array(dests, dtype=np.intp))
+        reasons = None
+        if explain:
+            code = np.full(m, n)
+            code[order[fired]] = n + 2
+            code[block.requesters == owner_at] = n + 1
+            code[order[moved]] = targets[moved]
+            reasons = self.reasons[code].tolist()
+        return owner_at, moves, dests, reasons, None
+
+
+class OptimalPolicy(NnaPolicy):
+    """Full per-site access counters, migration on strict dominance.
+
+    ``nna``'s dominance rule on the jump table ``next_hop[o][s] = s``. The
+    owner always holds a row maximum, so a requester that strictly
+    dominates it is the row's unique maximum, the target, and the fragment
+    jumps straight there; ``at-target`` never occurs.
+    """
+
+    name = "optimal"
+
+    def __init__(self, num_fragments: int, num_sites: int, counter_cap: Optional[int] = None):
+        super().__init__(num_fragments, [list(range(num_sites))] * num_sites, counter_cap=counter_cap)
+        self.reasons = np.array(["dominance"] * num_sites + ["no-dominance", "local"], dtype=object)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ trials at a time, without a Python call per trial:
   cum[-1], side="right")`` over its slice of the grouping, the same
   float product and ``bisect_right`` as a per-trial draw. An event's
   oscillation phase comes from the fragment's emitted count plus the
-  event's rank in that slice.
+  event's rank in that slice, and each phase's table searches only the
+  events in that phase.
 
 Each block comes as a :class:`Block`, which keeps an index of its events
 that depends on no policy: the events grouped by fragment, which the
@@ -270,20 +271,21 @@ class EventStream:
         """
         order, bounds = by_fragment
         counts = np.diff(bounds)
-        draws = draws[order]
-        picked = np.empty((len(self._tables[0]), draws.size), dtype=np.intp)  # by phase, in grouped order
-        spans = bounds.tolist()
-        for f, (start, end) in enumerate(zip(spans, spans[1:])):
-            for phase, cum in enumerate(self._tables[f]):
-                picked[phase, start:end] = np.searchsorted(cum, draws[start:end] * cum[-1], side="right")
+        phases = [(order, bounds.tolist())]  # each phase's events, in grouped order, and their bounds by fragment
         osc = self.spec.oscillation
         if osc is not None:
-            rank = np.arange(draws.size) - np.repeat(bounds[:-1], counts)
+            rank = np.arange(order.size) - np.repeat(bounds[:-1], counts)
             swapped = (np.repeat(self._emitted, counts) + rank) // osc.period % 2 == 1
-            picked[0, swapped] = picked[1, swapped]
+            phases = [(order[p], np.searchsorted(p, bounds).tolist()) for p in map(np.flatnonzero, (~swapped, swapped))]
         self._emitted += counts
-        requesters = np.empty(draws.size, dtype=np.intp)
-        requesters[order] = self._sites[picked[0]]
+        requesters = np.empty(order.size, dtype=np.intp)
+        for phase, (events, spans) in enumerate(phases):
+            u = draws[events]
+            picked = np.empty(u.size, dtype=np.intp)
+            for f, (start, end) in enumerate(zip(spans, spans[1:])):
+                cum = self._tables[f][phase]
+                picked[start:end] = np.searchsorted(cum, u[start:end] * cum[-1], side="right")
+            requesters[events] = self._sites[picked]
         return requesters
 
 

@@ -14,6 +14,8 @@ import random
 import statistics
 import time
 
+import numpy as np
+
 from fragsim.cli import main
 from fragsim.config import resolve_run
 from fragsim.engine import SimConfig, run
@@ -21,7 +23,7 @@ from fragsim.fixtures import reference_topology, site_name, write_fixtures
 from fragsim.oracle import ChainParams, brute_force_stationary, threshold_stationary
 from fragsim.policies import PolicySpec, build_policy
 from fragsim.topology import build_topology, complete_topology
-from fragsim.workload import Oscillation, WorkloadSpec
+from fragsim.workload import Block, Oscillation, WorkloadSpec
 
 
 def _report(tag, label, ok, detail) -> None:
@@ -147,10 +149,10 @@ def test_05_lumped_chain_matches_brute_force():
 
 
 def test_06_optimal_owner_holds_counter_row_max():
-    # Drive the counter policy one event at a time against an independent
-    # tally: the owner's count must be the row maximum after every event,
-    # and a migration must happen exactly when the requester's count
-    # strictly exceeds the owner's.
+    # Drive the counter policy in blocks of 4 096 events and check every
+    # event against an independent tally: the owner's count must be the
+    # row maximum after every event, and a migration must happen exactly
+    # when the requester's count strictly exceeds the owner's.
     rng = random.Random(606)
     events = 0
     moves = 0
@@ -160,14 +162,25 @@ def test_06_optimal_owner_holds_counter_row_max():
         topo, _ = _random_connected_topology(rng, n)
         policy = build_policy(PolicySpec("optimal"), 1, n, topo.next_hop_matrix.tolist())
         owner = rng.randrange(n)
+        owners = [owner]
         shadow = [0] * n
         hot = rng.randrange(n)
+        trace = []
         for step in range(100_000):
             if step % 2_000 == 0:
                 hot = rng.randrange(n)
-            req = hot if rng.random() < 0.5 else rng.randrange(n)
+            trace.append(hot if rng.random() < 0.5 else rng.randrange(n))
+        decided = []  # each event's destination, -1 for a stay
+        for first in range(0, len(trace), 4096):
+            requesters = np.array(trace[first : first + 4096])
+            steps = np.arange(first, first + requesters.size)
+            _, at, dests, _, _ = policy.decide_block(Block(steps, np.zeros_like(steps), requesters, 1), owners)
+            block_dests = [-1] * requesters.size
+            for i, dest in zip(at.tolist(), dests.tolist()):
+                block_dests[i] = dest
+            decided += block_dests
+        for req, dest in zip(trace, decided):
             shadow[req] += 1
-            dest = policy.decide(0, req, owner)
             dominant = req != owner and shadow[req] > shadow[owner]
             if (dest >= 0) != dominant or (dest >= 0 and dest != req):
                 violation = f"event {events}: move={dest >= 0} dest={dest} dominant={dominant}"

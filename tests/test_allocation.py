@@ -7,6 +7,7 @@ from fragsim.engine import SimConfig
 from fragsim.policies import OptimalPolicy, PolicySpec
 from fragsim.topology import complete_topology
 from fragsim.workload import WorkloadSpec
+from test_policies import drive_block
 
 
 def run_doc(**overrides):
@@ -47,8 +48,7 @@ class TestFragment:
 class TestCounterCap:
     def test_saturates_instead_of_growing(self):
         policy = OptimalPolicy(1, 3, counter_cap=10)
-        for _ in range(25):
-            policy.decide(0, 0, 0)
+        drive_block(policy, 0, [0] * 25)
         assert policy.counters[0][0] == 10
 
     def test_cap_blocks_dominance_forever(self):
@@ -57,20 +57,15 @@ class TestCounterCap:
         # no matter how one-sided the workload becomes. This is the
         # saturation anomaly the cap option exists to demonstrate.
         policy = OptimalPolicy(1, 2, counter_cap=5)
-        for _ in range(5):
-            assert policy.decide(0, 0, 0) == -1
-        for _ in range(100):
-            assert policy.decide(0, 1, 0) == -1
+        assert drive_block(policy, 0, [0] * 5)[1] == [-1] * 5
+        for _ in range(100):  # one block per access, so the counters can be read after each event
+            assert drive_block(policy, 0, [1])[1] == [-1]
             if policy.counters[0][1] == 5:
                 assert policy.counters[0][0] == 5, "both stuck at the cap"
         # without a cap the very same sequence migrates as soon as the
         # challenger passes the owner's five accesses
         unbounded = OptimalPolicy(1, 2)
-        for _ in range(5):
-            unbounded.decide(0, 0, 0)
-        moved_at = None
-        for k in range(100):
-            if unbounded.decide(0, 1, 0) >= 0:
-                moved_at = k
-                break
+        drive_block(unbounded, 0, [0] * 5)
+        _, dests, _ = drive_block(unbounded, 0, [1] * 100)
+        moved_at = next((k for k, dest in enumerate(dests) if dest >= 0), None)
         assert moved_at == 5, "sixth remote access exceeds five local ones"

@@ -37,78 +37,12 @@ def hops(topo):
     return topo.next_hop_matrix.tolist()
 
 
-def drive(policy, initial_owner, requesters, fragment=0):
-    """Feed a requester sequence through a policy, applying its moves.
+def block_trace(policy, initial_owner, requesters):
+    """Feed one fragment's requester sequence through ``decide_block`` as one block.
 
     Returns the owner sequence, and per access the destination (-1 for a
-    stay) and the policy's reason.
+    stay), the policy's reason and its inhibition.
     """
-    owner = initial_owner
-    owners = [owner]
-    dests = []
-    reasons = []
-    for requester in requesters:
-        dest = policy.decide(fragment, requester, owner)
-        dests.append(dest)
-        reasons.append(policy.reason)
-        if dest >= 0:
-            assert dest != owner, "a move never targets the current owner"
-            owner = dest
-            owners.append(owner)
-    return owners, dests, reasons
-
-
-class TestOptimal:
-    def test_first_remote_access_wins_fresh_counters(self):
-        policy = OptimalPolicy(1, 3)
-        owners, dests, _ = drive(policy, 0, [2])
-        assert dests[0] == 2
-        assert owners == [0, 2]
-
-    def test_strict_dominance_required(self):
-        policy = OptimalPolicy(1, 2)
-        # owner banks 4 accesses; challenger ties at 4, moves on the 5th
-        _, dests, _ = drive(policy, 0, [0, 0, 0, 0, 1, 1, 1, 1, 1])
-        moves = [d for d in dests if d >= 0]
-        assert len(moves) == 1
-        assert dests[-1] >= 0, "only the access that breaks the tie migrates"
-        assert policy.counters[0] == [4, 5]
-
-    def test_local_access_never_moves(self):
-        policy = OptimalPolicy(1, 4)
-        assert policy.decide(0, 1, 1) == -1
-        assert policy.reason == "local"
-        assert policy.counters[0][1] == 1, "local accesses still count"
-
-    def test_counters_travel_with_fragment(self):
-        policy = OptimalPolicy(1, 3)
-        owners, _, _ = drive(policy, 0, [1, 2, 2])
-        # after moving to 1 the old row keeps informing decisions
-        assert owners == [0, 1, 2]
-        assert policy.counters[0] == [0, 1, 2]
-
-    @given(
-        num_sites=st.integers(2, 5),
-        requesters=st.lists(st.integers(0, 4), min_size=1, max_size=120),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_owner_counter_is_weak_row_max(self, num_sites, requesters):
-        requesters = [r % num_sites for r in requesters]
-        policy = OptimalPolicy(1, num_sites)
-        owner = 0
-        for requester in requesters:
-            before = list(policy.counters[0])
-            dest = policy.decide(0, requester, owner)
-            after = list(policy.counters[0])
-            expected_moved = requester != owner and after[requester] > before[owner]
-            assert (dest >= 0) == expected_moved
-            if dest >= 0:
-                owner = dest
-            assert after[owner] == max(after)
-
-
-def block_trace(policy, initial_owner, requesters):
-    """``drive`` for one block of one fragment through ``decide_block``, with each event's inhibition."""
     owners = [initial_owner]
     steps = np.arange(len(requesters))
     block = Block(steps, np.zeros_like(steps), np.array(requesters, dtype=np.intp), 1)
@@ -123,8 +57,59 @@ def block_trace(policy, initial_owner, requesters):
 
 
 def drive_block(policy, initial_owner, requesters):
-    """``drive`` for one block of one fragment through ``decide_block``."""
+    """``block_trace`` without the inhibitions."""
     return block_trace(policy, initial_owner, requesters)[:3]
+
+
+class TestOptimal:
+    def test_first_remote_access_wins_fresh_counters(self):
+        policy = OptimalPolicy(1, 3)
+        owners, dests, _ = drive_block(policy, 0, [2])
+        assert dests[0] == 2
+        assert owners == [0, 2]
+
+    def test_strict_dominance_required(self):
+        policy = OptimalPolicy(1, 2)
+        # owner banks 4 accesses; challenger ties at 4, moves on the 5th
+        _, dests, _ = drive_block(policy, 0, [0, 0, 0, 0, 1, 1, 1, 1, 1])
+        moves = [d for d in dests if d >= 0]
+        assert len(moves) == 1
+        assert dests[-1] >= 0, "only the access that breaks the tie migrates"
+        assert policy.counters[0].tolist() == [4, 5]
+
+    def test_local_access_never_moves(self):
+        policy = OptimalPolicy(1, 4)
+        _, dests, reasons = drive_block(policy, 1, [1])
+        assert dests == [-1]
+        assert reasons == ["local"]
+        assert policy.counters[0][1] == 1, "local accesses still count"
+
+    def test_counters_travel_with_fragment(self):
+        policy = OptimalPolicy(1, 3)
+        owners, _, _ = drive_block(policy, 0, [1, 2, 2])
+        # after moving to 1 the old row keeps informing decisions
+        assert owners == [0, 1, 2]
+        assert policy.counters[0].tolist() == [0, 1, 2]
+
+    @given(
+        num_sites=st.integers(2, 5),
+        requesters=st.lists(st.integers(0, 4), min_size=1, max_size=120),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_owner_counter_is_weak_row_max(self, num_sites, requesters):
+        # one block per access, so the counters can be read after each event
+        requesters = [r % num_sites for r in requesters]
+        policy = OptimalPolicy(1, num_sites)
+        owner = 0
+        for requester in requesters:
+            before = policy.counters[0].tolist()
+            _, (dest,), _ = drive_block(policy, owner, [requester])
+            after = policy.counters[0].tolist()
+            expected_moved = requester != owner and after[requester] > before[owner]
+            assert (dest >= 0) == expected_moved
+            if dest >= 0:
+                owner = dest
+            assert after[owner] == max(after)
 
 
 def threshold_by_access(t, owners, counts, fragments, requesters):
@@ -298,7 +283,7 @@ class TestNna:
         # path 0-1-2: requester 2 dominates, fragment hops to 1 first
         topo = build_topology(3, [(0, 1), (1, 2)])
         policy = NnaPolicy(1, hops(topo))
-        owners, dests, reasons = drive(policy, 0, [2, 2])
+        owners, dests, reasons = drive_block(policy, 0, [2, 2])
         assert dests[0] == 1
         assert reasons[0] == "toward:2"
         assert owners == [0, 1, 2]
@@ -309,22 +294,22 @@ class TestNna:
         policy = NnaPolicy(1, hops(reference_topology()))
         rng = random.Random(3)
         requesters = [rng.choice([4, 6, 7, 8]) for _ in range(60)]
-        owners, _, _ = drive(policy, 0, requesters)
+        owners, _, _ = drive_block(policy, 0, requesters)
         assert owners[:4] == [0, 2, 1, 6]
 
     def test_argmax_tie_breaks_to_lowest_site(self):
         policy = NnaPolicy(1, hops(complete_topology(4)))
         policy.counters[0] = [0, 5, 5, 4]
-        dest = policy.decide(0, 3, 0)
+        _, dests, reasons = drive_block(policy, 0, [3])
         # requester 3 climbs to 5 too: three sites tied at the top, the
         # lowest-numbered one is chosen as the walk target
-        assert dest == 1
-        assert policy.reason == "toward:1"
+        assert dests == [1]
+        assert reasons == ["toward:1"]
 
     def test_threshold_trigger_counts_remote_accesses(self):
         topo = build_topology(3, [(0, 1), (1, 2)])
         policy = NnaPolicy(1, hops(topo), trigger="threshold", t=2)
-        owners, dests, _ = drive(policy, 0, [2, 2, 2, 2])
+        owners, dests, _ = drive_block(policy, 0, [2, 2, 2, 2])
         assert [d >= 0 for d in dests] == [False, False, True, False]
         # after the move to 1, remote count restarts; 4th access is 1 of 3
         assert owners == [0, 1]
@@ -342,8 +327,9 @@ class TestNna:
         topo = build_topology(3, [(0, 1), (1, 2)])
         policy = NnaPolicy(1, hops(topo), trigger="threshold", t=0)
         policy.counters[0] = [0, 10, 0]  # owner already holds the max
-        assert policy.decide(0, 2, 1) == -1
-        assert policy.reason == "at-target"
+        _, dests, reasons = drive_block(policy, 1, [2])
+        assert dests == [-1]
+        assert reasons == ["at-target"]
 
     @given(
         requesters=st.lists(st.integers(0, 8), min_size=1, max_size=200),
@@ -354,10 +340,10 @@ class TestNna:
         links = {(ln.a, ln.b) for ln in topo.links} | {(ln.b, ln.a) for ln in topo.links}
         policy = NnaPolicy(1, hops(topo))
         owner = 0
-        for requester in requesters:
-            dest = policy.decide(0, requester, owner)
+        for requester in requesters:  # one block per access, so the counters can be read after each event
+            _, (dest,), (reason,) = drive_block(policy, owner, [requester])
             if dest >= 0:
-                target = int(policy.reason.split(":")[1])
+                target = int(reason.split(":")[1])
                 assert (owner, dest) in links
                 assert dest == topo.next_hop_matrix[owner][target]
                 assert policy.counters[0][target] == max(policy.counters[0])

@@ -1,7 +1,7 @@
 """The engine against ``reference_engine``, field by field and line by line.
 
 Hypothesis draws small connected graphs, multi-fragment workloads (up
-to 12 fragments under ``fna``) at dense and thinned rates, optional
+to 12 fragments under ``optimal``, ``nna`` and ``fna``) at dense and thinned rates, optional
 active sets, oscillation and blocking with sizes other than 1, every
 policy, and block sizes from one trial up. Both engines must agree on
 every ``SimMetrics`` field, compared by ``repr`` so floats match bit for
@@ -56,7 +56,7 @@ def configs(draw):
     topology = build_topology(n, [(a, b, draw(weight)) for a, b in sorted(edges)])
 
     policy = draw(POLICIES)
-    k = draw(st.integers(1, 12 if policy.name == "fna" else 4))  # fna groups its scores across fragments
+    k = draw(st.integers(1, 4 if policy.name == "threshold" else 12))  # the others group their counters across fragments
     active = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     oscillation = None
     if n >= 2 and draw(st.booleans()):
