@@ -234,14 +234,9 @@ def _effective_seed_override(args) -> int | None:
 
 def _cmd_run(args) -> int:
     doc = load_config(args.config)
-    setup = resolve_run(
-        doc,
-        Path(args.config).parent,
-        seed_override=_effective_seed_override(args),
-        record_decisions=args.log_decisions,
-    )
+    setup = resolve_run(doc, Path(args.config).parent, seed_override=_effective_seed_override(args))
     out = Path(args.out)
-    decisions_path = out / setup.decisions_name if setup.record_decisions else None
+    decisions_path = out / setup.decisions_name if args.log_decisions else None
     (metrics,) = _simulate([setup], [decisions_path])
     metrics_path = out / setup.metrics_name
     _write_csv(metrics_path, METRICS_HEADER, [_metrics_row(setup, metrics)])
@@ -317,16 +312,8 @@ def _cmd_compare(args) -> int:
     doc = load_config(args.config)
     seed_override = _effective_seed_override(args)
     out = Path(args.out)
-    setups = [
-        resolve_run(
-            doc,
-            Path(args.config).parent,
-            seed_override=seed_override,
-            record_decisions=args.log_decisions,
-            policy_override=spec,
-        )
-        for spec in specs
-    ]
+    base = Path(args.config).parent
+    setups = [resolve_run(doc, base, seed_override=seed_override, policy_override=spec) for spec in specs]
     log_paths = [out / f"decisions_{token.replace(':', '_')}.csv" if args.log_decisions else None for token in tokens]
     rows = []
     for token, setup, log_path, metrics in zip(tokens, setups, log_paths, _simulate_all(setups, log_paths)):

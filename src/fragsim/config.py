@@ -85,7 +85,6 @@ class RunSetup:
     x_s: Optional[float]
     metrics_name: str = "metrics.csv"
     decisions_name: str = "decisions.csv"
-    record_decisions: bool = False  # stream the decision log to ``decisions_name``
 
 
 @dataclass
@@ -99,7 +98,7 @@ def resolve_run(
     doc: dict,
     base_dir,
     seed_override: Optional[int] = None,
-    record_decisions: bool = False,
+    record_decisions: bool = False,  # ignored, as whether to log is the caller's choice; perfbench/run.py passes it
     policy_override: Optional[PolicySpec] = None,
     topology: Optional[Topology] = None,
 ) -> RunSetup:
@@ -148,7 +147,6 @@ def resolve_run(
         x_s=x_s_label,
         metrics_name=metrics_name,
         decisions_name=decisions_name,
-        record_decisions=record_decisions,
     )
 
 

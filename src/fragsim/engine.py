@@ -19,9 +19,11 @@ Accounting per block: the engine takes each
 :class:`~fragsim.workload.Block` of events from
 :meth:`~fragsim.workload.EventStream.blocks` and hands it to the policy's
 ``decide_block`` (see :mod:`~fragsim.policies`), which applies the
-block's moves to ``owners`` and returns each event's owner before its
-decision and the moves in access order. Every policy decides the
-block with array operations. Apart from writing the decision
+block's moves to ``owners`` and returns them, in the block's grouped
+positions, with a reason code per event. Every policy decides the block
+with array operations. From the owners carried into the block and the
+moves, :func:`_owners_from_moves` gives each event's owner before its
+decision and the moves in access order. Apart from writing the decision
 log, the engine has no per-access Python loop: ``np.bincount`` of the
 owners adds to the residency counts, and the response and migration
 costs are computed as arrays. An access's response cost is read from a
@@ -53,12 +55,14 @@ ones at equal trajectories.
 Decision log: given a ``write`` callable, :func:`run` writes
 ``DECISIONS_HEADER`` and then one CSV line per access as the run goes, so
 no log is held in memory. A row holds only ints, fixed reason tags (their
-only punctuation is ``:``), ``repr`` floats and ``""`` for ``None``; no
-field ever needs quoting, so joining the fields with commas gives the
-bytes ``csv.writer`` would. ``_row_writer`` is the one place a row is
-formatted: it caches the text of each distinct (fragment, requester,
-owner, decision, destination, reason), so a row costs one table lookup
-and one join with its step's text.
+only punctuation is ``:``), ``repr`` floats and ``""`` for no
+inhibition; no field ever needs quoting, so joining the fields with
+commas gives the bytes ``csv.writer`` would. ``_row_writer`` is the one
+place a row is formatted and the one place an access is tagged
+``local``: a local access is always a stay, so the engine tags it from
+the owners, whatever code the policy gave it. It caches the text of each
+distinct (fragment, requester, owner, decision, destination, reason), so
+a row costs one table lookup and one join with its step's text.
 """
 
 from __future__ import annotations
@@ -214,7 +218,7 @@ class _PolicyRun:
         self.log = None
         if write is not None:
             write(DECISIONS_HEADER)
-            self.log = _row_writer(write, topo.n)
+            self.log = _row_writer(write, topo.n, self.policy.reasons)
         self.migrations = 0
         self.residency = np.zeros(topo.n, dtype=np.int64)
         self.response_cost = 0.0
@@ -228,11 +232,11 @@ class _PolicyRun:
         n = cfg.topology.n
         latency = cfg.per_hop_latency
         steps, fragments, requesters = block.steps, block.fragments, block.requesters
-        owner_at, moves, dests, reasons, inhibitions = self.policy.decide_block(
-            block, self.owners, explain=self.log is not None
-        )
+        carried = list(self.owners)
+        moves, dests, codes, inhibitions = self.policy.decide_block(block, self.owners)
+        owner_at, moves, dests = _owners_from_moves(block, carried, moves, dests)
         if self.log is not None:
-            self.log(steps, fragments, requesters, owner_at, moves, dests, reasons, inhibitions)
+            self.log(block, owner_at, moves, dests, codes, inhibitions)
         self.residency += np.bincount(owner_at, minlength=n)
         costs = self.prices[requesters * n + owner_at]
         moved_sizes = self.sizes[fragments[moves]]
@@ -269,34 +273,68 @@ def _running_sum(total: float, terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def _row_writer(write, n):
+def _owners_from_moves(block, carried, moves, dests):
+    """``(owner_at, moves, dests)`` in access order, from a block's moves in grouped positions.
+
+    ``moves`` are grouped positions of :attr:`~fragsim.workload.Block.by_fragment`
+    in ascending order, ``dests`` their destinations and ``carried`` each
+    fragment's owner at the start of the block. A fragment's events are
+    owned by its carried owner up to its first move and by each move's
+    destination after it; a move at a fragment's last event owns none of
+    them, so the next fragment starts with its own carried owner.
+    """
+    order, bounds = block.by_fragment
+    m = order.size
+    cut = np.searchsorted(moves, bounds[:-1])  # cut[f]: how many moves come before fragment f's
+    edges = np.insert(moves + 1, cut, bounds[:-1])
+    held = np.insert(dests, cut, carried)
+    owner_at = np.empty(m, dtype=np.intp)
+    owner_at[order] = np.repeat(held, np.diff(edges, append=m))
+    at = order[moves]
+    by_access = np.argsort(at)
+    return owner_at, at[by_access], dests[by_access]
+
+
+def _row_writer(write, n, reasons):
     """Return ``log``, which writes a block's decision-log lines to ``write``.
 
-    This is the one place a row is formatted. Each line is the step's
-    text, made once per step, joined to a cached
-    ``"fragment,requester,owner,decision,dest,reason,"`` text, followed
-    by the inhibition. The texts are kept one table per reason, indexed
-    by the int ``((fragment * n + requester) * n + owner) * (n + 1) +
-    dest + 1``, with ``dest`` -1 for a stay, and each ends in the newline
-    of a row without an inhibition.
+    This is the one place a row is formatted. ``log`` puts the policy's
+    codes and inhibitions in access order and gives every local access
+    the code ``local``, appended to the policy's ``reasons``. Each line is
+    the step's text, made once per step, joined to a cached
+    ``"fragment,requester,owner,decision,dest,reason,"`` text that ends in
+    a newline, and the inhibition, if any, goes before that newline. The
+    texts are indexed by the int ``(((fragment * n + requester) * n +
+    owner) * (n + 1) + dest + 1) * len(reasons) + code``, ``dest`` -1 for a stay.
     """
-    texts = {}  # reason -> {key -> "f,requester,owner,move,dest,reason,\n" or "f,requester,owner,stay,,reason,\n"}
+    reasons += ("local",)
+    local = len(reasons) - 1
+    texts = {}  # key -> "f,requester,owner,move,dest,reason,\n" or "f,requester,owner,stay,,reason,\n"
     last = [-1, ""]  # the latest step and its text, which may continue into the next block
 
-    def log(steps, fragments, requesters, owner_at, moves, dests, reasons, inhibitions):
+    def log(block, owner_at, moves, dests, codes, inhibitions):
+        steps, requesters, order = block.steps, block.requesters, block.by_fragment[0]
+        code_at = np.empty_like(codes)
+        code_at[order] = codes
+        code_at[requesters == owner_at] = local
         dest_at = np.full(steps.size, -1, dtype=np.intp)
         dest_at[moves] = dests
-        keys = (((fragments * n + requesters) * n + owner_at) * (n + 1) + dest_at + 1).tolist()
-        step, head = last
+        keys = ((block.fragments * n + requesters) * n + owner_at) * (n + 1) + dest_at + 1
+        keys = (keys * len(reasons) + code_at).tolist()
         if inhibitions is None:
             inhibitions = repeat(None)
-        for s, key, reason, inh in zip(steps.tolist(), keys, reasons, inhibitions):
+        else:
+            inhibition_at = np.empty(steps.size, dtype=object)
+            inhibition_at[order] = np.where(np.isnan(inhibitions), None, inhibitions)
+            inhibitions = inhibition_at.tolist()
+        step, head = last
+        for s, key, inh in zip(steps.tolist(), keys, inhibitions):
             if s != step:
                 step, head = s, f"{s},"
             try:
-                text = texts[reason][key]
+                text = texts[key]
             except KeyError:
-                text = texts.setdefault(reason, {})[key] = _row_text(key, n, reason)
+                text = texts[key] = _row_text(key, n, reasons)
             if inh is None:
                 write(head + text)
             else:
@@ -306,13 +344,14 @@ def _row_writer(write, n):
     return log
 
 
-def _row_text(key, n, reason) -> str:
+def _row_text(key, n, reasons) -> str:
     """The cached text of a decision-log row between its step and its inhibition, newline included."""
-    rest, dest = divmod(key, n + 1)
+    rest, code = divmod(key, len(reasons))
+    rest, dest = divmod(rest, n + 1)
     rest, owner = divmod(rest, n)
     f, requester = divmod(rest, n)
     decision = f"move,{dest - 1}" if dest else "stay,"
-    return f"{f},{requester},{owner},{decision},{reason},\n"
+    return f"{f},{requester},{owner},{decision},{reasons[code]},\n"
 
 
 def _blocking_waits(block, moves, windows, until) -> np.ndarray:

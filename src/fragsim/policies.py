@@ -32,28 +32,31 @@ fragment:
 A local access (requester already owns the fragment) is always a stay,
 whatever the counters say.
 
-Every policy has one entry point, ``decide_block(block, owners,
-explain=False)``, which the engine calls once per
-:class:`~fragsim.workload.Block` of events (its ``fragments`` and
-``requesters`` are int arrays in access order):
+Every policy has one entry point, ``decide_block(block, owners)``, which
+the engine calls once per :class:`~fragsim.workload.Block` of events (its
+``fragments`` and ``requesters`` are int arrays in access order). It
+works in the block's grouped positions, those of
+:attr:`~fragsim.workload.Block.by_fragment`, where each fragment's events
+are contiguous:
 
 * it applies the block's moves to ``owners``, the list of each
   fragment's current site, and does the policy's own move bookkeeping
   (``threshold`` clears its count, ``nna`` its remote-since-move count,
   ``fna`` records the destination in its history);
-* it returns ``(owner_at, moves, dests, reasons, inhibitions)``: each
-  event's owner before its decision, the positions of the moving events
-  in ascending order and their destinations, all int arrays; a move never
-  targets the current owner;
-* with ``explain``, ``reasons`` holds each event's tag for the decision
-  log and ``inhibitions`` its ``fna`` inhibition (``None`` when no
-  evaluation ran), or is ``None`` when the policy has none; without it
-  both are ``None``.
+* it returns ``(moves, dests, codes, inhibitions)``: the grouped
+  positions of the moving events in ascending order and their
+  destinations; one code per grouped event, an index into the policy's
+  ``reasons`` tuple; and, for ``fna`` only, each grouped event's
+  inhibition, NaN where no evaluation ran (``None`` for the others). A
+  move never targets the current owner and never falls on a local
+  access.
 
 Each policy decides a whole block with array operations, ``threshold``
 from the block's index and the others from its grouping by fragment,
-which every policy handed the block shares; all of them then find each
-event's owner from the moves the same way (:func:`_owners_from_moves`).
+which every policy handed the block shares. The engine finds each
+event's owner from the moves and tags every local access ``local``
+itself (:mod:`~fragsim.engine`), so no ``reasons`` tuple holds it and the
+code a policy gives a local access is never read.
 
 The policy classes trust their arguments; :class:`PolicySpec` checks them.
 
@@ -71,28 +74,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .topology import SiteId
-
-
-def _owners_from_moves(block, carried, moves, dests):
-    """``(owner_at, moves, dests)`` in access order, from a block's moves in grouped positions.
-
-    ``moves`` are grouped positions of :attr:`~fragsim.workload.Block.by_fragment`
-    in ascending order, ``dests`` their destinations and ``carried`` each
-    fragment's owner at the start of the block. A fragment's events are
-    owned by its carried owner up to its first move and by each move's
-    destination after it; a move at a fragment's last event owns none of
-    them, so the next fragment starts with its own carried owner.
-    """
-    order, bounds = block.by_fragment
-    m = order.size
-    cut = np.searchsorted(moves, bounds[:-1])  # cut[f]: how many moves come before fragment f's
-    edges = np.insert(moves + 1, cut, bounds[:-1])
-    held = np.insert(dests, cut, carried)
-    owner_at = np.empty(m, dtype=np.intp)
-    owner_at[order] = np.repeat(held, np.diff(edges, append=m))
-    at = order[moves]
-    by_access = np.argsort(at)
-    return owner_at, at[by_access], dests[by_access]
 
 
 class ThresholdPolicy:
@@ -117,18 +98,17 @@ class ThresholdPolicy:
     * the count carried on is the number of accesses since the final
       owner's last position in the block, from the index, or the old count
       plus the fragment's accesses when the owner does not occur;
-    * each event's owner follows from the moves, each move's destination
-      being its requester (:func:`_owners_from_moves`).
+    * each move's destination is its requester.
     """
 
     name = "threshold"
-    REASONS = np.array(["below-threshold", "local", "threshold-exceeded"], dtype=object)
+    reasons = ("below-threshold", "threshold-exceeded")
 
     def __init__(self, num_fragments: int, t: int):
         self.t = t
         self.counts: list[int] = [0] * num_fragments  # consecutive remote accesses, carried between blocks
 
-    def decide_block(self, block, owners, explain=False):
+    def decide_block(self, block, owners):
         m = block.requesters.size
         t = self.t
         k = min(t + 1, m)  # no gap within a block reaches m, so a larger t + 1 acts as m
@@ -141,7 +121,6 @@ class ThresholdPolicy:
         chain = memoryview(chain)
         r, first, last, width = memoryview(index.requesters), memoryview(index.first), memoryview(index.last), index.width
 
-        carried = list(owners)
         counts = self.counts
         moves = []
         spans = bounds.tolist()
@@ -161,13 +140,9 @@ class ThresholdPolicy:
             counts[f] = end - 1 - q if q >= start else counts[f] + end - start
 
         moves = np.fromiter(moves, dtype=np.intp, count=len(moves))
-        owner_at, moves, dests = _owners_from_moves(block, carried, moves, index.requesters[moves])
-        reasons = None
-        if explain:
-            code = (block.requesters == owner_at).astype(np.intp)
-            code[moves] = 2
-            reasons = self.REASONS[code].tolist()
-        return owner_at, moves, dests, reasons, None
+        codes = np.zeros(m, dtype=np.intp)
+        codes[moves] = 1
+        return moves, index.requesters[moves], codes, None
 
 
 class NnaPolicy:
@@ -214,10 +189,9 @@ class NnaPolicy:
         self.counter_cap = counter_cap
         self.counters = np.zeros((num_fragments, len(next_hop)), dtype=np.int64)
         self.remote_since_move: list[int] = [0] * num_fragments  # counted under the threshold trigger
-        toward = [f"toward:{s}" for s in range(len(next_hop))]
-        self.reasons = np.array(toward + ["no-trigger", "local", "at-target"], dtype=object)  # by code
+        self.reasons = tuple(f"toward:{s}" for s in range(len(next_hop))) + ("no-trigger", "at-target")
 
-    def decide_block(self, block, owners, explain=False):
+    def decide_block(self, block, owners):
         order, bounds = block.by_fragment
         m, n = order.size, self.counters.shape[1]
         counts = np.diff(bounds)
@@ -243,7 +217,6 @@ class NnaPolicy:
         after = np.where(marks, np.arange(m, dtype=np.int32)[:, None], np.int32(m))
         after = memoryview(np.minimum.accumulate(after[::-1], axis=0)[::-1])
 
-        carried = list(owners)
         next_hop, t, since, target = self.next_hop, self.t, self.remote_since_move, memoryview(targets)
         moves, dests = [], []
         fired = np.zeros(m, dtype=bool)  # the events where the threshold trigger fires
@@ -268,16 +241,11 @@ class NnaPolicy:
             if remote is not None:
                 since[f] = count + int(remote[owner, end] - remote[owner, j])
 
-        moved = np.array(moves, dtype=np.intp)
-        owner_at, moves, dests = _owners_from_moves(block, carried, moved, np.array(dests, dtype=np.intp))
-        reasons = None
-        if explain:
-            code = np.full(m, n)
-            code[order[fired]] = n + 2
-            code[block.requesters == owner_at] = n + 1
-            code[order[moved]] = targets[moved]
-            reasons = self.reasons[code].tolist()
-        return owner_at, moves, dests, reasons, None
+        moves = np.array(moves, dtype=np.intp)
+        codes = np.full(m, n)
+        codes[fired] = n + 1
+        codes[moves] = targets[moves]
+        return moves, np.array(dests, dtype=np.intp), codes, None
 
 
 class OptimalPolicy(NnaPolicy):
@@ -286,14 +254,15 @@ class OptimalPolicy(NnaPolicy):
     ``nna``'s dominance rule on the jump table ``next_hop[o][s] = s``. The
     owner always holds a row maximum, so a requester that strictly
     dominates it is the row's unique maximum, the target, and the fragment
-    jumps straight there; ``at-target`` never occurs.
+    jumps straight there; ``at-target`` never occurs, so its ``reasons``
+    have no entry for it.
     """
 
     name = "optimal"
 
     def __init__(self, num_fragments: int, num_sites: int, counter_cap: Optional[int] = None):
         super().__init__(num_fragments, [list(range(num_sites))] * num_sites, counter_cap=counter_cap)
-        self.reasons = np.array(["dominance"] * num_sites + ["no-dominance", "local"], dtype=object)
+        self.reasons = ("dominance",) * num_sites + ("no-dominance",)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +374,10 @@ class FnaPolicy:
       row-wise ``sum(axis=1)`` adds each row pairwise, as ``np.sum`` of
       the row does, so the norms keep their bits too;
     * the gap test, the alternation, the inhibition and the hop depend on
-      the owner and the history, and run in Python once per evaluation;
-    * each event's owner follows from the moves (:func:`_owners_from_moves`).
+      the owner and the history, and run in Python once per evaluation.
     """
 
     name = "fna"
-    REASONS = np.array(["no-eval", "local"], dtype=object)
 
     def __init__(self, num_fragments: int, next_hop: list[list[SiteId]], params: FnaParams = FnaParams()):
         self.params = params
@@ -420,9 +387,10 @@ class FnaPolicy:
         self._prev = np.zeros((num_fragments, num_sites))  # each fragment's scores at its latest evaluation
         self._since_eval = np.zeros(num_fragments, dtype=np.intp)
         self._history: list[deque] = [deque(maxlen=params.history) for _ in range(num_fragments)]
-        self._toward = [f"toward:{s}" for s in range(num_sites)]
+        toward = tuple(f"toward:{s}" for s in range(num_sites))
+        self.reasons = toward + ("no-eval", "at-target", "gap-below-min", "inhibited")  # toward:s is code s
 
-    def decide_block(self, block, owners, explain=False):
+    def decide_block(self, block, owners):
         p = self.params
         order, bounds = block.by_fragment
         num_fragments, n = self.vectors.shape
@@ -465,9 +433,9 @@ class FnaPolicy:
         # short[i][o]: evaluation i's gap to the target, from owner o, is below min_gap
         short = (rows[np.arange(at.size), targets][:, None] - rows) / totals[:, None] < p.min_gap
 
-        carried = list(owners)
-        next_hop, cutoff, toward = self.next_hop, p.inhibition_cutoff, self._toward
-        moves, dests, outcomes = [], [], []
+        next_hop, cutoff = self.next_hop, p.inhibition_cutoff
+        at_target, gap_below_min, inhibited = n + 1, n + 2, n + 3
+        moves, dests, outcomes, inhibitions = [], [], [], []
         f = -1
         for g, j, requester, churn, target, too_short in zip(
             at.tolist(), evals.tolist(), requesters[evals].tolist(), churns.tolist(), targets.tolist(), short.tolist()
@@ -476,35 +444,26 @@ class FnaPolicy:
                 f, owner, history = g, owners[g], self._history[g]
                 alternation = alternation_score(history)  # changes only with a move
             inhibition = oscillation_inhibition(churn, alternation)
-            if requester == owner:
-                reason = "local"
-            elif target == owner:
-                reason = "at-target"
+            inhibitions.append(inhibition)
+            if requester == owner or target == owner:  # the engine tags a local access itself
+                outcomes.append(at_target)
             elif too_short[owner]:
-                reason = "gap-below-min"
+                outcomes.append(gap_below_min)
             elif inhibition > cutoff:
-                reason = "inhibited"
+                outcomes.append(inhibited)
             else:
-                reason = toward[target]
+                outcomes.append(target)
                 owner = owners[f] = next_hop[owner][target]
                 history.append(owner)
                 alternation = alternation_score(history)
                 moves.append(j)
                 dests.append(owner)
-            if explain:
-                outcomes.append((reason, inhibition))
 
-        owner_at, moves, dests = _owners_from_moves(
-            block, carried, np.array(moves, dtype=np.intp), np.array(dests, dtype=np.intp)
-        )
-        reasons = inhibitions = None
-        if explain:
-            reasons = self.REASONS[(block.requesters == owner_at).astype(np.intp)].tolist()
-            inhibitions = [None] * len(reasons)
-            for i, (reason, inhibition) in zip(order[evals].tolist(), outcomes):
-                reasons[i] = reason
-                inhibitions[i] = inhibition
-        return owner_at, moves, dests, reasons, inhibitions
+        codes = np.full(order.size, n)
+        codes[evals] = outcomes
+        inhibition_at = np.full(order.size, np.nan)
+        inhibition_at[evals] = inhibitions
+        return np.array(moves, dtype=np.intp), np.array(dests, dtype=np.intp), codes, inhibition_at
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_06_optimal_owner_holds_counter_row_max():
         for first in range(0, len(trace), 4096):
             requesters = np.array(trace[first : first + 4096])
             steps = np.arange(first, first + requesters.size)
-            _, at, dests, _, _ = policy.decide_block(Block(steps, np.zeros_like(steps), requesters, 1), owners)
+            at, dests, _, _ = policy.decide_block(Block(steps, np.zeros_like(steps), requesters, 1), owners)
             block_dests = [-1] * requesters.size
             for i, dest in zip(at.tolist(), dests.tolist()):
                 block_dests[i] = dest

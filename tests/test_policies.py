@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import reference_engine
 from fragsim.cli import main
 from fragsim.config import parse_policy_token, resolve_run
-from fragsim.engine import SimConfig, run
+from fragsim.engine import SimConfig, _owners_from_moves, run
 from fragsim.fixtures import reference_topology
 from fragsim.policies import (
     FnaParams,
@@ -37,23 +37,47 @@ def hops(topo):
     return topo.next_hop_matrix.tolist()
 
 
+def decide(policy, owners, fragments, requesters):
+    """``decide_block`` on one block, read as the engine reads it.
+
+    The engine copies the carried owners, finds each event's owner from
+    the moves and tags every local access ``local``. Returns per access
+    (owner before, dest or -1, reason, inhibition), the inhibition
+    ``None`` where no evaluation ran.
+    """
+    fragments = np.array(fragments, dtype=np.intp)
+    block = Block(np.arange(fragments.size), fragments, np.array(requesters, dtype=np.intp), len(owners))
+    carried = list(owners)
+    moves, dests, codes, inhibitions = policy.decide_block(block, owners)
+    assert (inhibitions is None) == (policy.name != "fna")
+    owner_at, moves, dests = _owners_from_moves(block, carried, moves, dests)
+    assert not np.any(owner_at[moves] == dests), "a move never targets the current owner"
+    order = block.by_fragment[0]
+    reasons = policy.reasons + ("local",)
+    code_at = np.empty_like(codes)
+    code_at[order] = codes
+    code_at[block.requesters == owner_at] = len(reasons) - 1
+    dest_at = np.full(fragments.size, -1)
+    dest_at[moves] = dests
+    inhibition_at = [None] * fragments.size
+    if inhibitions is not None:
+        for i, inhibition in zip(order.tolist(), inhibitions.tolist()):
+            inhibition_at[i] = None if np.isnan(inhibition) else inhibition
+    return list(zip(owner_at.tolist(), dest_at.tolist(), [reasons[c] for c in code_at.tolist()], inhibition_at))
+
+
 def block_trace(policy, initial_owner, requesters):
     """Feed one fragment's requester sequence through ``decide_block`` as one block.
 
     Returns the owner sequence, and per access the destination (-1 for a
-    stay), the policy's reason and its inhibition.
+    stay), the reason and the inhibition.
     """
     owners = [initial_owner]
-    steps = np.arange(len(requesters))
-    block = Block(steps, np.zeros_like(steps), np.array(requesters, dtype=np.intp), 1)
-    owner_at, moves, dests, reasons, inhibitions = policy.decide_block(block, owners, True)
-    assert not np.any(owner_at[moves] == dests), "a move never targets the current owner"
-    per_access = [-1] * len(requesters)
-    for i, dest in zip(moves.tolist(), dests.tolist()):
-        per_access[i] = dest
-    trail = [initial_owner] + dests.tolist()
+    rows = decide(policy, owners, [0] * len(requesters), requesters)
+    per_access = [dest for _, dest, _, _ in rows]
+    trail = [initial_owner] + [dest for dest in per_access if dest >= 0]
     assert owners == trail[-1:]
-    return trail, per_access, reasons, inhibitions
+    return trail, per_access, [reason for _, _, reason, _ in rows], [inhibition for *_, inhibition in rows]
 
 
 def drive_block(policy, initial_owner, requesters):
@@ -132,14 +156,7 @@ def threshold_by_access(t, owners, counts, fragments, requesters):
 
 def block_rows(policy, owners, fragments, requesters):
     """``decide_block`` on one block, as the rows ``threshold_by_access`` gives."""
-    fragments = np.array(fragments, dtype=np.intp)
-    block = Block(np.zeros_like(fragments), fragments, np.array(requesters, dtype=np.intp), len(owners))
-    owner_at, moves, dests, reasons, inhibitions = policy.decide_block(block, owners, True)
-    assert inhibitions is None
-    per_access = [-1] * len(requesters)
-    for i, dest in zip(moves.tolist(), dests.tolist()):
-        per_access[i] = dest
-    return list(zip(owner_at.tolist(), per_access, reasons))
+    return [row[:3] for row in decide(policy, owners, fragments, requesters)]
 
 
 class TestThreshold:
@@ -466,17 +483,6 @@ class TestFna:
             FnaParams(**{field: float("nan")})
 
 
-def fna_rows(policy, owners, fragments, requesters):
-    """``decide_block`` on one block, as (owner before, dest or -1, reason, inhibition) per event."""
-    fragments = np.array(fragments, dtype=np.intp)
-    block = Block(np.zeros_like(fragments), fragments, np.array(requesters, dtype=np.intp), len(owners))
-    owner_at, moves, dests, reasons, inhibitions = policy.decide_block(block, owners, True)
-    per_access = [-1] * len(requesters)
-    for i, dest in zip(moves.tolist(), dests.tolist()):
-        per_access[i] = dest
-    return list(zip(owner_at.tolist(), per_access, reasons, inhibitions))
-
-
 def fna_by_access(reference, owners, fragments, requesters):
     """The same rows from ``reference_engine``'s per-access ``fna``, applying its moves to ``owners``."""
     rows = []
@@ -500,7 +506,7 @@ class TestFnaBlock:
         all_rows = []
         for fragments, requesters in blocks:
             expected = fna_by_access(reference, expected_owners, fragments, requesters)
-            rows = fna_rows(policy, owners, fragments, requesters)
+            rows = decide(policy, owners, fragments, requesters)
             assert [repr(row) for row in rows] == [repr(row) for row in expected]
             assert owners == expected_owners
             assert policy.vectors.tolist() == reference.v
@@ -537,7 +543,7 @@ class TestFnaBlock:
         blocks.append(([0, 1, 2] * 10, [6, 7, 6] * 10))  # fragment 1 resumes with its scores untouched
         rows = self.check_blocks(topo, FnaParams(window=2), [0, 3, 5], blocks)
         assert rows[95 + 1] == (3, -1, "no-eval", None), "fragment 1's first event, its count still at 0"
-        assert [] == fna_rows(FnaPolicy(3, hops(topo)), [0, 3, 5], [], []), "an empty block decides nothing"
+        assert [] == decide(FnaPolicy(3, hops(topo)), [0, 3, 5], [], []), "an empty block decides nothing"
 
     @pytest.mark.parametrize("window, history", [(1, 1), (1, 6), (4, 1)])
     def test_window_one_and_history_one(self, window, history):
@@ -599,6 +605,53 @@ class TestFnaExactness:
         assert out.tobytes() == v.tobytes()
         assert [x * 1.0 + 0.0 for x in scores] == scores
         assert all(str(x * 1.0 + 0.0) == str(x) for x in scores)
+
+
+class TestDecideBlockContract:
+    """What the engine relies on from every policy's ``decide_block``."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PolicySpec("optimal"),
+            PolicySpec("threshold", t=2),
+            PolicySpec("nna"),
+            PolicySpec("nna", trigger="threshold", t=1),
+            PolicySpec("fna", fna=FnaParams(window=2)),
+        ],
+        ids=["optimal", "threshold", "nna", "nna-threshold", "fna"],
+    )
+    def test_moves_codes_and_owners(self, spec):
+        topo = reference_topology()
+        rng = np.random.default_rng(11)
+        num_fragments = 4
+        policy = build_policy(spec, num_fragments, topo.n, hops(topo))
+        owners = rng.integers(0, topo.n, num_fragments).tolist()
+        moved = 0
+        for size in (300, 1, 0, 500, 200, 401):
+            fragments = rng.integers(0, num_fragments, size)
+            hot = (fragments * 2 + size) % topo.n  # each block moves every fragment's hot site
+            requesters = np.where(rng.random(size) < 0.6, hot, rng.integers(0, topo.n, size))
+            block = Block(np.arange(size), fragments, requesters, num_fragments)
+            carried = list(owners)
+            moves, dests, codes, _ = policy.decide_block(block, owners)
+            assert codes.shape == (size,)
+            assert np.all((0 <= codes) & (codes < len(policy.reasons)))
+            assert np.all(np.diff(moves) > 0), "moves strictly ascend"
+            order, bounds = block.by_fragment
+            owner_at, at, _ = _owners_from_moves(block, carried, moves, dests)
+            assert not np.any(requesters[at] == owner_at[at]), "no move falls on a local access"
+            moving = np.searchsorted(bounds, moves, side="right") - 1  # each move's fragment
+            for f in range(num_fragments):
+                mine = dests[moving == f]
+                assert owners[f] == (mine[-1] if mine.size else carried[f])
+            moved += moves.size
+        assert moved > 0
+
+    def test_no_reason_table_holds_local(self):
+        table = hops(reference_topology())
+        for spec in (PolicySpec("optimal"), PolicySpec("threshold", t=0), PolicySpec("nna"), PolicySpec("fna")):
+            assert "local" not in build_policy(spec, 1, 9, table).reasons
 
 
 class TestBuildPolicy:
