@@ -174,50 +174,46 @@ def _simulate_all(setups, log_paths) -> list:
     tasks = _split(list(groups.values()), target)
 
     metrics = {}  # config index of a cell -> its metrics
-    failures = {}  # config index of a failing cell -> its exception
-
-    def settle(task, done, error):
-        metrics.update(zip(task, done))
-        if error is not None:
-            failures[task[len(done)]] = error
+    failed, error = len(setups), None  # the first failing cell known so far and its exception
 
     def cells_of(task):
         return [setups[i] for i in task], [log_paths[i] for i in task]
 
     workers = min(len(tasks), target)  # one worker per task: a long task never waits for a short one to end
-    if workers < 2 or not hasattr(os, "fork"):
-        for task in tasks:
-            if task[0] < min(failures, default=len(setups)):
-                settle(task, *_simulate_task(*cells_of(task)))
-    else:
-        import concurrent.futures
-        import multiprocessing
+    with contextlib.ExitStack() as stack:
+        if workers < 2 or not hasattr(os, "fork"):
+            outcomes = (_simulate_task(*cells_of(task)) for task in tasks)  # each runs when it is read
+        else:
+            import concurrent.futures
+            import multiprocessing
 
-        ctx = multiprocessing.get_context("fork")  # workers start without re-importing; no thread runs here yet
-        sys.stdout.flush()  # a forked worker flushes the buffers it inherits when it exits
-        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-            futures = {pool.submit(_simulate_task, *cells_of(task)): task for task in tasks}
-            for future in concurrent.futures.as_completed(futures):
-                if future.cancelled():
-                    continue
-                try:
-                    outcome = future.result()
-                except Exception as exc:  # a worker killed outright takes its task down with it
-                    outcome = [], exc
-                settle(futures[future], *outcome)
-                if failures:
-                    # cells after the first failure need not run; tasks already running go on
-                    for other, task in futures.items():
-                        if task[0] > min(failures):
-                            other.cancel()
-    if failures:
+            ctx = multiprocessing.get_context("fork")  # workers start without re-importing; no thread runs here yet
+            sys.stdout.flush()  # a forked worker flushes the buffers it inherits when it exits
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(workers, mp_context=ctx))
+            stack.callback(pool.shutdown, cancel_futures=True)  # tasks not started by then never start
+            outcomes = map(_outcome, [pool.submit(_simulate_task, *cells_of(task)) for task in tasks])
+        for task in tasks:  # ordered by first cell: once one starts after a known failure, all later ones do
+            if task[0] > failed:
+                break
+            done, exc = next(outcomes)
+            metrics.update(zip(task, done))
+            if exc is not None and task[len(done)] < failed:
+                failed, error = task[len(done)], exc
+    if error is not None:
         # Every task has ended, so no cell is still writing a log removed here.
-        failed = min(failures)
         for i in cells.values():
             if i >= failed and log_paths[i] is not None:
                 log_paths[i].unlink(missing_ok=True)
-        raise failures[failed]
+        raise error
     return [metrics[i] for i in of]
+
+
+def _outcome(future) -> tuple:
+    """A pooled task's ``(metrics, error)``; a worker killed outright takes its task down with it."""
+    try:
+        return future.result()
+    except Exception as exc:
+        return [], exc
 
 
 def _effective_seed_override(args) -> int | None:
@@ -271,23 +267,18 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_float_list(text: str, what: str) -> list:
+def _parse_list(text: str, what: str, kind) -> list:
+    """Comma-separated ``float`` or ``int`` values; empty tokens are skipped."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ConfigError(f"{what}: must be a comma-separated list of numbers, got {text!r}") from None
-
-
-def _parse_int_list(text: str, what: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"{what}: must be a comma-separated list of integers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{what}: must be a comma-separated list of {noun}, got {text!r}") from None
 
 
 def _cmd_oracle(args) -> int:
-    xs_values = _parse_float_list(args.x_s, "--x-s")
-    t_values = _parse_int_list(args.t, "--t")
+    xs_values = _parse_list(args.x_s, "--x-s", float)
+    t_values = _parse_list(args.t, "--t", int)
     if not xs_values or not t_values:
         raise ConfigError("--x-s and --t must be non-empty")
     rows = []

@@ -21,16 +21,17 @@ Accounting per block: the engine takes each
 ``decide_block`` (see :mod:`~fragsim.policies`), which applies the
 block's moves to ``owners`` and returns them, in the block's grouped
 positions, with a reason code per event. Every policy decides the block
-with array operations. From the owners carried into the block and the
-moves, :func:`_owners_from_moves` gives each event's owner before its
-decision and the moves in access order. Apart from writing the decision
-log, the engine has no per-access Python loop: ``np.bincount`` of the
-owners adds to the residency counts, and the response and migration
-costs are computed as arrays. An access's response cost is read from a
-table of ``(2.0 * distance) * latency`` by requester and owner, made
-once per run. Under blocking, each access's window end comes from its
-fragment's latest earlier move, and the fragment's accesses come from
-the block's grouping by fragment. Each array of costs is added to its
+with array operations. One forward fill, :func:`_forward_fill`, gives
+each event the value its fragment's latest earlier move set, or the
+value carried into the block, and each fragment's value after the
+block. It fills the owners, from which :func:`_owners_from_moves` also
+puts the moves in access order, and under blocking the transfer windows'
+ends, carried from block to block in ``in_flight_until``. Apart from
+writing the decision log, the engine has no per-access Python loop:
+``np.bincount`` of the owners adds to the residency counts, and the
+response and migration costs are computed as arrays. An access's
+response cost is read from a table of ``(2.0 * distance) * latency`` by
+requester and owner, made once per run. Each array of costs is added to its
 running total by seeding its first term in place (``costs[0] +=
 total``) and taking ``np.cumsum``. ``cumsum`` adds strictly left to
 right, so each total is the one a per-access or per-move ``+=`` gives,
@@ -214,7 +215,7 @@ class _PolicyRun:
         self.policy = build_policy(cfg.policy, len(cfg.sizes), topo.n, topo.next_hop_matrix.tolist())
         self.sizes = np.array(cfg.sizes, dtype=float)
         self.owners = list(cfg.initial_owners)
-        self.in_flight_until = [0] * len(cfg.sizes)
+        self.in_flight_until = np.zeros(len(cfg.sizes), dtype=np.int64)  # each fragment's transfer window end
         self.log = None
         if write is not None:
             write(DECISIONS_HEADER)
@@ -233,8 +234,8 @@ class _PolicyRun:
         latency = cfg.per_hop_latency
         steps, fragments, requesters = block.steps, block.fragments, block.requesters
         carried = list(self.owners)
-        moves, dests, codes, inhibitions = self.policy.decide_block(block, self.owners)
-        owner_at, moves, dests = _owners_from_moves(block, carried, moves, dests)
+        grouped, dests, codes, inhibitions = self.policy.decide_block(block, self.owners)
+        owner_at, moves, dests = _owners_from_moves(block, carried, grouped, dests)
         if self.log is not None:
             self.log(block, owner_at, moves, dests, codes, inhibitions)
         self.residency += np.bincount(owner_at, minlength=n)
@@ -245,7 +246,10 @@ class _PolicyRun:
         self.migration_hop_cost = _running_sum(self.migration_hop_cost, moved_sizes * hops * latency)
         if cfg.migration_blocking:
             windows = steps[moves] + np.ceil(moved_sizes * hops).astype(np.int64)
-            costs += _blocking_waits(block, moves, windows, self.in_flight_until)
+            # a fragment's moves keep their access order in the grouping
+            in_grouped_order = windows[np.argsort(fragments[moves], kind="stable")]
+            ends, self.in_flight_until = _forward_fill(block, grouped, in_grouped_order, self.in_flight_until)
+            costs += np.where(steps < ends, ends - steps, 0)
         self.response_cost = _running_sum(self.response_cost, costs)
 
     def metrics(self) -> SimMetrics:
@@ -278,21 +282,32 @@ def _owners_from_moves(block, carried, moves, dests):
 
     ``moves`` are grouped positions of :attr:`~fragsim.workload.Block.by_fragment`
     in ascending order, ``dests`` their destinations and ``carried`` each
-    fragment's owner at the start of the block. A fragment's events are
-    owned by its carried owner up to its first move and by each move's
-    destination after it; a move at a fragment's last event owns none of
-    them, so the next fragment starts with its own carried owner.
+    fragment's owner at the start of the block; see :func:`_forward_fill`.
+    """
+    owner_at, _ = _forward_fill(block, moves, dests, carried)
+    at = block.by_fragment[0][moves]
+    by_access = np.argsort(at)
+    return owner_at, at[by_access], dests[by_access]
+
+
+def _forward_fill(block, moves, values, carried):
+    """``(filled, after)``: each event's value in force before it, in access order, and each fragment's after the block.
+
+    ``moves`` are grouped positions of :attr:`~fragsim.workload.Block.by_fragment`
+    in ascending order, ``values`` the value each sets and ``carried`` each
+    fragment's value at the start of the block. A fragment's events hold
+    its carried value up to its first move and each move's value after
+    it; a move at a fragment's last event sets none of them, so the next
+    fragment starts with its own carried value.
     """
     order, bounds = block.by_fragment
     m = order.size
     cut = np.searchsorted(moves, bounds[:-1])  # cut[f]: how many moves come before fragment f's
     edges = np.insert(moves + 1, cut, bounds[:-1])
-    held = np.insert(dests, cut, carried)
-    owner_at = np.empty(m, dtype=np.intp)
-    owner_at[order] = np.repeat(held, np.diff(edges, append=m))
-    at = order[moves]
-    by_access = np.argsort(at)
-    return owner_at, at[by_access], dests[by_access]
+    held = np.insert(values, cut, carried)  # per fragment: its carried value, then its moves' values
+    filled = np.empty(m, dtype=held.dtype)
+    filled[order] = np.repeat(held, np.diff(edges, append=m))
+    return filled, held[np.append(cut[1:], moves.size) + np.arange(len(carried))]
 
 
 def _row_writer(write, n, reasons):
@@ -353,24 +368,3 @@ def _row_text(key, n, reasons) -> str:
     decision = f"move,{dest - 1}" if dest else "stay,"
     return f"{f},{requester},{owner},{decision},{reasons[code]},\n"
 
-
-def _blocking_waits(block, moves, windows, until) -> np.ndarray:
-    """Queueing delay of each access of a block under migration blocking.
-
-    An access waits ``end - step`` while its fragment's transfer window,
-    set by the fragment's latest earlier move, ends after ``step``.
-    ``moves`` are the block's moving accesses in order and ``windows``
-    their window ends. ``until`` holds each fragment's window end at the
-    start of the block and is advanced to its value at the end of it.
-    """
-    steps = block.steps
-    order, bounds = block.by_fragment
-    ends = np.empty(steps.size, dtype=np.int64)
-    moved = block.fragments[moves]
-    for f in range(len(until)):
-        at = order[bounds[f] : bounds[f + 1]]
-        mine = moved == f
-        in_force = np.concatenate(([until[f]], windows[mine]))  # entry k: after the k-th move of the block
-        ends[at] = in_force[np.searchsorted(moves[mine], at)]
-        until[f] = int(in_force[-1])
-    return np.where(steps < ends, ends - steps, 0)

@@ -57,37 +57,32 @@ def _complete_topology_dict(n: int) -> dict:
     return {"n": n, "links": [[a, b, 1.0] for a in range(n) for b in range(a + 1, n)]}
 
 
-def residency_vs_xs_sweep(t: int, n: int = 5, num_steps: int = 100_000, replications: int = 3) -> dict:
-    """Sweep x_s at a fixed threshold: the residency-versus-skew curve."""
+SWEEP_SITES = 5
+SWEEP_STEPS = 100_000
+SWEEP_REPLICATIONS = 3
+OSCILLATION_PERIOD = 50
+OSCILLATION_STEPS = 10_000
+OSCILLATION_FRAGMENTS = 10
+
+
+def threshold_sweep(name: str, axis: str, values: list, t: int, x_s: float) -> dict:
+    """A threshold-policy sweep on the complete 5-site network, writing ``name``.csv.
+
+    Over ``x_s`` at threshold ``t`` it gives the residency-versus-skew
+    curve; over ``t`` at skew ``x_s``, the convergence toward the hot site.
+    """
     return {
-        "topology": _complete_topology_dict(n),
+        "topology": _complete_topology_dict(SWEEP_SITES),
         "policy": {"name": "threshold", "t": t},
-        "workload": {"x_s": 0.2},
-        "num_steps": num_steps,
-        "seed": 1,
-        "sweep": {
-            "axis": "x_s",
-            "values": [round(0.1 * k, 1) for k in range(1, 10)],
-            "replications": replications,
-        },
-        "output": {"metrics": f"residency_vs_xs_t{t}.csv"},
-    }
-
-
-def residency_vs_t_sweep(x_s: float, n: int = 5, num_steps: int = 100_000, replications: int = 3) -> dict:
-    """Sweep the threshold at a fixed skew: convergence toward the hot site."""
-    return {
-        "topology": _complete_topology_dict(n),
-        "policy": {"name": "threshold", "t": 0},
         "workload": {"x_s": x_s},
-        "num_steps": num_steps,
+        "num_steps": SWEEP_STEPS,
         "seed": 1,
         "sweep": {
-            "axis": "t",
-            "values": [0, 1, 2, 3, 5, 7, 10, 15, 20, 30],
-            "replications": replications,
+            "axis": axis,
+            "values": values,
+            "replications": SWEEP_REPLICATIONS,
         },
-        "output": {"metrics": f"residency_vs_t_xs{int(round(x_s * 100)):03d}.csv"},
+        "output": {"metrics": f"{name}.csv"},
     }
 
 
@@ -107,8 +102,8 @@ def walkthrough_run() -> dict:
     }
 
 
-def oscillation_compare_run(period: int = 50, num_steps: int = 10_000, num_fragments: int = 10) -> dict:
-    """Hot mass flipping between the adjacent sites G and H every ``period`` events.
+def oscillation_compare_run() -> dict:
+    """Hot mass flipping between the adjacent sites G and H every ``OSCILLATION_PERIOD`` events.
 
     Ten fragments follow the same alternating profile, so the aggregate
     migration count is what separates the policies: summing independent
@@ -118,10 +113,10 @@ def oscillation_compare_run(period: int = 50, num_steps: int = 10_000, num_fragm
     return {
         "topology": "fig3.json",
         "policy": {"name": "nna"},
-        "fragments": {"count": num_fragments},
-        "workload": {"x_s": 0.8, "hot": 6, "oscillation": {"site_a": 6, "site_b": 7, "period": period}},
+        "fragments": {"count": OSCILLATION_FRAGMENTS},
+        "workload": {"x_s": 0.8, "hot": 6, "oscillation": {"site_a": 6, "site_b": 7, "period": OSCILLATION_PERIOD}},
         "initial_owners": 0,
-        "num_steps": num_steps,
+        "num_steps": OSCILLATION_STEPS,
         "designated": 6,
         "seed": 1,
     }
@@ -130,16 +125,14 @@ def oscillation_compare_run(period: int = 50, num_steps: int = 10_000, num_fragm
 def write_fixtures(out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    documents = {
-        "fig3.json": reference_topology_dict(),
-        "residency_vs_xs_t0.json": residency_vs_xs_sweep(0),
-        "residency_vs_xs_t3.json": residency_vs_xs_sweep(3),
-        "residency_vs_xs_t10.json": residency_vs_xs_sweep(10),
-        "residency_vs_t_xs028.json": residency_vs_t_sweep(0.28),
-        "residency_vs_t_xs012.json": residency_vs_t_sweep(0.12),
-        "walkthrough.json": walkthrough_run(),
-        "oscillation_compare.json": oscillation_compare_run(),
-    }
+    xs_values = [round(0.1 * k, 1) for k in range(1, 10)]
+    t_values = [0, 1, 2, 3, 5, 7, 10, 15, 20, 30]
+    sweeps = [(f"residency_vs_xs_t{t}", "x_s", xs_values, t, 0.2) for t in (0, 3, 10)]
+    sweeps += [(f"residency_vs_t_xs{round(x_s * 100):03d}", "t", t_values, 0, x_s) for x_s in (0.28, 0.12)]
+    documents = {"fig3.json": reference_topology_dict()}
+    documents.update((f"{sweep[0]}.json", threshold_sweep(*sweep)) for sweep in sweeps)
+    documents["walkthrough.json"] = walkthrough_run()
+    documents["oscillation_compare.json"] = oscillation_compare_run()
     written = []
     for name, doc in documents.items():
         path = out / name

@@ -10,8 +10,8 @@ lumps to ``2 * (t + 1)`` states: owner designated or not, counter
 chain without the lumping argument and exists purely as a cross-check.
 Both go through the one solver, :func:`_direct_stationary`, a dense float
 linear solve, so the brute force is independent in its state space but not
-in its arithmetic; the sympy and closed-form tests are the checks that are
-independent in their arithmetic.
+in its arithmetic; the exact rational and closed-form tests are the
+checks that are independent in their arithmetic.
 
 The fraction of accesses served at the designated site in steady state is
 the total stationary mass of the designated-owner states (state counters

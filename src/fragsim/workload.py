@@ -62,7 +62,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -126,6 +125,11 @@ class WorkloadSpec:
     renormalising the row. ``oscillation`` optionally swaps two sites'
     masses periodically. Every row needs mass on the active sites in each
     oscillation phase.
+
+    Validation leaves two attributes that are not fields: ``sites``, the
+    active sites in order, and ``tables``, one array per oscillation
+    phase whose row ``f`` is fragment ``f``'s cumulative mass over
+    ``sites``, the sampling table of :class:`EventStream`.
     """
 
     probs: np.ndarray
@@ -163,11 +167,15 @@ class WorkloadSpec:
             swap = list(range(n))
             swap[osc.site_a], swap[osc.site_b] = osc.site_b, osc.site_a
             phases.append(probs[:, swap])
-        sites = list(self.active if self.active is not None else range(n))
-        for table in phases:
-            empty = np.flatnonzero(table[:, sites].sum(axis=1) <= 0.0)
+        sites = np.array(self.active if self.active is not None else range(n))
+        # cumsum adds left to right, so each row is the running sum a per-site += gives
+        tables = [np.cumsum(table[:, sites], axis=1) for table in phases]
+        for table in tables:
+            empty = np.flatnonzero(table[:, -1] <= 0.0)
             if empty.size:
                 raise ValueError(f"fragment {empty[0]} has zero probability mass on the active sites")
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "tables", tables)
 
     @property
     def num_fragments(self) -> int:
@@ -197,8 +205,8 @@ class WorkloadSpec:
 class EventStream:
     """Access events for one run, drawn a block of trials at a time.
 
-    Sampling tables (cumulative masses over the active sites, one per
-    oscillation phase) are precomputed. :meth:`blocks` turns one
+    The sampling tables are the spec's ``tables``, cumulative masses
+    over the active sites, one per oscillation phase. :meth:`blocks` turns one
     ``getrandbits`` call per block into the doubles ``random()`` would
     have returned, lays them out into trials with array operations, and
     picks every requester with one ``searchsorted`` per table; see the
@@ -209,20 +217,6 @@ class EventStream:
         self.spec = spec
         self._rng = random.Random(spec.seed)
         self._emitted = np.zeros(spec.num_fragments, dtype=np.int64)
-        active = spec.active if spec.active is not None else tuple(range(spec.num_sites))
-        self._sites = np.array(active)
-        phases = 1 if spec.oscillation is None else 2
-        # _tables[f][phase] is the cumulative mass array over self._sites
-        self._tables: list[list[np.ndarray]] = []
-        for f in range(spec.num_fragments):
-            per_phase = []
-            for phase in range(phases):
-                vec = spec.probs[f].copy()
-                if phase == 1:
-                    osc = spec.oscillation
-                    vec[osc.site_a], vec[osc.site_b] = vec[osc.site_b], vec[osc.site_a]
-                per_phase.append(np.array(list(accumulate(float(vec[s]) for s in active))))
-            self._tables.append(per_phase)
 
     def _draws(self, count: int) -> np.ndarray:
         """The next ``count`` doubles ``random()`` would return, in order."""
@@ -282,10 +276,9 @@ class EventStream:
         for phase, (events, spans) in enumerate(phases):
             u = draws[events]
             picked = np.empty(u.size, dtype=np.intp)
-            for f, (start, end) in enumerate(zip(spans, spans[1:])):
-                cum = self._tables[f][phase]
+            for cum, start, end in zip(self.spec.tables[phase], spans, spans[1:]):
                 picked[start:end] = np.searchsorted(cum, u[start:end] * cum[-1], side="right")
-            requesters[events] = self._sites[picked]
+            requesters[events] = self.spec.sites[picked]
         return requesters
 
 

@@ -11,11 +11,11 @@ import pytest
 
 import reference_engine
 from fragsim import workload
-from fragsim.engine import DECISIONS_HEADER, SimConfig, SimMetrics, run, run_group
+from fragsim.engine import DECISIONS_HEADER, SimConfig, SimMetrics, _forward_fill, run, run_group
 from fragsim.fixtures import reference_topology
 from fragsim.policies import PolicySpec
 from fragsim.topology import build_topology, complete_topology
-from fragsim.workload import Oscillation, WorkloadSpec
+from fragsim.workload import Block, Oscillation, WorkloadSpec
 
 
 def threshold_config(**overrides):
@@ -262,6 +262,32 @@ class TestMigrationBlocking:
         # size 1 over one hop: the window closes before the next step
         (plain, _), (blocked, _) = self.blocking_pair(1.0, num_steps=10)
         assert plain.response_cost == blocked.response_cost
+
+
+class TestForwardFill:
+    """The one forward fill behind the owners and the transfer windows of a block."""
+
+    def block(self):
+        # events in access order belong to fragments 0 2 0 3 0 2; fragment 1 has none
+        fragments = np.array([0, 2, 0, 3, 0, 2], dtype=np.intp)
+        block = Block(np.arange(6), fragments, np.zeros(6, dtype=np.intp), 4)
+        assert block.by_fragment[0].tolist() == [0, 2, 4, 1, 5, 3]  # grouped positions 0-2, -, 3-4, 5
+        return block
+
+    def test_moves_set_the_values_of_later_events_and_after_the_block(self):
+        # fragment 0 moves at its first and its last event, 2 at its last, 3 at its only one
+        moves = np.array([0, 2, 4, 5], dtype=np.intp)
+        values = np.array([10, 11, 12, 13], dtype=np.int64)
+        carried = np.array([100, 101, 102, 103], dtype=np.int64)
+        filled, after = _forward_fill(self.block(), moves, values, carried)
+        assert filled.tolist() == [100, 102, 10, 103, 10, 102]
+        assert after.tolist() == [11, 101, 12, 13]
+
+    def test_no_moves_carry_every_value_through(self):
+        carried = [3, 1, 4, 1]
+        filled, after = _forward_fill(self.block(), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), carried)
+        assert filled.tolist() == [3, 4, 3, 1, 3, 4]
+        assert after.tolist() == carried
 
 
 class TestDeterminismAndConservation:

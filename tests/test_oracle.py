@@ -1,18 +1,18 @@
 """Steady-state model tests.
 
 Four independent routes keep the lumped chain honest: the brute-force
-full-state chain (different state space, same solver), an exact rational
-solve via sympy for one small case, the renewal closed form evaluated in
-``Fraction`` from the exact float inputs, and the frozen values below,
-which were produced by a standalone prototype before this module existed
-and double-checked against long direct simulations of the policy itself.
+full-state chain (different state space, same solver), an exact
+Gauss-Jordan solve in ``Fraction`` for one small case, the renewal
+closed form evaluated in ``Fraction`` from the exact float inputs, and
+the frozen values below, which were produced by a standalone prototype
+before this module existed and double-checked against long direct
+simulations of the policy itself.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +56,26 @@ def closed_form_os(n, x_s, t):
     e_d = expected_run(1 - x)
     e_o = expected_run(q) * q / x
     return e_d / (e_d + e_o)
+
+
+def exact_stationary(P):
+    """Stationary distribution of the stochastic matrix ``P``, exact in ``Fraction``.
+
+    Solves ``pi P = pi`` with ``sum(pi) == 1``, which replaces the last
+    balance equation, by Gauss-Jordan elimination.
+    """
+    k = len(P)
+    rows = [[Fraction(P[i][j]) - (i == j) for i in range(k)] + [Fraction(0)] for j in range(k - 1)]
+    rows.append([Fraction(1)] * (k + 1))
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(k):
+            factor = rows[r][c]
+            if r != c and factor != 0:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    return [row[-1] for row in rows]
 
 
 class TestChainParams:
@@ -162,28 +182,24 @@ class TestAgainstBruteForce:
 class TestExactRationalSolve:
     def test_n2_t1_against_sympy(self):
         # same chain, solved exactly over the rationals
-        x_s = sympy.Rational(7, 10)
+        x_s = Fraction(7, 10)
         x_d = 1 - x_s
         # states: (d,0) (d,1) (o,0) (o,1)
-        P = sympy.Matrix(
-            [
-                [x_s, x_d, 0, 0],
-                [x_s, 0, x_d, 0],
-                [0, 0, x_d, x_s],
-                [x_s, 0, x_d, 0],
-            ]
-        )
-        pi = sympy.symbols("a b c d", nonnegative=True)
-        eqs = list(sympy.Matrix([pi]) * P - sympy.Matrix([pi])) + [sum(pi) - 1]
-        sol = sympy.solve(eqs, pi, dict=True)[0]
-        exact = sol[pi[0]] + sol[pi[1]]
+        P = [
+            [x_s, x_d, 0, 0],
+            [x_s, 0, x_d, 0],
+            [0, 0, x_d, x_s],
+            [x_s, 0, x_d, 0],
+        ]
+        pi = exact_stationary(P)
+        exact = pi[0] + pi[1]
         got = threshold_stationary(ChainParams(2, 0.7, 1)).o_s
         assert got == pytest.approx(float(exact), abs=1e-12)
         assert float(exact) == pytest.approx(0.8063291139240232, abs=1e-12)
         # the closed form gives the same rational, and a slightly different
         # value from the float 0.7, which is not exactly 7/10
         form = closed_form_os(2, Fraction(7, 10), 1)
-        assert sympy.Rational(form.numerator, form.denominator) == exact
+        assert form == exact
         assert float(closed_form_os(2, 0.7, 1)) == 0.8063291139240506
 
     @pytest.mark.parametrize(

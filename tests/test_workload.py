@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -108,6 +109,38 @@ class TestWorkloadSpecValidation:
         assert spec.num_fragments == 3
         assert spec.num_sites == 5
         assert np.allclose(spec.probs[2], symmetric_spec(5, 0.28))
+
+
+class TestSamplingTables:
+    @given(
+        rows=st.lists(
+            st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=12, max_size=12).filter(any),
+            min_size=1,
+            max_size=3,
+        ),
+        active=st.one_of(st.none(), st.sets(st.integers(0, 11), min_size=1)),
+        oscillate=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tables_are_running_sums_left_to_right(self, rows, active, oscillate):
+        # With 12 sites, a pairwise sum of 9 or more masses takes another path than accumulate.
+        probs = np.array(rows)
+        probs /= probs.sum(axis=1, keepdims=True)
+        sites = sorted(active) if active is not None else list(range(12))
+        osc = Oscillation(1, 10, 5) if oscillate else None
+        phases = [probs] + ([probs[:, [0, 10, 2, 3, 4, 5, 6, 7, 8, 9, 1, 11]]] if oscillate else [])
+        try:
+            spec = WorkloadSpec(probs, active=None if active is None else tuple(active), oscillation=osc)
+        except ValueError as exc:
+            assert "zero probability mass on the active sites" in str(exc)
+            assert any(not table[:, sites].any(axis=1).all() for table in phases)
+            return
+        assert spec.sites.tolist() == sites
+        assert len(spec.tables) == len(phases)
+        for table, phase in zip(spec.tables, phases):
+            assert table.shape == (len(rows), len(sites))
+            for f in range(len(rows)):
+                assert table[f].tolist() == list(accumulate(float(phase[f, s]) for s in sites))
 
 
 class TestEventStream:
