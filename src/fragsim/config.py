@@ -117,14 +117,14 @@ def resolve_run(
     if not isinstance(out_doc, dict):
         raise ConfigError("config.output: must be an object")
     _check_keys(out_doc, "config.output", required=(), optional=("metrics", "decisions"))
-    metrics_name = _str_key(out_doc, "config.output", "metrics", default="metrics.csv")
-    decisions_name = _str_key(out_doc, "config.output", "decisions", default="decisions.csv")
+    metrics_name = _key(out_doc, "config.output", "metrics", str, "metrics.csv")
+    decisions_name = _key(out_doc, "config.output", "decisions", str, "decisions.csv")
     if os.path.normpath(metrics_name) == os.path.normpath(decisions_name):
         raise ConfigError(f"config.output: metrics and decisions name the same file {metrics_name!r}")
 
     topo = topology if topology is not None else _resolve_topology(doc["topology"], base_dir)
     sizes = _resolve_sizes(doc.get("fragments", {"count": 1, "size": 1.0}))
-    seed = seed_override if seed_override is not None else _int_key(doc, ctx, "seed", default=0)
+    seed = seed_override if seed_override is not None else _key(doc, ctx, "seed", int, 0)
     workload, x_s_label, hot = _resolve_workload(doc["workload"], len(sizes), topo.n, seed)
     sim = SimConfig(
         topology=topo,
@@ -132,10 +132,10 @@ def resolve_run(
         initial_owners=_resolve_owners(doc.get("initial_owners", 0), len(sizes)),
         policy=policy_override if policy_override is not None else _resolve_policy(doc["policy"]),
         workload=workload,
-        num_steps=_int_key(doc, ctx, "num_steps"),
-        designated=_int_key(doc, ctx, "designated", default=hot),
-        per_hop_latency=_num_key(doc, ctx, "per_hop_latency", default=1.0),
-        migration_blocking=_bool_key(doc, ctx, "migration_blocking", default=False),
+        num_steps=_key(doc, ctx, "num_steps", int),
+        designated=_key(doc, ctx, "designated", int, hot),
+        per_hop_latency=_key(doc, ctx, "per_hop_latency", float, 1.0),
+        migration_blocking=_key(doc, ctx, "migration_blocking", bool, False),
     )
     try:
         sim.validate()
@@ -157,7 +157,7 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
     if not isinstance(sweep_doc, dict):
         raise ConfigError("config.sweep: must be an object")
     _check_keys(sweep_doc, "config.sweep", required=("axis", "values"), optional=("replications",))
-    axis = _str_key(sweep_doc, "config.sweep", "axis")
+    axis = _key(sweep_doc, "config.sweep", "axis", str)
     if axis not in SWEEP_AXES:
         raise ConfigError(f"config.sweep.axis: unknown axis {axis!r}, expected one of {', '.join(SWEEP_AXES)}")
     values = sweep_doc["values"]
@@ -166,10 +166,10 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ConfigError(f"config.sweep.values: {repeated[0]!r} appears more than once, values must be distinct")
-    replications = _int_key(sweep_doc, "config.sweep", "replications", default=1, lo=1)
+    replications = _key(sweep_doc, "config.sweep", "replications", int, 1, lo=1)
 
     base = {k: v for k, v in doc.items() if k != "sweep"}
-    base_seed = seed_override if seed_override is not None else _int_key(base, "config", "seed", default=0)
+    base_seed = seed_override if seed_override is not None else _key(base, "config", "seed", int, 0)
 
     # No axis varies the topology: resolve it once and share it across the cells.
     topology = None
@@ -229,15 +229,15 @@ def _resolve_sizes(block) -> list:
     if not isinstance(block, dict):
         raise ConfigError(f"{ctx}: must be an object")
     _check_keys(block, ctx, required=("count",), optional=("size", "sizes"))
-    count = _int_key(block, ctx, "count", lo=1)
+    count = _key(block, ctx, "count", int, lo=1)
     if "sizes" in block:
         if "size" in block:
             raise ConfigError(f"{ctx}: give either 'size' or 'sizes', not both")
         sizes = block["sizes"]
         if not isinstance(sizes, list) or len(sizes) != count:
             raise ConfigError(f"{ctx}.sizes: must be a list of length {count}")
-        return [_as_num(s, f"{ctx}.sizes") for s in sizes]
-    return [_num_key(block, ctx, "size", default=1.0)] * count
+        return [_entry(s, f"{ctx}.sizes", float) for s in sizes]
+    return [_key(block, ctx, "size", float, 1.0)] * count
 
 
 def _resolve_owners(block, count: int) -> list:
@@ -247,30 +247,28 @@ def _resolve_owners(block, count: int) -> list:
     return owners
 
 
-# The keys each policy's config block may carry besides ``name``. Only their
-# JSON types are read here; PolicySpec and FnaParams check the values.
+# The keys each policy's config block may carry besides ``name``, by kind;
+# ``t`` and ``counter_cap`` may also be null. Only their JSON types are read
+# here; PolicySpec and FnaParams check the values.
 _POLICY_KEYS = {
-    "optimal": ("counter_cap",),
-    "threshold": ("t",),
-    "nna": ("trigger", "t", "counter_cap"),
-    "fna": ("window", "decay", "history", "inhibition_cutoff", "min_gap"),
+    "optimal": {"counter_cap": int},
+    "threshold": {"t": int},
+    "nna": {"trigger": str, "t": int, "counter_cap": int},
+    "fna": {"window": int, "decay": float, "history": int, "inhibition_cutoff": float, "min_gap": float},
 }
-
-
-def _read_policy_key(block: dict, ctx: str, key: str):
-    if block[key] is None and key in ("t", "counter_cap"):
-        return None
-    if key in ("t", "counter_cap", "window", "history"):
-        return _int_key(block, ctx, key)
-    return _str_key(block, ctx, key) if key == "trigger" else _num_key(block, ctx, key)
 
 
 def _resolve_policy(block, ctx: str = "config.policy") -> PolicySpec:
     if not isinstance(block, dict):
         raise ConfigError(f"{ctx}: must be an object")
-    name = _str_key(block, ctx, "name")
-    _check_keys(block, ctx, required=("name",), optional=_POLICY_KEYS.get(name, ()))
-    params = {key: _read_policy_key(block, ctx, key) for key in block if key != "name"}
+    name = _key(block, ctx, "name", str)
+    kinds = _POLICY_KEYS.get(name, {})
+    _check_keys(block, ctx, required=("name",), optional=kinds)
+    params = {
+        key: None if value is None and key in ("t", "counter_cap") else _key(block, ctx, key, kinds[key])
+        for key, value in block.items()
+        if key != "name"
+    }
     try:
         if name == "fna":
             return PolicySpec(name, fna=FnaParams(**params))
@@ -286,7 +284,7 @@ def _resolve_workload(block, count: int, n: int, seed: int):
     _check_keys(block, ctx, required=(), optional=("x_s", "hot", "probs", "rate", "active", "oscillation"))
     if ("x_s" in block) == ("probs" in block):
         raise ConfigError(f"{ctx}: give exactly one of 'x_s' or 'probs'")
-    rate = _num_key(block, ctx, "rate", default=1.0)
+    rate = _key(block, ctx, "rate", float, 1.0)
 
     active = None
     if "active" in block:
@@ -301,12 +299,12 @@ def _resolve_workload(block, count: int, n: int, seed: int):
         if not isinstance(block["oscillation"], dict):
             raise ConfigError(f"{octx}: must be an object")
         _check_keys(block["oscillation"], octx, required=("site_a", "site_b", "period"), optional=())
-        osc = [_int_key(block["oscillation"], octx, key) for key in ("site_a", "site_b", "period")]
+        osc = [_key(block["oscillation"], octx, key, int) for key in ("site_a", "site_b", "period")]
 
     x_s, hot = None, 0
     if "x_s" in block:
-        x_s = _num_key(block, ctx, "x_s")
-        hot = _int_key(block, ctx, "hot", default=0)
+        x_s = _key(block, ctx, "x_s", float)
+        hot = _key(block, ctx, "hot", int, 0)
     else:
         if "hot" in block:
             raise ConfigError(f"{ctx}.hot: only valid with the x_s form")
@@ -314,7 +312,7 @@ def _resolve_workload(block, count: int, n: int, seed: int):
             raise ConfigError(f"{ctx}.probs: must be a list of rows")
         for row in block["probs"]:
             for entry in row if isinstance(row, list) else [row]:
-                _as_num(entry, f"{ctx}.probs")
+                _entry(entry, f"{ctx}.probs", float)
         try:
             probs = np.asarray(block["probs"], dtype=float)
         except ValueError:
@@ -378,7 +376,7 @@ def _object_block(doc: dict, key: str, default: Optional[dict] = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Small typed accessors; every message names the key
+# Typed readers; every message names the key
 
 
 def _check_keys(obj: dict, ctx: str, required, optional) -> None:
@@ -391,43 +389,27 @@ def _check_keys(obj: dict, ctx: str, required, optional) -> None:
 
 
 _MISSING = object()
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
-def _int_key(obj: dict, ctx: str, key: str, default=_MISSING, lo=None) -> int:
+def _key(obj: dict, ctx: str, key: str, kind: type, default=_MISSING, lo=None):
+    """``obj[key]``, or ``default`` when it is missing, read as ``kind`` (see :func:`_entry`) and at least ``lo``."""
     value = obj.get(key, default)
     if value is _MISSING:
         raise ConfigError(f"{ctx}: missing required key {key!r}")
-    if value is None or isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{ctx}.{key}: must be an integer, got {value!r}")
+    value = _entry(value, f"{ctx}.{key}", kind)
     if lo is not None and value < lo:
         raise ConfigError(f"{ctx}.{key}: must be >= {lo}, got {value}")
     return value
 
 
-def _num_key(obj: dict, ctx: str, key: str, default=_MISSING) -> float:
-    value = obj.get(key, default)
-    if value is _MISSING:
-        raise ConfigError(f"{ctx}: missing required key {key!r}")
-    return _as_num(value, f"{ctx}.{key}")
+def _entry(value, where: str, kind: type):
+    """``value`` if it is a JSON ``kind``; a number comes back as a float.
 
-
-def _as_num(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: must be a number, got {value!r}")
-    return float(value)
-
-
-def _bool_key(obj: dict, ctx: str, key: str, default=False) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{ctx}.{key}: must be true or false, got {value!r}")
-    return value
-
-
-def _str_key(obj: dict, ctx: str, key: str, default=_MISSING):
-    value = obj.get(key, default)
-    if value is _MISSING:
-        raise ConfigError(f"{ctx}: missing required key {key!r}")
-    if not isinstance(value, str):
-        raise ConfigError(f"{ctx}.{key}: must be a string, got {value!r}")
-    return value
+    ``kind`` is ``int``, ``float`` (any number), ``bool`` or ``str``; a bool
+    is none of the others.
+    """
+    types = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise ConfigError(f"{where}: must be {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value

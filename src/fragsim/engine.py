@@ -3,7 +3,8 @@
 Per step, every fragment gets one chance to emit an access. For each
 event the engine samples residency at the current owner (before the
 policy reacts), charges a round-trip response cost, lets the policy
-decide on a migration, and applies any move to its ``owners`` list.
+decide on a migration, and applies any move to its ``owners`` list,
+which it alone writes.
 
 Costs:
 
@@ -18,21 +19,20 @@ Costs:
 Accounting per block: the engine takes each
 :class:`~fragsim.workload.Block` of events from
 :meth:`~fragsim.workload.EventStream.blocks` and hands it to the policy's
-``decide_block`` (see :mod:`~fragsim.policies`), which applies the
-block's moves to ``owners`` and returns them, in the block's grouped
-positions, with a reason code per event. Every policy decides the block
-with array operations. One forward fill, :func:`_forward_fill`, gives
-each event the value its fragment's latest earlier move set, or the
-value carried into the block, and each fragment's value after the
-block. It fills the owners, from which :func:`_owners_from_moves` also
-puts the moves in access order, and under blocking the transfer windows'
-ends, carried from block to block in ``in_flight_until``. Apart from
-writing the decision log, the engine has no per-access Python loop:
-``np.bincount`` of the owners adds to the residency counts, and the
-response and migration costs are computed as arrays. An access's
-response cost is read from a table of ``(2.0 * distance) * latency`` by
-requester and owner, made once per run. Each array of costs is added to its
-running total by seeding its first term in place (``costs[0] +=
+``decide_block`` (see :mod:`~fragsim.policies`), which reads ``owners``
+and returns the block's moves, in its grouped positions, with a reason
+code per event. Every policy decides the block with array operations.
+One forward fill, :func:`_forward_fill`, gives each event the value its
+fragment's latest earlier move set, or the value carried into the
+block, and each fragment's value after the block. It fills each event's
+owner and the ``owners`` carried into the next block, and under
+blocking the transfer windows' ends, carried from block to block in
+``in_flight_until``. Apart from writing the decision log, the engine
+has no per-access Python loop: ``np.bincount`` of the owners adds to
+the residency counts, and the response and migration costs are computed
+as arrays. An access's response cost is read from a table of ``(2.0 *
+distance) * latency`` by requester and owner, made once per run. Each
+array of costs is added to its running total by seeding its first term in place (``costs[0] +=
 total``) and taking ``np.cumsum``. ``cumsum`` adds strictly left to
 right, so each total is the one a per-access or per-move ``+=`` gives,
 bit for bit; ``np.sum`` adds pairwise and would not be.
@@ -212,7 +212,7 @@ class _PolicyRun:
     def __init__(self, cfg: SimConfig, write):
         topo = cfg.topology
         self.cfg = cfg
-        self.policy = build_policy(cfg.policy, len(cfg.sizes), topo.n, topo.next_hop_matrix.tolist())
+        self.policy = build_policy(cfg.policy, len(cfg.sizes), topo.next_hop_matrix.tolist())
         self.sizes = np.array(cfg.sizes, dtype=float)
         self.owners = list(cfg.initial_owners)
         self.in_flight_until = np.zeros(len(cfg.sizes), dtype=np.int64)  # each fragment's transfer window end
@@ -233,9 +233,12 @@ class _PolicyRun:
         n = cfg.topology.n
         latency = cfg.per_hop_latency
         steps, fragments, requesters = block.steps, block.fragments, block.requesters
-        carried = list(self.owners)
         grouped, dests, codes, inhibitions = self.policy.decide_block(block, self.owners)
-        owner_at, moves, dests = _owners_from_moves(block, carried, grouped, dests)
+        owner_at, after = _forward_fill(block, grouped, dests, self.owners)
+        self.owners = after.tolist()
+        at = block.by_fragment[0][grouped]
+        by_access = np.argsort(at)  # the moves in access order, the order their costs add up in
+        moves, dests = at[by_access], dests[by_access]
         if self.log is not None:
             self.log(block, owner_at, moves, dests, codes, inhibitions)
         self.residency += np.bincount(owner_at, minlength=n)
@@ -275,19 +278,6 @@ def _running_sum(total: float, terms: np.ndarray) -> float:
         return total
     terms[0] += total
     return float(np.cumsum(terms)[-1])
-
-
-def _owners_from_moves(block, carried, moves, dests):
-    """``(owner_at, moves, dests)`` in access order, from a block's moves in grouped positions.
-
-    ``moves`` are grouped positions of :attr:`~fragsim.workload.Block.by_fragment`
-    in ascending order, ``dests`` their destinations and ``carried`` each
-    fragment's owner at the start of the block; see :func:`_forward_fill`.
-    """
-    owner_at, _ = _forward_fill(block, moves, dests, carried)
-    at = block.by_fragment[0][moves]
-    by_access = np.argsort(at)
-    return owner_at, at[by_access], dests[by_access]
 
 
 def _forward_fill(block, moves, values, carried):

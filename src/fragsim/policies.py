@@ -39,10 +39,11 @@ works in the block's grouped positions, those of
 :attr:`~fragsim.workload.Block.by_fragment`, where each fragment's events
 are contiguous:
 
-* it applies the block's moves to ``owners``, the list of each
-  fragment's current site, and does the policy's own move bookkeeping
-  (``threshold`` clears its count, ``nna`` its remote-since-move count,
-  ``fna`` records the destination in its history);
+* it reads ``owners``, the list of each fragment's site at the start of
+  the block, and never writes it: the engine alone keeps the owners. It
+  does the policy's own move bookkeeping (``threshold`` clears its
+  count, ``nna`` its remote-since-move count, ``fna`` records the
+  destination in its history);
 * it returns ``(moves, dests, codes, inhibitions)``: the grouped
   positions of the moving events in ascending order and their
   destinations; one code per grouped event, an index into the policy's
@@ -54,9 +55,10 @@ are contiguous:
 Each policy decides a whole block with array operations, ``threshold``
 from the block's index and the others from its grouping by fragment,
 which every policy handed the block shares. The engine finds each
-event's owner from the moves and tags every local access ``local``
-itself (:mod:`~fragsim.engine`), so no ``reasons`` tuple holds it and the
-code a policy gives a local access is never read.
+event's owner, and each fragment's owner after the block, from the
+moves, and tags every local access ``local`` itself
+(:mod:`~fragsim.engine`), so no ``reasons`` tuple holds it and the code
+a policy gives a local access is never read.
 
 The policy classes trust their arguments; :class:`PolicySpec` checks them.
 
@@ -135,7 +137,7 @@ class ThresholdPolicy:
                 moves.append(j)
                 j = chain[j]
             if len(moves) > before:
-                owner = owners[f] = r[moves[-1]]
+                owner = r[moves[-1]]
             q = last[f * width + owner] if owner < width else -1
             counts[f] = end - 1 - q if q >= start else counts[f] + end - start
 
@@ -237,7 +239,6 @@ class NnaPolicy:
                 owner = next_hop[owner][target[k]]
                 dests.append(owner)
                 j, count = k + 1, 0
-            owners[f] = owner
             if remote is not None:
                 since[f] = count + int(remote[owner, end] - remote[owner, j])
 
@@ -453,7 +454,7 @@ class FnaPolicy:
                 outcomes.append(inhibited)
             else:
                 outcomes.append(target)
-                owner = owners[f] = next_hop[owner][target]
+                owner = next_hop[owner][target]
                 history.append(owner)
                 alternation = alternation_score(history)
                 moves.append(j)
@@ -504,10 +505,10 @@ class PolicySpec:
             raise ValueError(f"fna: only fna takes fna parameters, not {name}")
 
 
-def build_policy(spec: PolicySpec, num_fragments: int, num_sites: int, next_hop: list[list[SiteId]]):
-    """Instantiate the policy ``spec`` names; ``next_hop`` is the routing table as lists."""
+def build_policy(spec: PolicySpec, num_fragments: int, next_hop: list[list[SiteId]]):
+    """Instantiate the policy ``spec`` names; ``next_hop`` is the routing table as lists, one per site."""
     if spec.name == "optimal":
-        return OptimalPolicy(num_fragments, num_sites, counter_cap=spec.counter_cap)
+        return OptimalPolicy(num_fragments, len(next_hop), counter_cap=spec.counter_cap)
     if spec.name == "threshold":
         return ThresholdPolicy(num_fragments, spec.t)
     if spec.name == "nna":

@@ -32,13 +32,6 @@ class TopologyError(Exception):
     """A topology that cannot be built: bad document, link or graph."""
 
 
-@dataclass(frozen=True)
-class Link:
-    a: SiteId
-    b: SiteId
-    weight: float = 1.0
-
-
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Immutable undirected site graph with all-pairs routing tables.
@@ -48,14 +41,14 @@ class Topology:
     ``source`` on a shortest path to ``target``, with -1 on the diagonal;
     ties between equal-cost shortest paths are broken toward the
     lowest-numbered neighbour, so routing is deterministic. Both arrays
-    are read-only.
+    are read-only. ``links`` holds one ``(a, b, weight)`` tuple per link.
 
     Use :func:`build_topology` or :func:`load_topology` to construct one;
     the constructor itself assumes already-validated inputs.
     """
 
     n: int
-    links: tuple[Link, ...]
+    links: tuple[tuple[SiteId, SiteId, float], ...]
     distance_matrix: np.ndarray
     next_hop_matrix: np.ndarray
 
@@ -67,8 +60,8 @@ def build_topology(n: int, links) -> Topology:
     """Validate ``links`` over ``n`` sites and precompute routing tables.
 
     The one link check for JSON documents and Python callers alike; it
-    coerces nothing. ``links`` is a list or tuple of ``Link`` objects or
-    ``[a, b]`` / ``[a, b, weight]`` lists or tuples, with int site ids in
+    coerces nothing. ``links`` is a list or tuple of ``[a, b]`` /
+    ``[a, b, weight]`` lists or tuples, with int site ids in
     ``0..n-1`` and positive, finite int or float weights (bools are
     neither). A :class:`TopologyError` naming
     ``topology.links[i]`` or ``topology.links[i][j]`` reports any other
@@ -80,14 +73,13 @@ def build_topology(n: int, links) -> Topology:
     if not isinstance(links, (list, tuple)):
         raise TopologyError("topology.links: must be a list")
 
-    norm: list[Link] = []
+    norm: list[tuple[SiteId, SiteId, float]] = []
     seen: set[tuple[int, int]] = set()
     for i, raw in enumerate(links):
         where = f"topology.links[{i}]"
-        parts = (raw.a, raw.b, raw.weight) if isinstance(raw, Link) else raw
-        if not isinstance(parts, (list, tuple)) or len(parts) not in (2, 3):
+        if not isinstance(raw, (list, tuple)) or len(raw) not in (2, 3):
             raise TopologyError(f"{where}: must be [a, b] or [a, b, weight], got {raw!r}")
-        a, b, w = parts if len(parts) == 3 else (*parts, 1.0)
+        a, b, w = raw if len(raw) == 3 else (*raw, 1.0)
         for j, site in enumerate((a, b)):
             if isinstance(site, bool) or not isinstance(site, int):
                 raise TopologyError(f"{where}[{j}]: must be an integer, got {site!r}")
@@ -103,13 +95,13 @@ def build_topology(n: int, links) -> Topology:
         if key in seen:
             raise TopologyError(f"{where}: link ({a}, {b}) appears more than once")
         seen.add(key)
-        norm.append(Link(a, b, w))
+        norm.append((a, b, w))
 
     # adjacency[s]: (neighbour, weight) pairs sorted by neighbour id
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for ln in norm:
-        adjacency[ln.a].append((ln.b, ln.weight))
-        adjacency[ln.b].append((ln.a, ln.weight))
+    for a, b, w in norm:
+        adjacency[a].append((b, w))
+        adjacency[b].append((a, w))
     for pairs in adjacency:
         pairs.sort()
     dist = _all_pairs_distances(adjacency)
@@ -183,13 +175,12 @@ def _reject_constant(name: str):
 def read_json_object(path, error: type[Exception], what: str) -> dict:
     """Parse the JSON object in ``path``, raising ``error`` if it is not one.
 
-    ``NaN`` and ``Infinity``, which Python's reader accepts but RFC 8259
-    does not, are rejected as invalid JSON. I/O errors propagate as
-    OSError.
+    Text that is not UTF-8, and ``NaN`` and ``Infinity``, which Python's
+    reader accepts but RFC 8259 does not, are rejected as invalid JSON.
+    I/O errors propagate as OSError.
     """
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except ValueError as exc:
         raise error(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):

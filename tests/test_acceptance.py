@@ -18,7 +18,7 @@ import numpy as np
 
 from fragsim.cli import main
 from fragsim.config import resolve_run
-from fragsim.engine import SimConfig, run
+from fragsim.engine import SimConfig, _forward_fill, run
 from fragsim.fixtures import reference_topology, site_name, write_fixtures
 from fragsim.oracle import ChainParams, brute_force_stationary, threshold_stationary
 from fragsim.policies import PolicySpec, build_policy
@@ -160,7 +160,7 @@ def test_06_optimal_owner_holds_counter_row_max():
     for _ in range(10):
         n = rng.randint(3, 8)
         topo, _ = _random_connected_topology(rng, n)
-        policy = build_policy(PolicySpec("optimal"), 1, n, topo.next_hop_matrix.tolist())
+        policy = build_policy(PolicySpec("optimal"), 1, topo.next_hop_matrix.tolist())
         owner = rng.randrange(n)
         owners = [owner]
         shadow = [0] * n
@@ -174,7 +174,9 @@ def test_06_optimal_owner_holds_counter_row_max():
         for first in range(0, len(trace), 4096):
             requesters = np.array(trace[first : first + 4096])
             steps = np.arange(first, first + requesters.size)
-            at, dests, _, _ = policy.decide_block(Block(steps, np.zeros_like(steps), requesters, 1), owners)
+            block = Block(steps, np.zeros_like(steps), requesters, 1)
+            at, dests, _, _ = policy.decide_block(block, owners)
+            owners = _forward_fill(block, at, dests, owners)[1].tolist()
             block_dests = [-1] * requesters.size
             for i, dest in zip(at.tolist(), dests.tolist()):
                 block_dests[i] = dest

@@ -188,6 +188,21 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"n": 2}')
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "internal error" not in err
+
+    def test_topology_that_is_not_utf8_is_not_json(self, tmp_path, capsys):
+        (tmp_path / "topo.json").write_bytes(b'\xff\xfe{"n": 2, "links": [[0, 1]]}')
+        cfg = write_json(tmp_path / "run.json", base_run_doc(topology="topo.json", workload={"x_s": 0.5}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "internal error" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 3
 

@@ -127,7 +127,7 @@ class TestKnownPoints:
         assert threshold_stationary(ChainParams(n, x_s, t)).o_s <= 1.0
 
     @given(n=st.integers(2, 9), x_s=st.floats(0.0, 1.0), t=st.integers(0, 60))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_os_is_a_probability(self, n, x_s, t):
         assert 0.0 <= threshold_stationary(ChainParams(n, x_s, t)).o_s <= 1.0
 
@@ -231,7 +231,7 @@ class TestSolverInternals:
         x_s=st.floats(0.0, 1.0),
         t=st.integers(0, 12),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_stationary_vector_is_a_fixed_point(self, n, x_s, t):
         P = _lumped_matrix(ChainParams(n, x_s, t))
         before = P.copy()

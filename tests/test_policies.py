@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import reference_engine
 from fragsim.cli import main
 from fragsim.config import parse_policy_token, resolve_run
-from fragsim.engine import SimConfig, _owners_from_moves, run
+from fragsim.engine import SimConfig, _forward_fill, run
 from fragsim.fixtures import reference_topology
 from fragsim.policies import (
     FnaParams,
@@ -40,19 +40,23 @@ def hops(topo):
 def decide(policy, owners, fragments, requesters):
     """``decide_block`` on one block, read as the engine reads it.
 
-    The engine copies the carried owners, finds each event's owner from
-    the moves and tags every local access ``local``. Returns per access
-    (owner before, dest or -1, reason, inhibition), the inhibition
-    ``None`` where no evaluation ran.
+    The engine finds each event's owner, and each fragment's owner after
+    the block, from the moves with one forward fill, and tags every local
+    access ``local``. The owners after the block replace ``owners``, as
+    in the engine. Returns per access (owner before, dest or -1, reason,
+    inhibition), the inhibition ``None`` where no evaluation ran.
     """
     fragments = np.array(fragments, dtype=np.intp)
     block = Block(np.arange(fragments.size), fragments, np.array(requesters, dtype=np.intp), len(owners))
     carried = list(owners)
     moves, dests, codes, inhibitions = policy.decide_block(block, owners)
+    assert owners == carried, "decide_block only reads owners"
     assert (inhibitions is None) == (policy.name != "fna")
-    owner_at, moves, dests = _owners_from_moves(block, carried, moves, dests)
-    assert not np.any(owner_at[moves] == dests), "a move never targets the current owner"
+    owner_at, after = _forward_fill(block, moves, dests, owners)
+    owners[:] = after.tolist()
     order = block.by_fragment[0]
+    moves = order[moves]  # in access positions
+    assert not np.any(owner_at[moves] == dests), "a move never targets the current owner"
     reasons = policy.reasons + ("local",)
     code_at = np.empty_like(codes)
     code_at[order] = codes
@@ -119,7 +123,7 @@ class TestOptimal:
         num_sites=st.integers(2, 5),
         requesters=st.lists(st.integers(0, 4), min_size=1, max_size=120),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_owner_counter_is_weak_row_max(self, num_sites, requesters):
         # one block per access, so the counters can be read after each event
         requesters = [r % num_sites for r in requesters]
@@ -189,7 +193,7 @@ class TestThreshold:
         t=st.integers(0, 4),
         requesters=st.lists(st.integers(0, 3), min_size=1, max_size=150),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_counter_stays_within_bounds_and_t0_tracks_last_requester(self, t, requesters):
         # one block per access, so the count is carried from block to block
         policy = ThresholdPolicy(1, t=t)
@@ -351,10 +355,10 @@ class TestNna:
     @given(
         requesters=st.lists(st.integers(0, 8), min_size=1, max_size=200),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_every_move_is_one_hop_toward_the_argmax(self, requesters):
         topo = reference_topology()
-        links = {(ln.a, ln.b) for ln in topo.links} | {(ln.b, ln.a) for ln in topo.links}
+        links = {(a, b) for a, b, _ in topo.links} | {(b, a) for a, b, _ in topo.links}
         policy = NnaPolicy(1, hops(topo))
         owner = 0
         for requester in requesters:  # one block per access, so the counters can be read after each event
@@ -395,7 +399,7 @@ class TestFuzzyPieces:
         assert oscillation_inhibition(0.3, 1.0) == pytest.approx(0.6)
 
     @given(x=st.floats(0, 1), y=st.floats(0, 1))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_inhibition_bounded_and_monotone_pieces(self, x, y):
         value = oscillation_inhibition(x, y)
         assert 0.0 <= value <= 1.0
@@ -585,7 +589,7 @@ class TestFnaExactness:
         shape=st.tuples(st.integers(1, 3), st.sampled_from([1, 8, 9, 16, 128, 129, 300]) | st.integers(1, 300)),
         data=st.data(),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_row_sums_are_each_rows_np_sum(self, shape, data):
         table = data.draw(arrays(np.float64, shape, elements=st.floats(0.0, 1e6), fill=st.nothing()))
         picked = table[np.arange(shape[0])[::-1]]  # rows gathered by fancy indexing, as the rule takes them
@@ -594,7 +598,7 @@ class TestFnaExactness:
             assert array.sum(axis=1).tobytes() == expected.tobytes()
 
     @given(st.lists(SCORES, min_size=1, max_size=50))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_times_one_plus_zero_leave_a_score_unchanged(self, scores):
         scores += [0.0, 5e-324, 2.2250738585072009e-308, 1.0, 1e308]  # +0.0, the least and greatest subnormals
         v = np.array(scores)
@@ -625,7 +629,7 @@ class TestDecideBlockContract:
         topo = reference_topology()
         rng = np.random.default_rng(11)
         num_fragments = 4
-        policy = build_policy(spec, num_fragments, topo.n, hops(topo))
+        policy = build_policy(spec, num_fragments, hops(topo))
         owners = rng.integers(0, topo.n, num_fragments).tolist()
         moved = 0
         for size in (300, 1, 0, 500, 200, 401):
@@ -635,42 +639,45 @@ class TestDecideBlockContract:
             block = Block(np.arange(size), fragments, requesters, num_fragments)
             carried = list(owners)
             moves, dests, codes, _ = policy.decide_block(block, owners)
+            assert owners == carried, "decide_block leaves owners as it found them"
             assert codes.shape == (size,)
             assert np.all((0 <= codes) & (codes < len(policy.reasons)))
             assert np.all(np.diff(moves) > 0), "moves strictly ascend"
             order, bounds = block.by_fragment
-            owner_at, at, _ = _owners_from_moves(block, carried, moves, dests)
+            owner_at, after = _forward_fill(block, moves, dests, owners)
+            at = order[moves]
             assert not np.any(requesters[at] == owner_at[at]), "no move falls on a local access"
             moving = np.searchsorted(bounds, moves, side="right") - 1  # each move's fragment
             for f in range(num_fragments):
                 mine = dests[moving == f]
-                assert owners[f] == (mine[-1] if mine.size else carried[f])
+                assert after[f] == (mine[-1] if mine.size else carried[f])
+            owners = after.tolist()
             moved += moves.size
         assert moved > 0
 
     def test_no_reason_table_holds_local(self):
         table = hops(reference_topology())
         for spec in (PolicySpec("optimal"), PolicySpec("threshold", t=0), PolicySpec("nna"), PolicySpec("fna")):
-            assert "local" not in build_policy(spec, 1, 9, table).reasons
+            assert "local" not in build_policy(spec, 1, table).reasons
 
 
 class TestBuildPolicy:
     def test_builds_each_kind(self):
         table = hops(complete_topology(3))
-        assert isinstance(build_policy(PolicySpec("optimal"), 1, 3, table), OptimalPolicy)
-        assert isinstance(build_policy(PolicySpec("threshold", t=2), 1, 3, table), ThresholdPolicy)
-        nna = build_policy(PolicySpec("nna"), 1, 3, table)
+        assert isinstance(build_policy(PolicySpec("optimal"), 1, table), OptimalPolicy)
+        assert isinstance(build_policy(PolicySpec("threshold", t=2), 1, table), ThresholdPolicy)
+        nna = build_policy(PolicySpec("nna"), 1, table)
         assert isinstance(nna, NnaPolicy) and nna.next_hop is table
-        fna = build_policy(PolicySpec("fna"), 1, 3, table)
+        fna = build_policy(PolicySpec("fna"), 1, table)
         assert isinstance(fna, FnaPolicy) and fna.next_hop is table
 
     def test_threshold_needs_t(self):
         with pytest.raises(ValueError):
-            build_policy(PolicySpec("threshold"), 1, 3, hops(complete_topology(3)))
+            build_policy(PolicySpec("threshold"), 1, hops(complete_topology(3)))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            build_policy(PolicySpec("greedy"), 1, 3, hops(complete_topology(3)))
+            build_policy(PolicySpec("greedy"), 1, hops(complete_topology(3)))
 
 
 class TestPolicySpec:

@@ -121,7 +121,7 @@ class TestSamplingTables:
         active=st.one_of(st.none(), st.sets(st.integers(0, 11), min_size=1)),
         oscillate=st.booleans(),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_tables_are_running_sums_left_to_right(self, rows, active, oscillate):
         # With 12 sites, a pairwise sum of 9 or more masses takes another path than accumulate.
         probs = np.array(rows)
@@ -244,7 +244,7 @@ class TestEventStream:
         assert events == list(reference_engine.events(spec, 400))
 
     @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_streams_are_reproducible_for_any_seed(self, seed):
         spec = WorkloadSpec.symmetric(1, 4, 0.4, rate=0.7, seed=seed)
         assert draw_events(spec, 300) == draw_events(spec, 300)
@@ -255,7 +255,7 @@ class TestBlockIndex:
         num_fragments=st.integers(1, 4),
         events=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)), max_size=60),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_matches_a_scan(self, num_fragments, events):
         fragments = [f % num_fragments for f, _ in events]
         requesters = [r for _, r in events]
