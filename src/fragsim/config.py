@@ -18,8 +18,12 @@ a :class:`ConfigError` prefixed with the block's name:
   :class:`~fragsim.workload.Oscillation` for its sites and period;
 * policy parameters: :class:`~fragsim.policies.PolicySpec` and
   :class:`~fragsim.policies.FnaParams`;
-* links and weights: :func:`~fragsim.topology.build_topology`, whose
-  :class:`~fragsim.topology.TopologyError` is left as it is (exit 3).
+* links, weights and the site count: :func:`~fragsim.topology.build_topology`,
+  whose :class:`~fragsim.topology.TopologyError` is left as it is (exit 3).
+
+Two bounds are kept here, because they must hold before anything is
+built: ``fragments.count`` (``MAX_FRAGMENTS``) and a sweep's values
+times replications (``MAX_SWEEP_CELLS``).
 
 ``NaN`` and ``Infinity`` are not JSON numbers and fail as invalid JSON.
 
@@ -66,6 +70,12 @@ from .workload import Oscillation, WorkloadSpec, symmetric_spec
 import numpy as np
 
 SWEEP_AXES = ("x_s", "t", "fragment_size", "rate", "active_count")
+
+# Checked before anything is built. MAX_FRAGMENTS with topology.MAX_SITES bounds
+# the (fragments x sites) state of nna and fna at 500 000 entries, 4 MB an array;
+# MAX_SWEEP_CELLS bounds the runs a sweep resolves before the first one starts.
+MAX_FRAGMENTS = 1000
+MAX_SWEEP_CELLS = 1000
 
 
 class ConfigError(ValueError):
@@ -163,10 +173,14 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
     values = sweep_doc["values"]
     if not isinstance(values, list) or not values:
         raise ConfigError("config.sweep.values: must be a non-empty list")
+    replications = _key(sweep_doc, "config.sweep", "replications", int, 1, lo=1)
+    if len(values) * replications > MAX_SWEEP_CELLS:
+        raise ConfigError(
+            f"config.sweep: {len(values)} values times {replications} replications exceed {MAX_SWEEP_CELLS} cells"
+        )
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ConfigError(f"config.sweep.values: {repeated[0]!r} appears more than once, values must be distinct")
-    replications = _key(sweep_doc, "config.sweep", "replications", int, 1, lo=1)
 
     base = {k: v for k, v in doc.items() if k != "sweep"}
     base_seed = seed_override if seed_override is not None else _key(base, "config", "seed", int, 0)
@@ -230,6 +244,8 @@ def _resolve_sizes(block) -> list:
         raise ConfigError(f"{ctx}: must be an object")
     _check_keys(block, ctx, required=("count",), optional=("size", "sizes"))
     count = _key(block, ctx, "count", int, lo=1)
+    if count > MAX_FRAGMENTS:
+        raise ConfigError(f"{ctx}.count: at most {MAX_FRAGMENTS} fragments, got {count}")
     if "sizes" in block:
         if "size" in block:
             raise ConfigError(f"{ctx}: give either 'size' or 'sizes', not both")
@@ -407,9 +423,14 @@ def _entry(value, where: str, kind: type):
     """``value`` if it is a JSON ``kind``; a number comes back as a float.
 
     ``kind`` is ``int``, ``float`` (any number), ``bool`` or ``str``; a bool
-    is none of the others.
+    is none of the others, and an int too large for a float is no number.
     """
     types = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
         raise ConfigError(f"{where}: must be {_KIND_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: must be a finite number, got {value}") from None

@@ -21,21 +21,24 @@ Accounting per block: the engine takes each
 :meth:`~fragsim.workload.EventStream.blocks` and hands it to the policy's
 ``decide_block`` (see :mod:`~fragsim.policies`), which reads ``owners``
 and returns the block's moves, in its grouped positions, with a reason
-code per event. Every policy decides the block with array operations.
-One forward fill, :func:`_forward_fill`, gives each event the value its
-fragment's latest earlier move set, or the value carried into the
-block, and each fragment's value after the block. It fills each event's
-owner and the ``owners`` carried into the next block, and under
-blocking the transfer windows' ends, carried from block to block in
-``in_flight_until``. Apart from writing the decision log, the engine
-has no per-access Python loop: ``np.bincount`` of the owners adds to
-the residency counts, and the response and migration costs are computed
-as arrays. An access's response cost is read from a table of ``(2.0 *
-distance) * latency`` by requester and owner, made once per run. Each
-array of costs is added to its running total by seeding its first term in place (``costs[0] +=
-total``) and taking ``np.cumsum``. ``cumsum`` adds strictly left to
-right, so each total is the one a per-access or per-move ``+=`` gives,
-bit for bit; ``np.sum`` adds pairwise and would not be.
+code per event. Every policy decides the block with array operations,
+and the accounting keeps the moves in that grouped order. One forward
+fill, :func:`_forward_fill`, gives each event the value its fragment's
+latest earlier move set, or the value carried into the block, and each
+fragment's value after the block. It fills each event's owner and the
+``owners`` carried into the next block, and under blocking the transfer
+windows' ends, carried from block to block in ``in_flight_until``.
+Apart from writing the decision log, the engine has no per-access
+Python loop: ``np.bincount`` of the owners adds to the residency counts,
+and the response and migration costs are computed as arrays. An
+access's response cost is read from a table of ``(2.0 * distance) *
+latency`` by requester and owner, made once per run. Each array of
+costs is added to its running total by seeding its first term in place
+(``costs[0] += total``) and taking ``np.cumsum``, which adds strictly
+left to right, so each total is the one a per-access or per-move ``+=``
+gives, bit for bit; ``np.sum`` adds pairwise and would not be. Only
+that sum and the decision log need access order: one ``np.argsort`` of
+the moves' access positions orders the migration costs.
 
 Shared stream: :func:`run_group` runs configs that are equal in every
 field but ``policy`` (equal :meth:`SimConfig.stream_key`) on one
@@ -236,22 +239,19 @@ class _PolicyRun:
         grouped, dests, codes, inhibitions = self.policy.decide_block(block, self.owners)
         owner_at, after = _forward_fill(block, grouped, dests, self.owners)
         self.owners = after.tolist()
-        at = block.by_fragment[0][grouped]
-        by_access = np.argsort(at)  # the moves in access order, the order their costs add up in
-        moves, dests = at[by_access], dests[by_access]
+        at = block.by_fragment[0][grouped]  # each move's access position, the moves kept in grouped order
         if self.log is not None:
-            self.log(block, owner_at, moves, dests, codes, inhibitions)
+            self.log(block, owner_at, at, dests, codes, inhibitions)
         self.residency += np.bincount(owner_at, minlength=n)
         costs = self.prices[requesters * n + owner_at]
-        moved_sizes = self.sizes[fragments[moves]]
-        hops = cfg.topology.distance_matrix[owner_at[moves], dests]
-        self.migrations += moves.size
-        self.migration_hop_cost = _running_sum(self.migration_hop_cost, moved_sizes * hops * latency)
+        moved_sizes = self.sizes[fragments[at]]
+        hops = cfg.topology.distance_matrix[owner_at[at], dests]
+        self.migrations += at.size
+        migration_costs = (moved_sizes * hops * latency)[np.argsort(at)]  # in access order, the order they add up in
+        self.migration_hop_cost = _running_sum(self.migration_hop_cost, migration_costs)
         if cfg.migration_blocking:
-            windows = steps[moves] + np.ceil(moved_sizes * hops).astype(np.int64)
-            # a fragment's moves keep their access order in the grouping
-            in_grouped_order = windows[np.argsort(fragments[moves], kind="stable")]
-            ends, self.in_flight_until = _forward_fill(block, grouped, in_grouped_order, self.in_flight_until)
+            windows = steps[at] + np.ceil(moved_sizes * hops).astype(np.int64)
+            ends, self.in_flight_until = _forward_fill(block, grouped, windows, self.in_flight_until)
             costs += np.where(steps < ends, ends - steps, 0)
         self.response_cost = _running_sum(self.response_cost, costs)
 
@@ -303,10 +303,10 @@ def _forward_fill(block, moves, values, carried):
 def _row_writer(write, n, reasons):
     """Return ``log``, which writes a block's decision-log lines to ``write``.
 
-    This is the one place a row is formatted. ``log`` puts the policy's
-    codes and inhibitions in access order and gives every local access
-    the code ``local``, appended to the policy's ``reasons``. Each line is
-    the step's text, made once per step, joined to a cached
+    This is the one place a row is formatted. ``log`` scatters the moves,
+    in any order, and the policy's codes and inhibitions into access
+    order, and codes every local access ``local``, appended to the
+    policy's ``reasons``. Each line is the step's text joined to a cached
     ``"fragment,requester,owner,decision,dest,reason,"`` text that ends in
     a newline, and the inhibition, if any, goes before that newline. The
     texts are indexed by the int ``(((fragment * n + requester) * n +
@@ -315,7 +315,6 @@ def _row_writer(write, n, reasons):
     reasons += ("local",)
     local = len(reasons) - 1
     texts = {}  # key -> "f,requester,owner,move,dest,reason,\n" or "f,requester,owner,stay,,reason,\n"
-    last = [-1, ""]  # the latest step and its text, which may continue into the next block
 
     def log(block, owner_at, moves, dests, codes, inhibitions):
         steps, requesters, order = block.steps, block.requesters, block.by_fragment[0]
@@ -332,7 +331,7 @@ def _row_writer(write, n, reasons):
             inhibition_at = np.empty(steps.size, dtype=object)
             inhibition_at[order] = np.where(np.isnan(inhibitions), None, inhibitions)
             inhibitions = inhibition_at.tolist()
-        step, head = last
+        step = -1
         for s, key, inh in zip(steps.tolist(), keys, inhibitions):
             if s != step:
                 step, head = s, f"{s},"
@@ -344,7 +343,6 @@ def _row_writer(write, n, reasons):
                 write(head + text)
             else:
                 write(f"{head}{text[:-1]}{inh}\n")
-        last[:] = step, head
 
     return log
 

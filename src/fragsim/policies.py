@@ -326,12 +326,13 @@ class FnaParams:
     eps: float = 1e-9
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        # numpy takes int64 event counts modulo window, and history is a deque's C maxlen
+        if not 1 <= self.window < 2**63:
+            raise ValueError(f"window must lie in [1, 2**63), got {self.window}")
         if not (0.0 < self.decay < 1.0):
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
-        if self.history < 1:
-            raise ValueError(f"history must be >= 1, got {self.history}")
+        if not 1 <= self.history < 2**63:
+            raise ValueError(f"history must lie in [1, 2**63), got {self.history}")
         if not (0.0 <= self.inhibition_cutoff <= 1.0):
             raise ValueError(f"inhibition_cutoff must lie in [0, 1], got {self.inhibition_cutoff}")
         if not self.min_gap >= 0:
@@ -499,8 +500,9 @@ class PolicySpec:
                 raise ValueError(f"t: {name} needs an integer t >= 0, got {t!r}")
         elif t is not None:
             raise ValueError(f"t: only threshold and threshold-triggered nna take t, got t={t!r} for {name}")
-        if cap is not None and (name not in ("optimal", "nna") or type(cap) is not int or cap < 1):
-            raise ValueError(f"counter_cap: only optimal and nna take one, an integer >= 1; got {cap!r} for {name}")
+        if cap is not None and (name not in ("optimal", "nna") or type(cap) is not int or not 1 <= cap < 2**63):
+            # numpy caps int64 counters with it
+            raise ValueError(f"counter_cap: only optimal and nna take one, an integer in [1, 2**63); got {cap!r} for {name}")
         if name != "fna" and self.fna != FnaParams():
             raise ValueError(f"fna: only fna takes fna parameters, not {name}")
 

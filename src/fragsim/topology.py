@@ -27,6 +27,11 @@ SiteId = int
 # beyond accumulated float rounding means "not on a shortest path".
 _PATH_TOL = 1e-9
 
+# The most sites a topology may have. It bounds the two n x n routing tables
+# (2 MB each at 500 sites) and the (block events x sites) arrays of nna and
+# fna (about 52 MB per block at 500 sites).
+MAX_SITES = 500
+
 
 class TopologyError(Exception):
     """A topology that cannot be built: bad document, link or graph."""
@@ -66,10 +71,12 @@ def build_topology(n: int, links) -> Topology:
     neither). A :class:`TopologyError` naming
     ``topology.links[i]`` or ``topology.links[i][j]`` reports any other
     link, a self-loop or a duplicate (in either direction); a
-    disconnected graph raises too.
+    disconnected graph, or ``n`` outside ``1..MAX_SITES``, raises too.
     """
     if n < 1:
         raise TopologyError(f"topology.n: need at least one site, got {n}")
+    if n > MAX_SITES:
+        raise TopologyError(f"topology.n: at most {MAX_SITES} sites, got {n}")
     if not isinstance(links, (list, tuple)):
         raise TopologyError("topology.links: must be a list")
 

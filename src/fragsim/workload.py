@@ -114,6 +114,8 @@ class Oscillation:
             raise ValueError("oscillation sites must differ")
         if self.period < 1:
             raise ValueError(f"oscillation period must be >= 1, got {self.period}")
+        if self.period >= 2**63:  # numpy divides int64 event counts by it
+            raise ValueError(f"oscillation period must be below 2**63, got {self.period}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -139,9 +139,14 @@ class TestRunCommand:
             {"x_s": 0.3, "hot": 9},
             {"x_s": 0.3, "oscillation": {"site_a": -1, "site_b": 1, "period": 3}},
             {"x_s": 0.3, "oscillation": {"site_a": 0, "site_b": 1, "period": 0}},
+            {"x_s": 0.3, "oscillation": {"site_a": 0, "site_b": 1, "period": 10**30}},
             {"probs": [[1.0, 0.0, 0.0, 0.0, 0.0]], "active": [1]},
+            {"x_s": 10**400},
         ],
-        ids=["hot-out-of-range", "oscillation-site", "oscillation-period", "zero-mass"],
+        ids=[
+            "hot-out-of-range", "oscillation-site", "oscillation-period", "oscillation-period-beyond-int64", "zero-mass",
+            "x_s-beyond-a-float",
+        ],
     )
     def test_workload_rule_error_names_the_block(self, tmp_path, capsys, workload):
         cfg = write_json(tmp_path / "run.json", base_run_doc(workload=workload))

@@ -474,6 +474,10 @@ class TestFna:
             FnaParams(decay=0.0)
         with pytest.raises(ValueError):
             FnaParams(history=0)
+        with pytest.raises(ValueError, match=r"window must lie in \[1, 2\*\*63\), got 9223372036854775808"):
+            FnaParams(window=2**63)
+        with pytest.raises(ValueError, match=r"history must lie in \[1, 2\*\*63\)"):
+            FnaParams(history=10**30)
         with pytest.raises(ValueError):
             FnaParams(inhibition_cutoff=1.5)
         with pytest.raises(ValueError):
@@ -721,6 +725,8 @@ class TestPolicySpec:
         "t-on-explicit-dominance-nna": ({"name": "nna", "trigger": "dominance", "t": 5}, "nna:dominance:5"),
         "counter-cap-on-threshold": ({"name": "threshold", "t": 2, "counter_cap": 3}, None),
         "counter-cap-on-fna": ({"name": "fna", "counter_cap": 3}, None),
+        "counter-cap-beyond-int64-optimal": ({"name": "optimal", "counter_cap": 2**63}, None),
+        "counter-cap-beyond-int64-nna": ({"name": "nna", "counter_cap": 10**30}, None),
         "trigger-on-optimal": ({"name": "optimal", "trigger": "threshold"}, "optimal:threshold"),
         "trigger-on-threshold": ({"name": "threshold", "t": 2, "trigger": "threshold"}, "threshold:threshold:2"),
         "trigger-on-fna": ({"name": "fna", "trigger": "threshold"}, "fna:threshold"),

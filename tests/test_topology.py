@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from fragsim.fixtures import reference_topology, reference_topology_dict
 from fragsim.topology import (
+    MAX_SITES,
     TopologyError,
     build_topology,
     complete_topology,
@@ -155,6 +156,9 @@ class TestConstruction:
     def test_bad_n_rejected(self):
         with pytest.raises(TopologyError, match="need at least one site"):
             build_topology(0, [])
+        with pytest.raises(TopologyError, match=f"topology.n: at most {MAX_SITES} sites, got {MAX_SITES + 1}"):
+            build_topology(MAX_SITES + 1, [])
+        assert build_topology(MAX_SITES, [(s, s + 1) for s in range(MAX_SITES - 1)]).n == MAX_SITES
 
     def test_distance_matrix_read_only(self):
         topo = build_topology(2, [(0, 1)])

@@ -103,6 +103,8 @@ class TestWorkloadSpecValidation:
             Oscillation(1, 1, 10)
         with pytest.raises(ValueError, match="oscillation period must be >= 1, got 0"):
             Oscillation(0, 1, 0)
+        with pytest.raises(ValueError, match=r"oscillation period must be below 2\*\*63, got 9223372036854775808"):
+            Oscillation(0, 1, 2**63)
 
     def test_symmetric_constructor(self):
         spec = WorkloadSpec.symmetric(3, 5, 0.28, seed=9)
