@@ -17,13 +17,15 @@ a :class:`ConfigError` prefixed with the block's name:
   :func:`~fragsim.workload.symmetric_spec` for ``x_s`` and ``hot`` and
   :class:`~fragsim.workload.Oscillation` for its sites and period;
 * policy parameters: :class:`~fragsim.policies.PolicySpec` and
-  :class:`~fragsim.policies.FnaParams`;
+  :class:`~fragsim.policies.FnaParams`, whose JSON types come from
+  :data:`~fragsim.policies.POLICY_KEYS`;
 * links, weights and the site count: :func:`~fragsim.topology.build_topology`,
   whose :class:`~fragsim.topology.TopologyError` is left as it is (exit 3).
 
-Two bounds are kept here, because they must hold before anything is
-built: ``fragments.count`` (``MAX_FRAGMENTS``) and a sweep's values
-times replications (``MAX_SWEEP_CELLS``).
+Three bounds are kept here, because they must hold before anything is
+built: ``fragments.count`` (``MAX_FRAGMENTS``), a sweep's values times
+replications (``MAX_SWEEP_CELLS``), and those cells' probability entries,
+cells times fragments times sites (``MAX_SWEEP_ENTRIES``).
 
 ``NaN`` and ``Infinity`` are not JSON numbers and fail as invalid JSON.
 
@@ -63,7 +65,7 @@ from pathlib import Path
 from typing import Optional
 
 from .engine import SimConfig
-from .policies import FnaParams, PolicySpec
+from .policies import POLICY_KEYS, FnaParams, PolicySpec
 from .topology import Topology, load_topology, read_json_object, topology_from_dict
 from .workload import Oscillation, WorkloadSpec, symmetric_spec
 
@@ -73,9 +75,11 @@ SWEEP_AXES = ("x_s", "t", "fragment_size", "rate", "active_count")
 
 # Checked before anything is built. MAX_FRAGMENTS with topology.MAX_SITES bounds
 # the (fragments x sites) state of nna and fna at 500 000 entries, 4 MB an array;
-# MAX_SWEEP_CELLS bounds the runs a sweep resolves before the first one starts.
+# MAX_SWEEP_CELLS bounds the runs a sweep resolves before the first one starts, and
+# MAX_SWEEP_ENTRIES the probability rows and sampling tables that each cell holds.
 MAX_FRAGMENTS = 1000
 MAX_SWEEP_CELLS = 1000
+MAX_SWEEP_ENTRIES = 25_000_000
 
 
 class ConfigError(ValueError):
@@ -114,7 +118,7 @@ def resolve_run(
 ) -> RunSetup:
     """Resolve a run document; ``topology``, if given, stands for the already resolved ``doc["topology"]``."""
     ctx = "config"
-    _check_keys(
+    _object(
         doc,
         ctx,
         required=("topology", "workload", "num_steps") + (() if policy_override else ("policy",)),
@@ -123,10 +127,7 @@ def resolve_run(
     if "sweep" in doc:
         raise ConfigError("config: 'sweep' block present, use the sweep command")
 
-    out_doc = doc.get("output", {})
-    if not isinstance(out_doc, dict):
-        raise ConfigError("config.output: must be an object")
-    _check_keys(out_doc, "config.output", required=(), optional=("metrics", "decisions"))
+    out_doc = _object(doc.get("output", {}), "config.output", (), ("metrics", "decisions"))
     metrics_name = _key(out_doc, "config.output", "metrics", str, "metrics.csv")
     decisions_name = _key(out_doc, "config.output", "decisions", str, "decisions.csv")
     if os.path.normpath(metrics_name) == os.path.normpath(decisions_name):
@@ -163,10 +164,7 @@ def resolve_run(
 def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> SweepSetup:
     if "sweep" not in doc:
         raise ConfigError("config: missing required key 'sweep'")
-    sweep_doc = doc["sweep"]
-    if not isinstance(sweep_doc, dict):
-        raise ConfigError("config.sweep: must be an object")
-    _check_keys(sweep_doc, "config.sweep", required=("axis", "values"), optional=("replications",))
+    sweep_doc = _object(doc["sweep"], "config.sweep", ("axis", "values"), ("replications",))
     axis = _key(sweep_doc, "config.sweep", "axis", str)
     if axis not in SWEEP_AXES:
         raise ConfigError(f"config.sweep.axis: unknown axis {axis!r}, expected one of {', '.join(SWEEP_AXES)}")
@@ -174,7 +172,8 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
     if not isinstance(values, list) or not values:
         raise ConfigError("config.sweep.values: must be a non-empty list")
     replications = _key(sweep_doc, "config.sweep", "replications", int, 1, lo=1)
-    if len(values) * replications > MAX_SWEEP_CELLS:
+    cells = len(values) * replications
+    if cells > MAX_SWEEP_CELLS:
         raise ConfigError(
             f"config.sweep: {len(values)} values times {replications} replications exceed {MAX_SWEEP_CELLS} cells"
         )
@@ -185,21 +184,22 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
     base = {k: v for k, v in doc.items() if k != "sweep"}
     base_seed = seed_override if seed_override is not None else _key(base, "config", "seed", int, 0)
 
-    # No axis varies the topology: resolve it once and share it across the cells.
-    topology = None
-    if axis == "active_count":
-        # bound each count by the site count before its active list is built
-        _check_keys(base, "config", required=("topology",), optional=base)
-        topology = _resolve_topology(base["topology"], base_dir)
+    # No axis varies the topology or the fragment count: resolve the one and read the
+    # other once, and bound what the cells hold by both before any cell resolves.
+    topology = _resolve_topology(_object(base, "config", ("topology",), None)["topology"], base_dir)
+    count = _fragment_count(base.get("fragments", {"count": 1}))
+    entries = cells * count * topology.n
+    if entries > MAX_SWEEP_ENTRIES:
+        raise ConfigError(
+            f"config.sweep: {cells} cells of {count} fragments on {topology.n} sites "
+            f"hold {entries} probability entries, more than {MAX_SWEEP_ENTRIES}"
+        )
 
+    seeds = range(base_seed, base_seed + replications)
     groups = []
     for value in values:
         varied = _apply_axis(base, axis, value, topology)
-        setups = []
-        for rep in range(replications):
-            setups.append(resolve_run(varied, base_dir, seed_override=base_seed + rep, topology=topology))
-            topology = setups[-1].sim.topology
-        groups.append((value, setups))
+        groups.append((value, [resolve_run(varied, base_dir, seed, topology=topology) for seed in seeds]))
     # resolve_run has checked the output block by now
     return SweepSetup(axis=axis, groups=groups, metrics_name=base.get("output", {}).get("metrics", "sweep.csv"))
 
@@ -238,14 +238,17 @@ def _resolve_topology(block, base_dir) -> Topology:
     raise ConfigError("config.topology: must be a file path or an inline object")
 
 
-def _resolve_sizes(block) -> list:
+def _fragment_count(block) -> int:
     ctx = "config.fragments"
-    if not isinstance(block, dict):
-        raise ConfigError(f"{ctx}: must be an object")
-    _check_keys(block, ctx, required=("count",), optional=("size", "sizes"))
-    count = _key(block, ctx, "count", int, lo=1)
+    count = _key(_object(block, ctx, ("count",), ("size", "sizes")), ctx, "count", int, lo=1)
     if count > MAX_FRAGMENTS:
         raise ConfigError(f"{ctx}.count: at most {MAX_FRAGMENTS} fragments, got {count}")
+    return count
+
+
+def _resolve_sizes(block) -> list:
+    ctx = "config.fragments"
+    count = _fragment_count(block)
     if "sizes" in block:
         if "size" in block:
             raise ConfigError(f"{ctx}: give either 'size' or 'sizes', not both")
@@ -257,29 +260,15 @@ def _resolve_sizes(block) -> list:
 
 
 def _resolve_owners(block, count: int) -> list:
-    owners = [block] * count if not isinstance(block, list) else list(block)
-    if not all(isinstance(o, int) and not isinstance(o, bool) for o in owners):
-        raise ConfigError(f"config.initial_owners: must be a site id or a list of site ids, got {block!r}")
-    return owners
-
-
-# The keys each policy's config block may carry besides ``name``, by kind;
-# ``t`` and ``counter_cap`` may also be null. Only their JSON types are read
-# here; PolicySpec and FnaParams check the values.
-_POLICY_KEYS = {
-    "optimal": {"counter_cap": int},
-    "threshold": {"t": int},
-    "nna": {"trigger": str, "t": int, "counter_cap": int},
-    "fna": {"window": int, "decay": float, "history": int, "inhibition_cutoff": float, "min_gap": float},
-}
+    owners = [block] * count if not isinstance(block, list) else block
+    return [_entry(owner, "config.initial_owners", int) for owner in owners]
 
 
 def _resolve_policy(block, ctx: str = "config.policy") -> PolicySpec:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{ctx}: must be an object")
-    name = _key(block, ctx, "name", str)
-    kinds = _POLICY_KEYS.get(name, {})
-    _check_keys(block, ctx, required=("name",), optional=kinds)
+    """Read the policy's keys as their :data:`~fragsim.policies.POLICY_KEYS` types; ``t`` and ``counter_cap`` may be null."""
+    name = _key(_object(block, ctx, (), None), ctx, "name", str)
+    kinds = POLICY_KEYS.get(name, {})
+    _object(block, ctx, ("name",), kinds)
     params = {
         key: None if value is None and key in ("t", "counter_cap") else _key(block, ctx, key, kinds[key])
         for key, value in block.items()
@@ -295,27 +284,22 @@ def _resolve_policy(block, ctx: str = "config.policy") -> PolicySpec:
 
 def _resolve_workload(block, count: int, n: int, seed: int):
     ctx = "config.workload"
-    if not isinstance(block, dict):
-        raise ConfigError(f"{ctx}: must be an object")
-    _check_keys(block, ctx, required=(), optional=("x_s", "hot", "probs", "rate", "active", "oscillation"))
+    _object(block, ctx, (), ("x_s", "hot", "probs", "rate", "active", "oscillation"))
     if ("x_s" in block) == ("probs" in block):
         raise ConfigError(f"{ctx}: give exactly one of 'x_s' or 'probs'")
     rate = _key(block, ctx, "rate", float, 1.0)
 
     active = None
     if "active" in block:
-        raw = block["active"]
-        if not isinstance(raw, list) or not all(isinstance(s, int) and not isinstance(s, bool) for s in raw):
+        if not isinstance(block["active"], list):
             raise ConfigError(f"{ctx}.active: must be a list of site ids")
-        active = tuple(raw)
+        active = tuple(_entry(site, f"{ctx}.active", int) for site in block["active"])
 
     osc = None
     if "oscillation" in block:
-        octx = f"{ctx}.oscillation"
-        if not isinstance(block["oscillation"], dict):
-            raise ConfigError(f"{octx}: must be an object")
-        _check_keys(block["oscillation"], octx, required=("site_a", "site_b", "period"), optional=())
-        osc = [_key(block["oscillation"], octx, key, int) for key in ("site_a", "site_b", "period")]
+        octx, keys = f"{ctx}.oscillation", ("site_a", "site_b", "period")
+        osc_doc = _object(block["oscillation"], octx, keys, ())
+        osc = [_key(osc_doc, octx, key, int) for key in keys]
 
     x_s, hot = None, 0
     if "x_s" in block:
@@ -346,7 +330,7 @@ def _resolve_workload(block, count: int, n: int, seed: int):
     return spec, x_s, hot
 
 
-def _apply_axis(base: dict, axis: str, value, topology: Optional[Topology]) -> dict:
+def _apply_axis(base: dict, axis: str, value, topology: Topology) -> dict:
     doc = copy.deepcopy(base)
     if axis == "x_s":
         wl = doc.get("workload")
@@ -360,48 +344,34 @@ def _apply_axis(base: dict, axis: str, value, topology: Optional[Topology]) -> d
         pol["t"] = value
         if pol.get("name") == "nna":
             pol["trigger"] = "threshold"
-    elif axis == "fragment_size":
-        frag = _object_block(doc, "fragments", {"count": 1})
+    elif axis == "fragment_size":  # resolve_sweep has read the fragments block
+        frag = doc.setdefault("fragments", {"count": 1})
         frag.pop("sizes", None)
         frag["size"] = value
-    elif axis == "rate":
-        _object_block(doc, "workload")["rate"] = value
+    elif axis == "rate":  # a missing workload block stays missing, for resolve_run to report
+        _object(doc.get("workload", {}), "config.workload", (), None)["rate"] = value
     elif axis == "active_count":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"config.sweep.values: active_count values must be integers, got {value!r}")
-        if value > topology.n:
+        if _entry(value, "config.sweep.values", int) > topology.n:
             raise ConfigError(f"config.sweep.values: active_count {value} exceeds the topology's {topology.n} sites")
-        _object_block(doc, "workload")["active"] = list(range(value))
+        _object(doc.get("workload", {}), "config.workload", (), None)["active"] = list(range(value))
     return doc
-
-
-def _object_block(doc: dict, key: str, default: Optional[dict] = None) -> dict:
-    """``doc[key]``, which must be an object; a missing one becomes ``default``.
-
-    Without a ``default`` a missing block stays missing, for
-    :func:`resolve_run` to report, and a detached empty object comes back.
-    """
-    if key not in doc:
-        if default is None:
-            return {}
-        doc[key] = default
-    block = doc[key]
-    if not isinstance(block, dict):
-        raise ConfigError(f"config.{key}: must be an object")
-    return block
 
 
 # ---------------------------------------------------------------------------
 # Typed readers; every message names the key
 
 
-def _check_keys(obj: dict, ctx: str, required, optional) -> None:
+def _object(obj, ctx: str, required, optional) -> dict:
+    """``obj``, which must be an object with every ``required`` key and, unless ``optional`` is None, no key outside both."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{ctx}: must be an object")
     for key in obj:
-        if key not in required and key not in optional:
+        if optional is not None and key not in required and key not in optional:
             raise ConfigError(f"{ctx}: unknown key {key!r}")
     for key in required:
         if key not in obj:
             raise ConfigError(f"{ctx}: missing required key {key!r}")
+    return obj
 
 
 _MISSING = object()

@@ -27,7 +27,8 @@ fill, :func:`_forward_fill`, gives each event the value its fragment's
 latest earlier move set, or the value carried into the block, and each
 fragment's value after the block. It fills each event's owner and the
 ``owners`` carried into the next block, and under blocking the transfer
-windows' ends, carried from block to block in ``in_flight_until``.
+windows' ends, carried from block to block in ``in_flight_until``. The
+ends are floats, exact below 2**53 steps, so no window wraps an int64.
 Apart from writing the decision log, the engine has no per-access
 Python loop: ``np.bincount`` of the owners adds to the residency counts,
 and the response and migration costs are computed as arrays. An
@@ -72,14 +73,13 @@ a row costs one table lookup and one join with its step's text.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
 from .policies import PolicySpec, build_policy
-from .topology import SiteId, Topology
+from .topology import SiteId, Topology, is_int
 from .workload import EventStream, WorkloadSpec
 
 
@@ -105,7 +105,7 @@ class SimConfig:
         """
         n = self.topology.n
         count = len(self.sizes)
-        if not _is_int(self.num_steps):
+        if not is_int(self.num_steps):
             raise ValueError(f"num_steps: must be an integer, got {self.num_steps!r}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps: must be >= 1, got {self.num_steps}")
@@ -117,9 +117,9 @@ class SimConfig:
         if len(self.initial_owners) != count:
             raise ValueError(f"initial_owners: expected {count} entries, got {len(self.initial_owners)}")
         for owner in self.initial_owners:
-            if not (_is_int(owner) and 0 <= owner < n):
+            if not (is_int(owner) and 0 <= owner < n):
                 raise ValueError(f"initial_owners: owner {owner!r} is not a site in 0..{n - 1}")
-        if not (_is_int(self.designated) and 0 <= self.designated < n):
+        if not (is_int(self.designated) and 0 <= self.designated < n):
             raise ValueError(f"designated: {self.designated!r} is not a site in 0..{n - 1}")
         if not (0 < self.per_hop_latency < math.inf):
             raise ValueError(f"per_hop_latency: must be positive and finite, got {self.per_hop_latency}")
@@ -151,10 +151,6 @@ class SimConfig:
             self.per_hop_latency,
             self.migration_blocking,
         )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -218,7 +214,7 @@ class _PolicyRun:
         self.policy = build_policy(cfg.policy, len(cfg.sizes), topo.next_hop_matrix.tolist())
         self.sizes = np.array(cfg.sizes, dtype=float)
         self.owners = list(cfg.initial_owners)
-        self.in_flight_until = np.zeros(len(cfg.sizes), dtype=np.int64)  # each fragment's transfer window end
+        self.in_flight_until = np.zeros(len(cfg.sizes))  # each fragment's transfer window end
         self.log = None
         if write is not None:
             write(DECISIONS_HEADER)
@@ -250,7 +246,7 @@ class _PolicyRun:
         migration_costs = (moved_sizes * hops * latency)[np.argsort(at)]  # in access order, the order they add up in
         self.migration_hop_cost = _running_sum(self.migration_hop_cost, migration_costs)
         if cfg.migration_blocking:
-            windows = steps[at] + np.ceil(moved_sizes * hops).astype(np.int64)
+            windows = steps[at] + np.ceil(moved_sizes * hops)
             ends, self.in_flight_until = _forward_fill(block, grouped, windows, self.in_flight_until)
             costs += np.where(steps < ends, ends - steps, 0)
         self.response_cost = _running_sum(self.response_cost, costs)

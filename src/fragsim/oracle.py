@@ -25,6 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .topology import is_int
+from .workload import check_two_level
+
 LUMPED_MAX_T = 2_000  # the dense solve peaks at about 410 MB RSS at this t
 
 
@@ -37,12 +40,9 @@ class ChainParams:
     t: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need at least two sites, got n={self.n}")
-        if not (0.0 <= self.x_s <= 1.0):
-            raise ValueError(f"x_s must lie in [0, 1], got {self.x_s}")
-        if self.t < 0:
-            raise ValueError(f"threshold must be non-negative, got {self.t}")
+        check_two_level(self.n, self.x_s)
+        if not (is_int(self.t) and self.t >= 0):
+            raise ValueError(f"t must be an integer >= 0, got {self.t!r}")
 
     @property
     def x_d(self) -> float:

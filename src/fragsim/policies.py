@@ -75,7 +75,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .topology import SiteId
+from .topology import SiteId, is_int
 
 
 class ThresholdPolicy:
@@ -314,6 +314,10 @@ def oscillation_inhibition(churn: float, alternation: float) -> float:
     )
 
 
+# Added to a score vector's norm, so that an all-zero vector has churn and gap 0, not NaN
+FNA_EPS = 1e-9
+
+
 @dataclass(frozen=True)
 class FnaParams:
     """Tunables for the fuzzy policy; defaults match the reference setup."""
@@ -323,22 +327,21 @@ class FnaParams:
     history: int = 6
     inhibition_cutoff: float = 0.5
     min_gap: float = 0.05
-    eps: float = 1e-9
 
     def __post_init__(self):
         # numpy takes int64 event counts modulo window, and history is a deque's C maxlen
-        if not 1 <= self.window < 2**63:
-            raise ValueError(f"window must lie in [1, 2**63), got {self.window}")
+        for key in ("window", "history"):
+            value = getattr(self, key)
+            if not is_int(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if not 1 <= value < 2**63:
+                raise ValueError(f"{key} must lie in [1, 2**63), got {value}")
         if not (0.0 < self.decay < 1.0):
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
-        if not 1 <= self.history < 2**63:
-            raise ValueError(f"history must lie in [1, 2**63), got {self.history}")
         if not (0.0 <= self.inhibition_cutoff <= 1.0):
             raise ValueError(f"inhibition_cutoff must lie in [0, 1], got {self.inhibition_cutoff}")
         if not self.min_gap >= 0:
             raise ValueError(f"min_gap must be non-negative, got {self.min_gap}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 class FnaPolicy:
@@ -348,7 +351,7 @@ class FnaPolicy:
     (decay then +1 at the requester on every access) and re-evaluates the
     placement every ``window`` events of that fragment:
 
-    * churn  is ``|v - v_prev|_1 / (|v|_1 + eps)`` clipped to [0, 1],
+    * churn  is ``|v - v_prev|_1 / (|v|_1 + FNA_EPS)`` clipped to [0, 1],
       where ``v_prev`` is the snapshot from the previous evaluation,
     * alternation comes from :func:`alternation_score` over the last
       ``history`` migration destinations,
@@ -356,7 +359,7 @@ class FnaPolicy:
 
     The fragment moves one hop toward ``argmax v`` only if the requester
     is remote, the target is not already the owner, the normalised score
-    gap ``(v[target] - v[owner]) / (|v|_1 + eps)`` reaches ``min_gap``,
+    gap ``(v[target] - v[owner]) / (|v|_1 + FNA_EPS)`` reaches ``min_gap``,
     and the inhibition stays at or below ``inhibition_cutoff``.
 
     Decided a block at a time. The scores do not depend on the owner, so
@@ -429,7 +432,7 @@ class FnaPolicy:
         prev[first] = self._prev[at[first]]
         last = np.roll(first, -1)
         self._prev[at[last]] = rows[last]
-        totals = rows.sum(axis=1) + p.eps
+        totals = rows.sum(axis=1) + FNA_EPS
         churns = np.minimum(1.0, np.abs(rows - prev).sum(axis=1) / totals)
         targets = rows.argmax(axis=1)
         # short[i][o]: evaluation i's gap to the target, from owner o, is below min_gap
@@ -472,13 +475,26 @@ class FnaPolicy:
 # Construction from a declarative description
 
 
+# The parameters each policy takes besides its name, with their JSON types:
+# PolicySpec refuses any other, and the config reader reads these types.
+POLICY_KEYS = {
+    "optimal": {"counter_cap": int},
+    "threshold": {"t": int},
+    "nna": {"trigger": str, "t": int, "counter_cap": int},
+    "fna": {"window": int, "decay": float, "history": int, "inhibition_cutoff": float, "min_gap": float},
+}
+
+# Each parameter's value when it is not given
+_UNSET = {"t": None, "trigger": "dominance", "counter_cap": None, **vars(FnaParams())}
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """Everything needed to instantiate a policy for a given run.
 
-    Construction checks the parameters against the policy's name and
-    raises ``ValueError`` on any that the policy does not take. The policy
-    classes, the config reader and the ``compare`` tokens rely on it.
+    Construction raises ``ValueError`` on any parameter that
+    :data:`POLICY_KEYS` does not give the policy, or any bad value. The
+    policy classes, the config reader and the ``compare`` tokens rely on it.
     """
 
     name: str
@@ -489,22 +505,21 @@ class PolicySpec:
 
     def __post_init__(self):
         name, t, cap = self.name, self.t, self.counter_cap
-        if name not in ("optimal", "threshold", "nna", "fna"):
+        if name not in POLICY_KEYS:
             raise ValueError(f"unknown policy {name!r}, expected optimal, threshold, nna or fna")
+        given = {"t": t, "trigger": self.trigger, "counter_cap": cap, **vars(self.fna)}
+        for key, value in given.items():
+            if value != _UNSET[key] and key not in POLICY_KEYS[name]:
+                raise ValueError(f"{key}: {name} takes no {key}")
         if self.trigger not in ("dominance", "threshold"):
             raise ValueError(f"trigger must be 'dominance' or 'threshold', got {self.trigger!r}")
-        if self.trigger != "dominance" and name != "nna":
-            raise ValueError(f"trigger: only nna takes a trigger, not {name}")
         if name == "threshold" or self.trigger == "threshold":
-            if type(t) is not int or t < 0:
+            if not (is_int(t) and t >= 0):
                 raise ValueError(f"t: {name} needs an integer t >= 0, got {t!r}")
         elif t is not None:
-            raise ValueError(f"t: only threshold and threshold-triggered nna take t, got t={t!r} for {name}")
-        if cap is not None and (name not in ("optimal", "nna") or type(cap) is not int or not 1 <= cap < 2**63):
-            # numpy caps int64 counters with it
-            raise ValueError(f"counter_cap: only optimal and nna take one, an integer in [1, 2**63); got {cap!r} for {name}")
-        if name != "fna" and self.fna != FnaParams():
-            raise ValueError(f"fna: only fna takes fna parameters, not {name}")
+            raise ValueError(f"t: nna takes t only with the threshold trigger, got t={t!r}")
+        if cap is not None and not (is_int(cap) and 1 <= cap < 2**63):  # numpy caps int64 counters with it
+            raise ValueError(f"counter_cap: must be an integer in [1, 2**63), got {cap!r}")
 
 
 def build_policy(spec: PolicySpec, num_fragments: int, next_hop: list[list[SiteId]]):

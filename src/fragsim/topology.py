@@ -37,6 +37,11 @@ class TopologyError(Exception):
     """A topology that cannot be built: bad document, link or graph."""
 
 
+def is_int(value) -> bool:
+    """The one integer test of the package: an int or a numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Immutable undirected site graph with all-pairs routing tables.
@@ -66,13 +71,15 @@ def build_topology(n: int, links) -> Topology:
 
     The one link check for JSON documents and Python callers alike; it
     coerces nothing. ``links`` is a list or tuple of ``[a, b]`` /
-    ``[a, b, weight]`` lists or tuples, with int site ids in
-    ``0..n-1`` and positive, finite int or float weights (bools are
-    neither). A :class:`TopologyError` naming
+    ``[a, b, weight]`` lists or tuples, with site ids in ``0..n-1`` that
+    pass :func:`is_int` and positive, finite weights that pass it or
+    are floats (bools do neither). A :class:`TopologyError` naming
     ``topology.links[i]`` or ``topology.links[i][j]`` reports any other
     link, a self-loop or a duplicate (in either direction); a
-    disconnected graph, or ``n`` outside ``1..MAX_SITES``, raises too.
+    disconnected graph, or ``n`` not an integer in ``1..MAX_SITES``, too.
     """
+    if not is_int(n):
+        raise TopologyError(f"topology.n: must be an integer, got {n!r}")
     if n < 1:
         raise TopologyError(f"topology.n: need at least one site, got {n}")
     if n > MAX_SITES:
@@ -88,13 +95,13 @@ def build_topology(n: int, links) -> Topology:
             raise TopologyError(f"{where}: must be [a, b] or [a, b, weight], got {raw!r}")
         a, b, w = raw if len(raw) == 3 else (*raw, 1.0)
         for j, site in enumerate((a, b)):
-            if isinstance(site, bool) or not isinstance(site, int):
+            if not is_int(site):
                 raise TopologyError(f"{where}[{j}]: must be an integer, got {site!r}")
             if not (0 <= site < n):
                 raise TopologyError(f"{where}[{j}]: site {site} is outside 0..{n - 1}")
         if a == b:
             raise TopologyError(f"{where}: link ({a}, {b}) is a self-loop")
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
+        if not (is_int(w) or isinstance(w, float)):
             raise TopologyError(f"{where}[2]: must be a number, got {w!r}")
         if not (0 < w < math.inf):
             raise TopologyError(f"{where}[2]: weight must be positive and finite, got {w}")
@@ -164,14 +171,11 @@ def _next_hop_table(adjacency: list[list[tuple[int, float]]], dist: np.ndarray) 
 def topology_from_dict(doc: dict) -> Topology:
     """Build a topology from a parsed JSON document ``{"n": .., "links": ..}``.
 
-    No other key may appear and ``n`` must be an integer;
-    :func:`build_topology` checks the links.
+    No other key may appear; :func:`build_topology` checks ``n`` and the links.
     """
     odd = sorted(set(doc) ^ {"n", "links"})
     if odd:
         raise TopologyError(f"topology: {'unknown' if odd[0] in doc else 'missing required'} key {odd[0]!r}")
-    if isinstance(doc["n"], bool) or not isinstance(doc["n"], int):
-        raise TopologyError(f"topology.n: must be an integer, got {doc['n']!r}")
     return build_topology(doc["n"], doc["links"])
 
 

@@ -66,7 +66,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .topology import SiteId
+from .topology import SiteId, is_int
 
 _ROW_SUM_TOL = 1e-9
 
@@ -78,6 +78,16 @@ BLOCK_TRIALS = 4096
 NO_NEXT = np.iinfo(np.intp).max
 
 
+def check_two_level(n: int, x_s: float) -> None:
+    """The one check of a two-level pattern's site count ``n`` and hot mass ``x_s``."""
+    if not is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"need at least two sites, got n={n}")
+    if not (0.0 <= x_s <= 1.0):
+        raise ValueError(f"x_s must lie in [0, 1], got {x_s}")
+
+
 def symmetric_spec(n: int, x_s: float, hot: SiteId = 0) -> np.ndarray:
     """Access vector with mass ``x_s`` at ``hot`` and the rest spread evenly.
 
@@ -85,12 +95,9 @@ def symmetric_spec(n: int, x_s: float, hot: SiteId = 0) -> np.ndarray:
     analysis: one designated site at ``x_s``, the other ``n - 1`` sites at
     ``(1 - x_s) / (n - 1)`` each.
     """
-    if n < 2:
-        raise ValueError(f"need at least two sites, got n={n}")
-    if not (0.0 <= x_s <= 1.0):
-        raise ValueError(f"x_s must lie in [0, 1], got {x_s}")
-    if not (0 <= hot < n):
-        raise ValueError(f"hot site {hot} out of range for n={n}")
+    check_two_level(n, x_s)
+    if not (is_int(hot) and 0 <= hot < n):
+        raise ValueError(f"hot site {hot!r} out of range for n={n}")
     vec = np.full(n, (1.0 - x_s) / (n - 1))
     vec[hot] = x_s
     return vec
@@ -110,6 +117,9 @@ class Oscillation:
     period: int
 
     def __post_init__(self):
+        for key in ("site_a", "site_b", "period"):
+            if not is_int(getattr(self, key)):
+                raise ValueError(f"oscillation {key} must be an integer, got {getattr(self, key)!r}")
         if self.site_a == self.site_b:
             raise ValueError("oscillation sites must differ")
         if self.period < 1:
@@ -155,6 +165,8 @@ class WorkloadSpec:
             raise ValueError(f"rate must lie in (0, 1], got {self.rate}")
         n = probs.shape[1]
         if self.active is not None:
+            if not all(is_int(s) for s in self.active):
+                raise ValueError(f"active sites must be integers, got {self.active!r}")
             active = tuple(sorted(set(int(s) for s in self.active)))
             if not active:
                 raise ValueError("active site set is empty")

@@ -20,7 +20,7 @@ from collections import deque
 import numpy as np
 
 from fragsim.engine import DECISIONS_HEADER, SimMetrics
-from fragsim.policies import alternation_score, oscillation_inhibition
+from fragsim.policies import FNA_EPS, alternation_score, oscillation_inhibition
 
 
 def events(spec, num_steps):
@@ -101,7 +101,7 @@ class Policy:
             return -1, "local" if req == owner else "no-eval", None
         self.since[f] = 0
         row = np.array(v)
-        total = float(row.sum()) + p.eps
+        total = float(row.sum()) + FNA_EPS
         churn = min(1.0, float(np.abs(row - self.prev[f]).sum()) / total)
         self.prev[f] = v[:]
         inh = oscillation_inhibition(churn, alternation_score(self.history[f]))

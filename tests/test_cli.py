@@ -14,6 +14,7 @@ import time
 import pytest
 
 import fragsim.cli
+import fragsim.config
 import fragsim.engine
 import fragsim.topology
 from fragsim.cli import (
@@ -23,7 +24,7 @@ from fragsim.cli import (
     SWEEP_HEADER,
     main,
 )
-from fragsim.config import resolve_sweep
+from fragsim.config import ConfigError, resolve_sweep
 from fragsim.engine import DECISIONS_HEADER
 from fragsim.fixtures import reference_topology_dict
 
@@ -385,6 +386,16 @@ class TestSweepCommand:
         assert len(setups) == 3 * len(values)
         assert built == [5]
         assert all(setup.sim.topology is setups[0].sim.topology for setup in setups)
+
+    def test_resolved_state_is_bounded_before_any_cell_resolves(self, tmp_path, monkeypatch):
+        # 2 values x 3 replications x 4 fragments x 5 sites = 120 probability entries
+        doc = base_run_doc(num_steps=10, fragments={"count": 4})
+        doc["sweep"] = {"axis": "t", "values": [0, 1], "replications": 3}
+        monkeypatch.setattr(fragsim.config, "MAX_SWEEP_ENTRIES", 119, raising=False)
+        with pytest.raises(ConfigError, match=r"^config\.sweep: 6 cells of 4 fragments on 5 sites hold 120"):
+            resolve_sweep(doc, tmp_path)
+        monkeypatch.setattr(fragsim.config, "MAX_SWEEP_ENTRIES", 120)
+        assert len(resolve_sweep(doc, tmp_path).groups) == 2
 
     def test_t_axis_on_threshold_policy(self, tmp_path):
         doc = base_run_doc(num_steps=1000)
@@ -798,6 +809,8 @@ class TestFixturesCommand:
         assert main(["fixtures", "--out", str(tmp_path)]) == 0
         fig3 = json.loads((tmp_path / "fig3.json").read_text())
         assert fig3 == reference_topology_dict()
+        committed = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures", "fig3.json")
+        assert (tmp_path / "fig3.json").read_bytes() == open(committed, "rb").read()
         assert (tmp_path / "walkthrough.json").exists()
         assert (tmp_path / "oscillation_compare.json").exists()
 

@@ -258,6 +258,12 @@ class TestMigrationBlocking:
         assert plain.final_owners == blocked.final_owners
         assert plain.residency == blocked.residency
 
+    def test_window_too_long_for_an_int64_still_delays(self):
+        # size 1e300 over one hop: the accesses at steps 1 and 2 each wait about 1e300 steps
+        (plain, _), (blocked, _) = self.blocking_pair(1e300, num_steps=3)
+        assert plain.response_cost == 2.0
+        assert blocked.response_cost == 2.0 + (1e300 - 1) + (1e300 - 2)
+
     def test_window_one_never_delays(self):
         # size 1 over one hop: the window closes before the next step
         (plain, _), (blocked, _) = self.blocking_pair(1.0, num_steps=10)

@@ -482,10 +482,8 @@ class TestFna:
             FnaParams(inhibition_cutoff=1.5)
         with pytest.raises(ValueError):
             FnaParams(min_gap=-0.1)
-        with pytest.raises(ValueError):
-            FnaParams(eps=0.0)
 
-    @pytest.mark.parametrize("field", ["decay", "inhibition_cutoff", "min_gap", "eps"])
+    @pytest.mark.parametrize("field", ["decay", "inhibition_cutoff", "min_gap"])
     def test_nan_fails_every_float_bound(self, field):
         with pytest.raises(ValueError, match=field):
             FnaParams(**{field: float("nan")})

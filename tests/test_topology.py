@@ -10,6 +10,7 @@ import itertools
 import json
 import random
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,14 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragsim.fixtures import reference_topology, reference_topology_dict
+from fragsim.oracle import ChainParams
+from fragsim.policies import FnaParams, PolicySpec
 from fragsim.topology import (
     MAX_SITES,
     TopologyError,
     build_topology,
     complete_topology,
+    is_int,
     load_topology,
     topology_from_dict,
 )
+from fragsim.workload import Oscillation, WorkloadSpec, symmetric_spec
 
 INF = float("inf")
 
@@ -401,3 +406,47 @@ class TestSerialization:
     def test_from_dict_accepts_ints_and_numbers(self):
         topo = topology_from_dict({"n": 3, "links": [[0, 1], [1, 2, 2], [0, 2, 0.5]]})
         assert topo.links == ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5))
+
+
+class TestIntegerRule:
+    """``is_int`` is the one integer test, and every type that owns an integer applies it."""
+
+    @pytest.mark.parametrize("value", [3, -1, 2**70, np.int64(3), np.int32(0), np.uint8(7)])
+    def test_ints_and_numpy_ints_are_integers(self, value):
+        assert is_int(value)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 3.0, np.float64(3.0), Fraction(3), "3", None])
+    def test_bools_floats_and_strings_are_not(self, value):
+        assert not is_int(value)
+
+    # Each call passes a number that is not an integer, and the message names the field.
+    OWNERS = {
+        "workload-active": (lambda: WorkloadSpec(np.array([[0.5, 0.5, 0.0]]), active=(1.7, 2.2)), "active"),
+        "oscillation-period": (lambda: Oscillation(0, 1, 2.5), "period"),
+        "oscillation-bool-site": (lambda: Oscillation(True, 2, 3), "site_a"),
+        "fna-window": (lambda: FnaParams(window=2.5), "window"),
+        "fna-history": (lambda: FnaParams(history=1.5), "history"),
+        "symmetric-hot": (lambda: symmetric_spec(5, 0.3, hot=1.5), "hot"),
+        "symmetric-n": (lambda: symmetric_spec(4.5, 0.3), "n"),
+        "chain-t": (lambda: ChainParams(3, 0.5, 2.5), r"\bt\b"),
+        "chain-n": (lambda: ChainParams(3.5, 0.5, 2), "n"),
+        "policy-t": (lambda: PolicySpec("threshold", t=3.0), r"\bt\b"),
+        "policy-counter-cap": (lambda: PolicySpec("nna", counter_cap=True), "counter_cap"),
+    }
+
+    @pytest.mark.parametrize("case", list(OWNERS))
+    def test_every_owner_refuses_other_numbers(self, case):
+        make, field = self.OWNERS[case]
+        with pytest.raises(ValueError, match=field):
+            make()
+
+    def test_every_owner_takes_numpy_integers(self):
+        i = np.int64
+        assert PolicySpec("threshold", t=i(3)).t == 3
+        assert PolicySpec("nna", counter_cap=i(5)).counter_cap == 5
+        assert FnaParams(window=i(5), history=i(2)).window == 5
+        assert Oscillation(i(0), i(1), i(4)).period == 4
+        assert WorkloadSpec(np.array([[0.5, 0.5]]), active=(i(1),)).active == (1,)
+        assert symmetric_spec(i(3), 0.5, hot=i(2))[2] == 0.5
+        assert ChainParams(i(3), 0.5, i(2)).t == 2
+        assert build_topology(i(2), [(i(0), i(1), i(2))]).distance_matrix[0, 1] == 2.0
