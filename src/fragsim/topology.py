@@ -4,6 +4,9 @@ Sites are numbered 0..n-1 and links are undirected with positive weights.
 Every site is assumed to know the whole topology, so distances and
 next-hop tables are computed once at construction time and reused by the
 simulator for cost accounting and for hop-at-a-time migration routing.
+The links are held in one dense n x n weight matrix (``inf`` where there
+is no link); Floyd-Warshall over it gives the distances, and each site's
+row of it gives that site's neighbours for the next-hop table.
 
 Topologies are loaded from a small JSON document::
 
@@ -12,7 +15,6 @@ Topologies are loaded from a small JSON document::
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 SiteId = int
 
 # Relative tolerance used when deciding whether a neighbour lies on a
-# shortest path. Distances come out of one Dijkstra run, so anything
+# shortest path. Distances come out of one Floyd-Warshall run, so anything
 # beyond accumulated float rounding means "not on a shortest path".
 _PATH_TOL = 1e-9
 
@@ -88,7 +90,7 @@ def build_topology(n: int, links) -> Topology:
         raise TopologyError("topology.links: must be a list")
 
     norm: list[tuple[SiteId, SiteId, float]] = []
-    seen: set[tuple[int, int]] = set()
+    weights = np.full((n, n), np.inf)
     for i, raw in enumerate(links):
         where = f"topology.links[{i}]"
         if not isinstance(raw, (list, tuple)) or len(raw) not in (2, 3):
@@ -105,62 +107,38 @@ def build_topology(n: int, links) -> Topology:
             raise TopologyError(f"{where}[2]: must be a number, got {w!r}")
         if not (0 < w < math.inf):
             raise TopologyError(f"{where}[2]: weight must be positive and finite, got {w}")
-        key = (min(a, b), max(a, b))
-        if key in seen:
+        if weights[a, b] < math.inf:
             raise TopologyError(f"{where}: link ({a}, {b}) appears more than once")
-        seen.add(key)
+        weights[a, b] = weights[b, a] = w
         norm.append((a, b, w))
 
-    # adjacency[s]: (neighbour, weight) pairs sorted by neighbour id
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for a, b, w in norm:
-        adjacency[a].append((b, w))
-        adjacency[b].append((a, w))
-    for pairs in adjacency:
-        pairs.sort()
-    dist = _all_pairs_distances(adjacency)
+    # Floyd-Warshall in place; unreachable pairs stay at infinity
+    dist = weights.copy()
+    np.fill_diagonal(dist, 0.0)
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
     if not np.all(np.isfinite(dist)):
         raise TopologyError("graph is not connected")
-    next_hop_table = _next_hop_table(adjacency, dist)
+    next_hop_table = _next_hop_table(weights, dist)
     dist.setflags(write=False)
     next_hop_table.setflags(write=False)
     return Topology(n, tuple(norm), dist, next_hop_table)
 
 
-def _all_pairs_distances(adjacency: list[list[tuple[int, float]]]) -> np.ndarray:
-    """Dijkstra from every source; unreachable pairs stay at infinity."""
-    n = len(adjacency)
-    rows = []
-    for s in range(n):
-        row = [np.inf] * n
-        row[s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > row[u]:
-                continue
-            for v, w in adjacency[u]:
-                if d + w < row[v]:
-                    row[v] = d + w
-                    heapq.heappush(heap, (row[v], v))
-        rows.append(row)
-    return np.array(rows)
-
-
-def _next_hop_table(adjacency: list[list[tuple[int, float]]], dist: np.ndarray) -> np.ndarray:
-    n = len(adjacency)
+def _next_hop_table(weights: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    n = len(weights)
     table = np.full((n, n), -1, dtype=np.int64)
     for s in range(n):
-        if not adjacency[s]:
+        nbr = np.flatnonzero(weights[s] < np.inf)
+        if not nbr.size:
             continue
-        nbr = np.array([u for u, _ in adjacency[s]])
-        w = np.array([wt for _, wt in adjacency[s]])
         # candidate[k, t]: cost of reaching t via neighbour k
-        candidate = w[:, None] + dist[nbr, :]
-        slack = np.abs(candidate - dist[s, :][None, :])
-        on_path = slack <= _PATH_TOL * np.maximum(1.0, dist[s, :])[None, :]
-        # argmax returns the first hit and neighbours are sorted by id,
-        # which gives the lowest-numbered-neighbour tie-break.
+        candidate = weights[s, nbr, None] + dist[nbr]
+        slack = np.abs(candidate - dist[s])
+        on_path = slack <= _PATH_TOL * np.maximum(1.0, dist[s])
+        # argmax returns the first hit and flatnonzero lists the weight
+        # row's neighbours by ascending id, which gives the
+        # lowest-numbered-neighbour tie-break.
         first = np.argmax(on_path, axis=0)
         usable = on_path.any(axis=0)
         table[s, usable] = nbr[first[usable]]
@@ -204,7 +182,7 @@ def load_topology(path) -> Topology:
     return topology_from_dict(read_json_object(path, TopologyError, "topology document"))
 
 
-def complete_topology(n: int, weight: float = 1.0) -> Topology:
-    """Fully connected topology, handy for location-model experiments."""
-    links = [(a, b, weight) for a in range(n) for b in range(a + 1, n)]
+def complete_topology(n: int) -> Topology:
+    """Fully connected topology with unit weights, handy for location-model experiments."""
+    links = [(a, b, 1.0) for a in range(n) for b in range(a + 1, n)]
     return build_topology(n, links)

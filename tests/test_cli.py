@@ -122,10 +122,15 @@ class TestRunCommand:
             ({"initial_owners": [0, 1]}, "config.initial_owners"),
             ({"workload": {"probs": [[0.2] * 5, [0.2] * 5]}}, "config.workload.probs"),
             ({"workload": {"probs": [[0.25] * 4]}}, "config.workload.probs"),
+            ({"fragments": {"count": 1, "size": 1.0, "sizes": [1.0]}}, "config.fragments: give either 'size' or 'sizes', not both"),
+            ({"fragments": {"count": 2, "sizes": [1.0]}, "initial_owners": 0}, "config.fragments.sizes: must be a list of length 2"),
+            ({"workload": {"x_s": 0.28, "active": 3}}, "config.workload.active: must be a list of site ids"),
+            ({"workload": {"probs": [[0.2] * 5], "hot": 1}}, "config.workload.hot: only valid with the x_s form"),
         ],
         ids=[
             "no-steps", "zero-size", "negative-size", "zero-latency", "designated-high", "designated-negative",
-            "owner-out-of-range", "owner-count", "probs-rows", "probs-width",
+            "owner-out-of-range", "owner-count", "probs-rows", "probs-width", "size-and-sizes", "sizes-length",
+            "active-not-a-list", "hot-with-probs",
         ],
     )
     def test_run_shape_error_names_its_key(self, tmp_path, capsys, overrides, key):
@@ -369,6 +374,14 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: config: missing required key 'workload'\n"
 
+    def test_t_axis_needs_a_policy_block(self, tmp_path, capsys):
+        doc = self.sweep_doc()
+        doc["sweep"] = {"axis": "t", "values": [1, 2]}
+        del doc["policy"]
+        cfg = write_json(tmp_path / "sweep.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: config.sweep.axis: 't' needs a policy block\n"
+
     @pytest.mark.parametrize("axis, values", [("t", list(range(10))), ("active_count", [1, 2, 3, 4, 5])])
     def test_topology_is_built_once(self, tmp_path, monkeypatch, axis, values):
         built = []
@@ -446,6 +459,10 @@ class TestOracleCommand:
         assert main(["oracle", "--n", "5", "--x-s", "0.2", "--t", "-1", "--out", str(tmp_path)]) == 2
         assert "--t" in capsys.readouterr().err
 
+    def test_empty_lists_rejected(self, tmp_path, capsys):
+        assert main(["oracle", "--n", "5", "--x-s", ",", "--t", "0", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: --x-s and --t must be non-empty\n"
+
     def test_too_few_sites_names_the_cell(self, tmp_path, capsys):
         assert main(["oracle", "--n", "1", "--x-s", "0.2", "--t", "0", "--out", str(tmp_path)]) == 2
         assert "--n 1 --x-s 0.2 --t 0" in capsys.readouterr().err
@@ -505,6 +522,11 @@ class TestCompareCommand:
         cfg = write_json(tmp_path / "cmp.json", self.osc_doc())
         assert main(["compare", "--config", cfg, "--policies", "nna,coinflip", "--out", str(tmp_path)]) == 2
         assert "coinflip" in capsys.readouterr().err
+
+    def test_token_with_a_field_too_many_rejected(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cmp.json", self.osc_doc())
+        assert main(["compare", "--config", cfg, "--policies", "nna:threshold:x:3,fna", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: --policies: bad token 'nna:threshold:x:3'\n"
 
     @pytest.mark.parametrize("policies", ["threshold:-1,nna", "nna:threshold:-2,nna", "optimal,threshold:-1"])
     def test_negative_threshold_token(self, tmp_path, capsys, policies):

@@ -62,6 +62,10 @@ class TestValidation:
             with pytest.raises(ValueError, match="size must be positive"):
                 run(threshold_config(sizes=[size]))
 
+    def test_at_least_one_fragment(self):
+        with pytest.raises(ValueError, match="^fragments: need at least one fragment$"):
+            threshold_config(sizes=[], initial_owners=[]).validate()
+
     @pytest.mark.parametrize("size", [float("nan"), float("inf")])
     def test_non_finite_size_rejected_under_blocking(self, size):
         with pytest.raises(ValueError, match="fragments: fragment 0: size must be positive"):
