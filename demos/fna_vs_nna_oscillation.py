@@ -30,10 +30,9 @@ for token in ("optimal", "threshold:5", "nna", "fna"):
         sizes=[1.0] * 10,
         initial_owners=[0] * 10,
         policy=parse_policy_token(token),
-        workload=WorkloadSpec.symmetric(
-            10, 9, 0.8, hot=6, seed=1, oscillation=Oscillation(6, 7, 50)
-        ),
+        workload=WorkloadSpec.symmetric(10, 9, 0.8, hot=6, oscillation=Oscillation(6, 7, 50)),
         num_steps=10_000,
+        seed=1,
         designated=6,
     )
     m = run(cfg)

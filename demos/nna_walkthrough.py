@@ -29,8 +29,9 @@ cfg = SimConfig(
     sizes=[1.0],
     initial_owners=[0],
     policy=PolicySpec("nna"),
-    workload=WorkloadSpec(probs=probs, seed=7),
+    workload=WorkloadSpec(probs=probs),
     num_steps=200,
+    seed=7,
     designated=6,
 )
 log = []  # the decision log, one CSV line per access

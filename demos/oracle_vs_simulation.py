@@ -25,8 +25,9 @@ for n, x_s, t in [(3, 0.5, 2), (5, 0.28, 3), (5, 0.12, 4), (6, 0.4, 1)]:
         sizes=[1.0],
         initial_owners=[0],
         policy=PolicySpec("threshold", t=t),
-        workload=WorkloadSpec.symmetric(1, n, x_s, hot=0, seed=42),
+        workload=WorkloadSpec.symmetric(1, n, x_s, hot=0),
         num_steps=1_000_000,
+        seed=42,
         designated=0,
     )
     o_hat = run(cfg).o_s_hat

@@ -35,8 +35,9 @@ for k in range(1, 10):
             sizes=[1.0],
             initial_owners=[0],
             policy=PolicySpec("threshold", t=t),
-            workload=WorkloadSpec.symmetric(1, N, x_s, hot=0, seed=k),
+            workload=WorkloadSpec.symmetric(1, N, x_s, hot=0),
             num_steps=STEPS,
+            seed=k,
             designated=0,
         )
         o_hat = run(cfg).o_s_hat

@@ -22,6 +22,7 @@ import contextlib
 import csv
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, load_config, parse_policy_token, resolve_run, resolve_sweep
@@ -35,18 +36,12 @@ EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-METRICS_HEADER = [
-    "policy", "n", "x_s", "t", "seed", "num_steps",
-    "o_s_hat", "migrations", "migration_hop_cost", "response_cost", "avg_move_time",
-]
+METRIC_KEYS = ("o_s_hat", "migrations", "migration_hop_cost", "response_cost", "avg_move_time")  # SimMetrics attributes
+MEAN_KEYS = ("o_s_hat", "migrations", "response_cost", "avg_move_time")  # a sweep row's per-value means
+METRICS_HEADER = ["policy", "n", "x_s", "t", "seed", "num_steps", *METRIC_KEYS]
 ORACLE_HEADER = ["n", "x_s", "t", "o_s", "source"]
-SWEEP_HEADER = ["axis", "axis_value", "replication"] + METRICS_HEADER + [
-    "mean_o_s_hat", "mean_migrations", "mean_response_cost", "mean_avg_move_time",
-]
-COMPARE_HEADER = [
-    "policy", "n", "seed", "num_steps",
-    "o_s_hat", "migrations", "migration_hop_cost", "response_cost", "avg_move_time",
-]
+SWEEP_HEADER = ["axis", "axis_value", "replication", *METRICS_HEADER, *(f"mean_{key}" for key in MEAN_KEYS)]
+COMPARE_HEADER = ["policy", "n", "seed", "num_steps", *METRIC_KEYS]
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -58,18 +53,9 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _metrics_row(setup, metrics):
-    return [
-        setup.sim.policy.name,
-        setup.sim.topology.n,
-        setup.x_s,
-        setup.sim.policy.t,
-        setup.sim.workload.seed,
-        setup.sim.num_steps,
-        metrics.o_s_hat,
-        metrics.migrations,
-        metrics.migration_hop_cost,
-        metrics.response_cost,
-        metrics.avg_move_time,
+    sim = setup.sim
+    return [sim.policy.name, sim.topology.n, setup.x_s, sim.policy.t, sim.seed, sim.num_steps] + [
+        getattr(metrics, key) for key in METRIC_KEYS
     ]
 
 
@@ -94,7 +80,7 @@ def _simulate(setups, log_paths) -> list:
                 if metrics.accesses_total == 0:
                     sim = setup.sim
                     raise ConfigError(
-                        f"config: no accesses were sampled in num_steps={sim.num_steps} at rate={sim.workload.rate}; "
+                        f"config: no accesses were sampled in num_steps={sim.num_steps} at rate={sim.rate}; "
                         "raise num_steps or rate"
                     )
         except BaseException:
@@ -250,17 +236,9 @@ def _cmd_sweep(args) -> int:
     rows = []
     for value, setups in sweep.groups:
         results = [(setup, next(all_metrics)) for setup in setups]
-        k = len(results)
-        mean_os = sum(m.o_s_hat for _, m in results) / k
-        mean_migrations = sum(m.migrations for _, m in results) / k
-        mean_response = sum(m.response_cost for _, m in results) / k
-        mean_move_time = sum(m.avg_move_time for _, m in results) / k
+        means = [sum(getattr(m, key) for _, m in results) / len(results) for key in MEAN_KEYS]
         for rep, (setup, metrics) in enumerate(results):
-            rows.append(
-                [sweep.axis, value, rep]
-                + _metrics_row(setup, metrics)
-                + [mean_os, mean_migrations, mean_response, mean_move_time]
-            )
+            rows.append([sweep.axis, value, rep] + _metrics_row(setup, metrics) + means)
     out_path = Path(args.out) / sweep.metrics_name
     _write_csv(out_path, SWEEP_HEADER, rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
@@ -301,10 +279,9 @@ def _cmd_compare(args) -> int:
         raise ConfigError("--policies: need at least two comma-separated policies")
     specs = [parse_policy_token(token) for token in tokens]  # reject a bad token before any simulation
     doc = load_config(args.config)
-    seed_override = _effective_seed_override(args)
+    setup = resolve_run(doc, Path(args.config).parent, _effective_seed_override(args), policy_override=specs[0])
+    setups = [replace(setup, sim=replace(setup.sim, policy=spec)) for spec in specs]  # one stream for all
     out = Path(args.out)
-    base = Path(args.config).parent
-    setups = [resolve_run(doc, base, seed_override=seed_override, policy_override=spec) for spec in specs]
     log_paths = [out / f"decisions_{token.replace(':', '_')}.csv" if args.log_decisions else None for token in tokens]
     rows = []
     for token, setup, log_path, metrics in zip(tokens, setups, log_paths, _simulate_all(setups, log_paths)):

@@ -12,10 +12,11 @@ a :class:`ConfigError` prefixed with the block's name:
 * the run's shape (step count, fragment count and sizes, initial owners,
   designated site, per-hop latency, probability rows and width):
   :meth:`~fragsim.engine.SimConfig.validate`;
-* probabilities, rate, active sites and zero mass on them in either
+* probabilities, active sites and zero mass on them in either
   oscillation phase: :class:`~fragsim.workload.WorkloadSpec`, with
   :func:`~fragsim.workload.symmetric_spec` for ``x_s`` and ``hot`` and
   :class:`~fragsim.workload.Oscillation` for its sites and period;
+* the rate: :func:`~fragsim.workload.check_rate`, as the stream does;
 * policy parameters: :class:`~fragsim.policies.PolicySpec` and
   :class:`~fragsim.policies.FnaParams`, whose JSON types come from
   :data:`~fragsim.policies.POLICY_KEYS`;
@@ -24,8 +25,8 @@ a :class:`ConfigError` prefixed with the block's name:
 
 Three bounds are kept here, because they must hold before anything is
 built: ``fragments.count`` (``MAX_FRAGMENTS``), a sweep's values times
-replications (``MAX_SWEEP_CELLS``), and those cells' probability entries,
-cells times fragments times sites (``MAX_SWEEP_ENTRIES``).
+replications (``MAX_SWEEP_CELLS``), and cells times fragments times sites
+(``MAX_SWEEP_ENTRIES``).
 
 ``NaN`` and ``Infinity`` are not JSON numbers and fail as invalid JSON.
 
@@ -51,6 +52,12 @@ optional ``active`` and ``oscillation`` blocks. A sweep document is a run
 document with an extra ``"sweep"`` block naming the axis, its values and
 the number of replications; replication ``r`` runs with seed ``seed + r``.
 
+The workload block's ``rate`` goes, with the seed, to the
+:class:`~fragsim.engine.SimConfig`, and the rest is its distribution, a
+:class:`~fragsim.workload.WorkloadSpec`. A sweep's cells share one
+topology and resolve each distinct distribution once: once per value on
+the ``x_s`` and ``active_count`` axes, once in all on the others.
+
 There is exactly one seed knob. Precedence, strongest first:
 ``--seed-override``, the ``FRAGSIM_SEED`` environment variable, the
 config's top-level ``seed``, default 0.
@@ -58,16 +65,15 @@ config's top-level ``seed``, default 0.
 
 from __future__ import annotations
 
-import copy
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from .engine import SimConfig
 from .policies import POLICY_KEYS, FnaParams, PolicySpec
 from .topology import Topology, load_topology, read_json_object, topology_from_dict
-from .workload import Oscillation, WorkloadSpec, symmetric_spec
+from .workload import Oscillation, WorkloadSpec, check_rate
 
 import numpy as np
 
@@ -76,7 +82,9 @@ SWEEP_AXES = ("x_s", "t", "fragment_size", "rate", "active_count")
 # Checked before anything is built. MAX_FRAGMENTS with topology.MAX_SITES bounds
 # the (fragments x sites) state of nna and fna at 500 000 entries, 4 MB an array;
 # MAX_SWEEP_CELLS bounds the runs a sweep resolves before the first one starts, and
-# MAX_SWEEP_ENTRIES the probability rows and sampling tables that each cell holds.
+# MAX_SWEEP_ENTRIES cells x fragments x sites. The cells share their distributions,
+# so the probability rows and tables a sweep holds, at most values x fragments x
+# sites, are within that bound.
 MAX_FRAGMENTS = 1000
 MAX_SWEEP_CELLS = 1000
 MAX_SWEEP_ENTRIES = 25_000_000
@@ -115,8 +123,13 @@ def resolve_run(
     record_decisions: bool = False,  # ignored, as whether to log is the caller's choice; perfbench/run.py passes it
     policy_override: Optional[PolicySpec] = None,
     topology: Optional[Topology] = None,
+    workload: Optional[WorkloadSpec] = None,
 ) -> RunSetup:
-    """Resolve a run document; ``topology``, if given, stands for the already resolved ``doc["topology"]``."""
+    """Resolve a run document.
+
+    ``topology`` and ``workload``, if given, stand for the already resolved ``doc["topology"]``
+    and distribution of ``doc["workload"]``, which may differ from theirs in ``rate``.
+    """
     ctx = "config"
     _object(
         doc,
@@ -136,7 +149,7 @@ def resolve_run(
     topo = topology if topology is not None else _resolve_topology(doc["topology"], base_dir)
     sizes = _resolve_sizes(doc.get("fragments", {"count": 1, "size": 1.0}))
     seed = seed_override if seed_override is not None else _key(doc, ctx, "seed", int, 0)
-    workload, x_s_label, hot = _resolve_workload(doc["workload"], len(sizes), topo.n, seed)
+    workload, rate, x_s_label, hot = _resolve_workload(doc["workload"], len(sizes), topo.n, workload)
     sim = SimConfig(
         topology=topo,
         sizes=sizes,
@@ -144,6 +157,8 @@ def resolve_run(
         policy=policy_override if policy_override is not None else _resolve_policy(doc["policy"]),
         workload=workload,
         num_steps=_key(doc, ctx, "num_steps", int),
+        rate=rate,
+        seed=seed,
         designated=_key(doc, ctx, "designated", int, hot),
         per_hop_latency=_key(doc, ctx, "per_hop_latency", float, 1.0),
         migration_blocking=_key(doc, ctx, "migration_blocking", bool, False),
@@ -153,12 +168,7 @@ def resolve_run(
     except ValueError as exc:
         raise ConfigError(f"config.{exc}") from None
 
-    return RunSetup(
-        sim=sim,
-        x_s=x_s_label,
-        metrics_name=metrics_name,
-        decisions_name=decisions_name,
-    )
+    return RunSetup(sim, x_s_label, metrics_name, decisions_name)
 
 
 def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> SweepSetup:
@@ -185,7 +195,7 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
     base_seed = seed_override if seed_override is not None else _key(base, "config", "seed", int, 0)
 
     # No axis varies the topology or the fragment count: resolve the one and read the
-    # other once, and bound what the cells hold by both before any cell resolves.
+    # other once, and bound the sweep by both before any cell resolves.
     topology = _resolve_topology(_object(base, "config", ("topology",), None)["topology"], base_dir)
     count = _fragment_count(base.get("fragments", {"count": 1}))
     entries = cells * count * topology.n
@@ -195,11 +205,15 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
             f"hold {entries} probability entries, more than {MAX_SWEEP_ENTRIES}"
         )
 
-    seeds = range(base_seed, base_seed + replications)
-    groups = []
+    # Replications differ in seed only, and off the x_s and active_count axes the
+    # values share one distribution.
+    groups, shared = [], None
     for value in values:
         varied = _apply_axis(base, axis, value, topology)
-        groups.append((value, [resolve_run(varied, base_dir, seed, topology=topology) for seed in seeds]))
+        first = resolve_run(varied, base_dir, base_seed, topology=topology, workload=shared)
+        if axis not in ("x_s", "active_count"):
+            shared = first.sim.workload
+        groups.append((value, [replace(first, sim=replace(first.sim, seed=base_seed + r)) for r in range(replications)]))
     # resolve_run has checked the output block by now
     return SweepSetup(axis=axis, groups=groups, metrics_name=base.get("output", {}).get("metrics", "sweep.csv"))
 
@@ -282,7 +296,8 @@ def _resolve_policy(block, ctx: str = "config.policy") -> PolicySpec:
         raise ConfigError(f"{ctx}: {exc}") from None
 
 
-def _resolve_workload(block, count: int, n: int, seed: int):
+def _resolve_workload(block, count: int, n: int, spec: Optional[WorkloadSpec] = None):
+    """``(spec, rate, x_s, hot)`` of a workload block; ``spec``, if given, is its distribution, resolved already."""
     ctx = "config.workload"
     _object(block, ctx, (), ("x_s", "hot", "probs", "rate", "active", "oscillation"))
     if ("x_s" in block) == ("probs" in block):
@@ -305,9 +320,9 @@ def _resolve_workload(block, count: int, n: int, seed: int):
     if "x_s" in block:
         x_s = _key(block, ctx, "x_s", float)
         hot = _key(block, ctx, "hot", int, 0)
-    else:
-        if "hot" in block:
-            raise ConfigError(f"{ctx}.hot: only valid with the x_s form")
+    elif "hot" in block:
+        raise ConfigError(f"{ctx}.hot: only valid with the x_s form")
+    elif spec is None:
         if not isinstance(block["probs"], list):
             raise ConfigError(f"{ctx}.probs: must be a list of rows")
         for row in block["probs"]:
@@ -321,39 +336,42 @@ def _resolve_workload(block, count: int, n: int, seed: int):
             probs = np.tile(probs, (count, 1))
 
     try:
-        if x_s is not None:
-            probs = np.tile(symmetric_spec(n, x_s, hot), (count, 1))
-        oscillation = None if osc is None else Oscillation(*osc)
-        spec = WorkloadSpec(probs, rate=rate, active=active, seed=seed, oscillation=oscillation)
+        if spec is None:
+            oscillation = None if osc is None else Oscillation(*osc)
+            if x_s is None:
+                spec = WorkloadSpec(probs, active=active, oscillation=oscillation)
+            else:
+                spec = WorkloadSpec.symmetric(count, n, x_s, hot, active=active, oscillation=oscillation)
+        check_rate(rate)
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from None
-    return spec, x_s, hot
+    return spec, rate, x_s, hot
 
 
 def _apply_axis(base: dict, axis: str, value, topology: Topology) -> dict:
-    doc = copy.deepcopy(base)
-    if axis == "x_s":
-        wl = doc.get("workload")
-        if not isinstance(wl, dict) or "x_s" not in wl:
-            raise ConfigError("config.sweep.axis: 'x_s' needs the workload x_s form")
-        wl["x_s"] = value
-    elif axis == "t":
+    """``base`` with the axis set to ``value``: a shallow copy, sharing every block but the one it changes."""
+    doc = dict(base)
+    if axis == "t":
         pol = doc.get("policy")
         if not isinstance(pol, dict):
             raise ConfigError("config.sweep.axis: 't' needs a policy block")
-        pol["t"] = value
+        doc["policy"] = pol = {**pol, "t": value}
         if pol.get("name") == "nna":
             pol["trigger"] = "threshold"
     elif axis == "fragment_size":  # resolve_sweep has read the fragments block
-        frag = doc.setdefault("fragments", {"count": 1})
-        frag.pop("sizes", None)
-        frag["size"] = value
-    elif axis == "rate":  # a missing workload block stays missing, for resolve_run to report
-        _object(doc.get("workload", {}), "config.workload", (), None)["rate"] = value
-    elif axis == "active_count":
-        if _entry(value, "config.sweep.values", int) > topology.n:
-            raise ConfigError(f"config.sweep.values: active_count {value} exceeds the topology's {topology.n} sites")
-        _object(doc.get("workload", {}), "config.workload", (), None)["active"] = list(range(value))
+        frag = doc.get("fragments", {"count": 1})
+        doc["fragments"] = {**{k: v for k, v in frag.items() if k != "sizes"}, "size": value}
+    else:  # x_s, rate or active_count; a missing workload block stays missing, for resolve_run to report
+        wl = doc.get("workload")
+        if axis == "x_s" and not (isinstance(wl, dict) and "x_s" in wl):
+            raise ConfigError("config.sweep.axis: 'x_s' needs the workload x_s form")
+        if axis == "active_count":
+            if _entry(value, "config.sweep.values", int) > topology.n:
+                raise ConfigError(f"config.sweep.values: active_count {value} exceeds the topology's {topology.n} sites")
+            value = list(range(value))
+        if "workload" in doc:
+            key = "active" if axis == "active_count" else axis
+            doc["workload"] = {**_object(wl, "config.workload", (), None), key: value}
     return doc
 
 

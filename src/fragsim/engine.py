@@ -41,9 +41,12 @@ gives, bit for bit; ``np.sum`` adds pairwise and would not be. Only
 that sum and the decision log need access order: one ``np.argsort`` of
 the moves' access positions orders the migration costs.
 
-Shared stream: :func:`run_group` runs configs that are equal in every
-field but ``policy`` (equal :meth:`SimConfig.stream_key`) on one
-:class:`~fragsim.workload.EventStream`. Each block of events is drawn once
+Shared stream: a config's ``workload`` is the distribution its stream
+draws from, and its ``rate`` and ``seed`` are the draw. :func:`run_group`
+runs configs on one :class:`~fragsim.workload.EventStream` when they
+share one ``topology`` object and one ``workload`` object and are equal
+in every other field but ``policy`` (equal :meth:`SimConfig.stream_key`);
+equal objects built apart are not enough. Each block of events is drawn once
 and handed to each policy in the order of the configs. A policy never
 writes into the block's arrays; the block's index is built at most once,
 for the first policy that reads it, and shared by the rest. Each policy
@@ -62,12 +65,7 @@ Decision log: given a ``write`` callable, :func:`run` writes
 no log is held in memory. A row holds only ints, fixed reason tags (their
 only punctuation is ``:``), ``repr`` floats and ``""`` for no
 inhibition; no field ever needs quoting, so joining the fields with
-commas gives the bytes ``csv.writer`` would. ``_row_writer`` is the one
-place a row is formatted and the one place an access is tagged
-``local``: a local access is always a stay, so the engine tags it from
-the owners, whatever code the policy gave it. It caches the text of each
-distinct (fragment, requester, owner, decision, destination, reason), so
-a row costs one table lookup and one join with its step's text.
+commas gives the bytes ``csv.writer`` would; ``_row_writer`` writes them.
 """
 
 from __future__ import annotations
@@ -94,6 +92,8 @@ class SimConfig:
     policy: PolicySpec
     workload: WorkloadSpec
     num_steps: int
+    rate: float = 1.0  # each trial's chance to emit an access
+    seed: int = 0
     designated: SiteId = 0
     per_hop_latency: float = 1.0
     migration_blocking: bool = False
@@ -129,28 +129,12 @@ class SimConfig:
             raise ValueError(f"workload.probs: rows have {self.workload.num_sites} sites, topology has {n}")
 
     def stream_key(self) -> tuple:
-        """Every field but ``policy``, by value.
+        """Every field but ``policy``: ``topology`` and ``workload`` by identity, the rest by value.
 
         Configs with equal keys draw the same events, so :func:`run_group`
         can run them on one event stream.
         """
-        wl = self.workload
-        return (
-            self.topology.n,
-            self.topology.links,
-            wl.probs.shape,
-            wl.probs.tobytes(),
-            wl.rate,
-            wl.active,
-            wl.seed,
-            wl.oscillation,
-            tuple(self.sizes),
-            tuple(self.initial_owners),
-            self.num_steps,
-            self.designated,
-            self.per_hop_latency,
-            self.migration_blocking,
-        )
+        return tuple(tuple(v) if isinstance(v, list) else v for k, v in vars(self).items() if k != "policy")
 
 
 @dataclass
@@ -199,7 +183,7 @@ def run_group(cfgs: list, writes=None) -> list:
     if writes is None:
         writes = [None] * len(cfgs)
     runs = [_PolicyRun(cfg, write) for cfg, write in zip(cfgs, writes, strict=True)]
-    for block in EventStream(first.workload).blocks(first.num_steps):
+    for block in EventStream(first.workload, first.rate, first.seed).blocks(first.num_steps):
         for one in runs:
             one.take(block)
     return [one.metrics() for one in runs]

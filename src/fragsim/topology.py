@@ -105,7 +105,11 @@ def build_topology(n: int, links) -> Topology:
             raise TopologyError(f"{where}: link ({a}, {b}) is a self-loop")
         if not (is_int(w) or isinstance(w, float)):
             raise TopologyError(f"{where}[2]: must be a number, got {w!r}")
-        if not (0 < w < math.inf):
+        try:
+            valid = 0 < float(w) < math.inf
+        except OverflowError:  # an int too large for a float
+            valid = False
+        if not valid:
             raise TopologyError(f"{where}[2]: weight must be positive and finite, got {w}")
         if weights[a, b] < math.inf:
             raise TopologyError(f"{where}: link ({a}, {b}) appears more than once")

@@ -1,12 +1,16 @@
 """Reproducible access-event streams.
 
-Each simulation step offers every fragment one Bernoulli(``rate``) chance
-to emit an access; the requester is then drawn from the fragment's
-probability vector by inverse CDF. Restricting to an ``active`` site set
-renormalises the remaining mass, preserving the ratios between active
-sites. Streams are driven by ``random.Random`` (Mersenne Twister), whose
-output for a fixed seed is stable across platforms and Python releases,
-so a (spec, seed) pair always reproduces the same events.
+A stream draws from a distribution, a :class:`WorkloadSpec` of each
+fragment's probability vector over the sites, an optional ``active``
+site set and an optional ``oscillation``, at a ``rate`` and from a
+``seed`` that :class:`EventStream` takes beside it. Each simulation step
+offers every fragment one Bernoulli(``rate``) chance to emit an access;
+the requester is then drawn from the fragment's probability vector by
+inverse CDF. Restricting to an ``active`` site set renormalises the
+remaining mass, preserving the ratios between active sites. Streams are
+driven by ``random.Random`` (Mersenne Twister), whose output for a fixed
+seed is stable across platforms and Python releases, so a (spec, rate,
+seed) triple always reproduces the same events.
 
 The stream is defined trial by trial, in step-major, fragment-minor
 order: a trial takes one ``random()`` draw and emits when it is below
@@ -88,6 +92,12 @@ def check_two_level(n: int, x_s: float) -> None:
         raise ValueError(f"x_s must lie in [0, 1], got {x_s}")
 
 
+def check_rate(rate: float) -> None:
+    """The one check of a stream's ``rate``, each trial's chance to emit an access; NaN fails it."""
+    if not (0.0 < rate <= 1.0):
+        raise ValueError(f"rate must lie in (0, 1], got {rate}")
+
+
 def symmetric_spec(n: int, x_s: float, hot: SiteId = 0) -> np.ndarray:
     """Access vector with mass ``x_s`` at ``hot`` and the rest spread evenly.
 
@@ -130,7 +140,7 @@ class Oscillation:
 
 @dataclass(frozen=True, eq=False)
 class WorkloadSpec:
-    """Declarative description of an access workload.
+    """The distribution an access stream draws from; the rate and seed are the stream's.
 
     ``probs`` has one row per fragment summing to 1 over the sites.
     ``active`` (None means all sites) restricts requesters to a subset,
@@ -145,9 +155,7 @@ class WorkloadSpec:
     """
 
     probs: np.ndarray
-    rate: float = 1.0
     active: Optional[tuple[SiteId, ...]] = None
-    seed: int = 0
     oscillation: Optional[Oscillation] = None
 
     def __post_init__(self):
@@ -161,8 +169,6 @@ class WorkloadSpec:
         if bad.size:
             raise ValueError(f"probs row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
         object.__setattr__(self, "probs", probs)
-        if not (0.0 < self.rate <= 1.0):
-            raise ValueError(f"rate must lie in (0, 1], got {self.rate}")
         n = probs.shape[1]
         if self.active is not None:
             if not all(is_int(s) for s in self.active):
@@ -206,18 +212,15 @@ class WorkloadSpec:
         n: int,
         x_s: float,
         hot: SiteId = 0,
-        rate: float = 1.0,
         active: Optional[Sequence[SiteId]] = None,
-        seed: int = 0,
         oscillation: Optional[Oscillation] = None,
     ) -> "WorkloadSpec":
-        row = symmetric_spec(n, x_s, hot)
-        probs = np.tile(row, (num_fragments, 1))
-        return cls(probs, rate=rate, active=None if active is None else tuple(active), seed=seed, oscillation=oscillation)
+        probs = np.tile(symmetric_spec(n, x_s, hot), (num_fragments, 1))
+        return cls(probs, active=None if active is None else tuple(active), oscillation=oscillation)
 
 
 class EventStream:
-    """Access events for one run, drawn a block of trials at a time.
+    """Access events for one run of ``spec`` at ``rate`` from ``seed``, drawn a block of trials at a time.
 
     The sampling tables are the spec's ``tables``, cumulative masses
     over the active sites, one per oscillation phase. :meth:`blocks` turns one
@@ -227,9 +230,11 @@ class EventStream:
     module docstring for why that replays the per-trial draws exactly.
     """
 
-    def __init__(self, spec: WorkloadSpec):
+    def __init__(self, spec: WorkloadSpec, rate: float, seed: int):
+        check_rate(rate)
         self.spec = spec
-        self._rng = random.Random(spec.seed)
+        self.rate = rate
+        self._rng = random.Random(seed)
         self._emitted = np.zeros(spec.num_fragments, dtype=np.int64)
 
     def _draws(self, count: int) -> np.ndarray:
@@ -244,7 +249,7 @@ class EventStream:
         fewer) and holds one int array entry per emitted access, in trial
         order: step-major, fragment-minor.
         """
-        rate = self.spec.rate
+        rate = self.rate
         num_fragments = self.spec.num_fragments
         total = num_steps * num_fragments
         carry = np.empty(0)

@@ -23,15 +23,15 @@ from fragsim.engine import DECISIONS_HEADER, SimMetrics
 from fragsim.policies import FNA_EPS, alternation_score, oscillation_inhibition
 
 
-def events(spec, num_steps):
+def events(spec, rate, seed, num_steps):
     """Yield ``(step, fragment, requester)`` for every emitted access."""
-    rng = random.Random(spec.seed)
+    rng = random.Random(seed)
     sites = list(range(spec.num_sites)) if spec.active is None else list(spec.active)
     emitted = [0] * spec.num_fragments
     osc = spec.oscillation
     for step in range(num_steps):
         for f in range(spec.num_fragments):
-            if not rng.random() < spec.rate:
+            if not rng.random() < rate:
                 continue
             mass = [float(m) for m in spec.probs[f]]
             if osc is not None and emitted[f] // osc.period % 2 == 1:
@@ -130,7 +130,7 @@ def run(cfg):
     out = io.StringIO()
     log = csv.writer(out, lineterminator="\n")
     log.writerow(DECISIONS_HEADER.rstrip("\n").split(","))
-    for step, f, req in events(cfg.workload, cfg.num_steps):
+    for step, f, req in events(cfg.workload, cfg.rate, cfg.seed, cfg.num_steps):
         owner = owners[f]
         m.accesses_total += 1
         m.residency[owner] += 1

@@ -36,8 +36,9 @@ def _threshold_run(n, x_s, t, num_steps, seed):
         sizes=[1.0],
         initial_owners=[0],
         policy=PolicySpec("threshold", t=t),
-        workload=WorkloadSpec.symmetric(1, n, x_s, hot=0, seed=seed),
+        workload=WorkloadSpec.symmetric(1, n, x_s, hot=0),
         num_steps=num_steps,
+        seed=seed,
         designated=0,
     )
     return run(cfg)
@@ -237,11 +238,9 @@ def test_08_nna_moves_one_hop_toward_argmax():
             sizes=[1.0],
             initial_owners=[rng.randrange(n)],
             policy=PolicySpec("nna"),
-            workload=WorkloadSpec.symmetric(
-                1, n, 0.6, hot=site_a, seed=1_000 + ti,
-                oscillation=Oscillation(site_a, site_b, 500),
-            ),
+            workload=WorkloadSpec.symmetric(1, n, 0.6, hot=site_a, oscillation=Oscillation(site_a, site_b, 500)),
             num_steps=5_000,
+            seed=1_000 + ti,
             designated=site_a,
         )
         lines = []
@@ -284,10 +283,9 @@ def test_09_fna_migrates_less_under_oscillation():
                 sizes=[1.0] * 10,
                 initial_owners=[0] * 10,
                 policy=PolicySpec(name),
-                workload=WorkloadSpec.symmetric(
-                    10, 9, 0.8, hot=6, seed=seed, oscillation=Oscillation(6, 7, 50)
-                ),
+                workload=WorkloadSpec.symmetric(10, 9, 0.8, hot=6, oscillation=Oscillation(6, 7, 50)),
                 num_steps=10_000,
+                seed=seed,
                 designated=6,
             )
             counts[name] = run(cfg).migrations

@@ -10,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,7 @@ from fragsim.cli import (
 )
 from fragsim.config import ConfigError, resolve_sweep
 from fragsim.engine import DECISIONS_HEADER
-from fragsim.fixtures import reference_topology_dict
+from fragsim.fixtures import reference_topology_dict, write_fixtures
 
 
 def write_json(path, doc):
@@ -410,6 +411,43 @@ class TestSweepCommand:
         monkeypatch.setattr(fragsim.config, "MAX_SWEEP_ENTRIES", 120)
         assert len(resolve_sweep(doc, tmp_path).groups) == 2
 
+    @pytest.mark.parametrize("axis, values", [("t", [0, 1, 2]), ("rate", [0.25, 0.5, 1.0]), ("fragment_size", [1.0, 2.0])])
+    def test_cells_off_the_distribution_axes_share_one_workload(self, tmp_path, axis, values):
+        doc = base_run_doc(num_steps=10)
+        doc["sweep"] = {"axis": axis, "values": values, "replications": 2}
+        sims = [setup.sim for _, group in resolve_sweep(doc, tmp_path).groups for setup in group]
+        assert len(sims) == 2 * len(values)
+        assert all(sim.workload is sims[0].workload and sim.topology is sims[0].topology for sim in sims)
+
+    @pytest.mark.parametrize("axis, values", [("x_s", [0.2, 0.4, 0.6]), ("active_count", [2, 3, 5])])
+    def test_distribution_axes_resolve_one_workload_per_value(self, tmp_path, axis, values):
+        doc = base_run_doc(num_steps=10)
+        doc["sweep"] = {"axis": axis, "values": values, "replications": 2}
+        groups = [[setup.sim for setup in group] for _, group in resolve_sweep(doc, tmp_path).groups]
+        assert all(sim.workload is sims[0].workload for sims in groups for sim in sims)
+        assert len({id(sims[0].workload) for sims in groups}) == len(values)
+
+    def test_a_rate_sweep_holds_its_distribution_once(self, tmp_path):
+        # 10 cells of a 200 x 100 probs matrix hold less than twice what 1 cell holds, stream keys included
+        probs = []
+        for f in range(200):
+            weights = [(f * s) % 7 + 1 for s in range(100)]
+            probs.append([w / sum(weights) for w in weights])
+        ring = {"n": 100, "links": [[s, (s + 1) % 100] for s in range(100)]}
+        held = {}
+        for values in ([0.5], [0.1 * k for k in range(1, 11)]):
+            doc = base_run_doc(num_steps=10, topology=ring, fragments={"count": 200}, workload={"probs": probs})
+            doc["sweep"] = {"axis": "rate", "values": values}
+            tracemalloc.start()
+            try:
+                sweep = resolve_sweep(doc, tmp_path)
+                keys = [setup.sim.stream_key() for _, group in sweep.groups for setup in group]
+                held[len(keys)] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del sweep, keys
+        assert held[10] < 2 * held[1], held
+
     def test_t_axis_on_threshold_policy(self, tmp_path):
         doc = base_run_doc(num_steps=1000)
         doc["sweep"] = {"axis": "t", "values": [0, 5]}
@@ -720,10 +758,10 @@ class TestCellPool:
         tally.touch()
 
         class CountedStream(fragsim.engine.EventStream):
-            def __init__(self, spec):
+            def __init__(self, spec, rate, seed):
                 with open(tally, "a") as fh:
-                    fh.write(f"{spec.seed}\n")
-                super().__init__(spec)
+                    fh.write(f"{seed}\n")
+                super().__init__(spec, rate, seed)
 
         monkeypatch.setattr(fragsim.engine, "EventStream", CountedStream)
         return lambda: len(tally.read_text().splitlines())
@@ -772,8 +810,8 @@ class TestCellPool:
 
         def flaky_run_group(sims, writes):
             for sim in sims:
-                if (sim.policy.t, sim.workload.seed) in ((1, 1), (0, 2)):
-                    raise RuntimeError(f"cell t={sim.policy.t} seed={sim.workload.seed} failed")
+                if (sim.policy.t, sim.seed) in ((1, 1), (0, 2)):
+                    raise RuntimeError(f"cell t={sim.policy.t} seed={sim.seed} failed")
             return real_run_group(sims, writes)
 
         self.cpus(monkeypatch, cpus)
@@ -781,6 +819,38 @@ class TestCellPool:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "internal error: cell t=0 seed=2 failed\n"
         assert not (tmp_path / "out").exists()
+
+    def test_compare_shares_one_workload_and_topology(self, tmp_path, monkeypatch):
+        # the document is resolved once, and each policy's setup is a copy with its policy
+        groups = []
+        real_run_group = fragsim.cli.run_group
+
+        def spy(sims, writes):
+            groups.append(sims)
+            return real_run_group(sims, writes)
+
+        self.cpus(monkeypatch, 1)
+        monkeypatch.setattr(fragsim.cli, "run_group", spy)
+        cfg = write_json(tmp_path / "cmp.json", base_run_doc(num_steps=200))
+        assert main(["compare", "--config", cfg, "--policies", "optimal,nna,fna", "--out", str(tmp_path)]) == 0
+        (sims,) = groups
+        assert [sim.policy.name for sim in sims] == ["optimal", "nna", "fna"]
+        assert all(sim.workload is sims[0].workload and sim.topology is sims[0].topology for sim in sims)
+
+    @pytest.mark.parametrize(
+        "command, name, extra, streams",
+        [("sweep", "residency_vs_t_xs028.json", [], 3), ("compare", "oscillation_compare.json", ["--policies", "optimal,nna,fna"], 1)],
+    )
+    def test_bundled_documents_group_their_streams(self, tmp_path, monkeypatch, command, name, extra, streams):
+        # on one CPU each group of cells that share a stream is one task, which draws it once
+        write_fixtures(tmp_path)
+        doc = json.loads((tmp_path / name).read_text())
+        doc["num_steps"] = 50
+        cfg = write_json(tmp_path / "short.json", doc)
+        self.cpus(monkeypatch, 1)
+        count = self.count_streams(monkeypatch, tmp_path / "streams")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 0
+        assert count() == streams
 
     def test_killed_worker_fails_the_command(self, tmp_path):
         # A worker killed outright cannot report back; the command must

@@ -24,7 +24,8 @@ def threshold_config(**overrides):
         sizes=[1.0],
         initial_owners=[0],
         policy=PolicySpec("threshold", t=3),
-        workload=WorkloadSpec.symmetric(1, 5, 0.28, seed=1),
+        workload=WorkloadSpec.symmetric(1, 5, 0.28),
+        seed=1,
         num_steps=2000,
     )
     base.update(overrides)
@@ -46,6 +47,11 @@ class TestValidation:
         cfg = threshold_config(num_steps=0)
         with pytest.raises(ValueError):
             run(cfg)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.5, float("nan")])
+    def test_rate_must_lie_in_the_unit_interval(self, rate):
+        with pytest.raises(ValueError, match=r"rate must lie in \(0, 1\]"):
+            run(threshold_config(rate=rate))
 
     def test_workload_width_must_match_topology(self):
         cfg = threshold_config(workload=WorkloadSpec.symmetric(1, 4, 0.3))
@@ -84,7 +90,8 @@ class TestValidation:
             sizes=[1.0, 2.5],
             initial_owners=[0, 0],
             policy=PolicySpec("threshold", t=0),
-            workload=WorkloadSpec(np.array([[1.0, 0.0], [0.0, 1.0]]), seed=3),
+            workload=WorkloadSpec(np.array([[1.0, 0.0], [0.0, 1.0]])),
+            seed=3,
             num_steps=5,
         )
         metrics = run(cfg)
@@ -125,7 +132,7 @@ class TestValidation:
         "overrides",
         [
             {"num_steps": 2001},
-            {"workload": WorkloadSpec.symmetric(1, 5, 0.28, seed=2)},
+            {"seed": 2},
             {"initial_owners": [1]},
             {"migration_blocking": True},
         ],
@@ -135,13 +142,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="differ in their policy only"):
             run_group([threshold_config(), threshold_config(policy=PolicySpec("nna"), **overrides)])
 
-    def test_stream_key_compares_by_value(self):
-        # topologies and workloads built apart still share a stream
+    def test_stream_key_compares_topology_and_workload_by_identity(self):
+        # configs that share both objects share a stream; equal ones built apart do not
         a = threshold_config()
-        b = threshold_config(policy=PolicySpec("optimal"))
-        assert a.topology is not b.topology and a.workload is not b.workload
+        b = replace(a, policy=PolicySpec("optimal"))
         assert a.stream_key() == b.stream_key()
         assert run_group([a, b]) == [run(a), run(b)]
+        apart = threshold_config(policy=PolicySpec("optimal"))
+        for field in ("topology", "workload"):
+            other = replace(b, **{field: getattr(apart, field)})
+            assert other.stream_key() != a.stream_key()
+            with pytest.raises(ValueError, match="differ in their policy only"):
+                run_group([a, other])
 
 
 class TestEstimateOs:
@@ -169,7 +181,8 @@ class TestSmallExactRuns:
             sizes=[1.0],
             initial_owners=[0],
             policy=PolicySpec("threshold", t=0),
-            workload=WorkloadSpec(np.array([[1.0]]), seed=2),
+            workload=WorkloadSpec(np.array([[1.0]])),
+            seed=2,
             num_steps=500,
         )
         metrics = run(cfg)
@@ -187,7 +200,8 @@ class TestSmallExactRuns:
             sizes=[1.0],
             initial_owners=[0],
             policy=PolicySpec("threshold", t=0),
-            workload=WorkloadSpec(np.array([[0.0, 1.0]]), seed=0),
+            workload=WorkloadSpec(np.array([[0.0, 1.0]])),
+            seed=0,
             num_steps=3,
             per_hop_latency=2.0,
         )
@@ -207,7 +221,8 @@ class TestSmallExactRuns:
             sizes=[1.0],
             initial_owners=[0],
             policy=PolicySpec("optimal"),
-            workload=WorkloadSpec(np.array([[1.0]]), seed=2),
+            workload=WorkloadSpec(np.array([[1.0]])),
+            seed=2,
             num_steps=10,
         )
         metrics = run(cfg)
@@ -219,7 +234,8 @@ class TestSmallExactRuns:
             sizes=[1.0, 1.0],
             initial_owners=[0, 0],
             policy=PolicySpec("threshold", t=0),
-            workload=WorkloadSpec(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), seed=6),
+            workload=WorkloadSpec(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])),
+            seed=6,
             num_steps=100,
         )
         metrics = run(cfg)
@@ -238,7 +254,8 @@ class TestMigrationBlocking:
                 sizes=[size],
                 initial_owners=[0],
                 policy=PolicySpec("threshold", t=0),
-                workload=WorkloadSpec(np.array([[0.0, 1.0]]), seed=0),
+                workload=WorkloadSpec(np.array([[0.0, 1.0]])),
+                seed=0,
                 num_steps=num_steps,
                 migration_blocking=blocking,
             )
@@ -307,9 +324,8 @@ class TestDeterminismAndConservation:
             sizes=[1.0],
             initial_owners=[0],
             policy=policy,
-            workload=WorkloadSpec.symmetric(
-                1, 9, 0.8, hot=6, seed=5, oscillation=Oscillation(6, 7, 30)
-            ),
+            workload=WorkloadSpec.symmetric(1, 9, 0.8, hot=6, oscillation=Oscillation(6, 7, 30)),
+            seed=5,
             num_steps=4000,
             designated=6,
         )
@@ -379,7 +395,9 @@ class TestBlockBoundaries:
             sizes=[1.0, 2.5, 4.0],
             initial_owners=[0, 3, 8],
             policy=PolicySpec("threshold", t=t),
-            workload=WorkloadSpec.symmetric(3, 9, 0.5, hot=6, rate=0.137, seed=13, oscillation=Oscillation(6, 2, 3)),
+            workload=WorkloadSpec.symmetric(3, 9, 0.5, hot=6, oscillation=Oscillation(6, 2, 3)),
+            rate=0.137,
+            seed=13,
             num_steps=num_steps,
             designated=6,
             migration_blocking=True,
@@ -411,7 +429,9 @@ class TestSharedBlockIndex:
         cfg = threshold_config(
             sizes=[1.0, 2.5, 4.0],
             initial_owners=[0, 3, 4],
-            workload=WorkloadSpec.symmetric(3, 5, 0.4, hot=2, rate=0.5, seed=3),
+            workload=WorkloadSpec.symmetric(3, 5, 0.4, hot=2),
+            rate=0.5,
+            seed=3,
             num_steps=3000,
             migration_blocking=True,
         )
@@ -437,8 +457,8 @@ def test_run_never_imports_numpy_random():
         "from fragsim.policies import PolicySpec\n"
         "from fragsim.topology import complete_topology\n"
         "from fragsim.workload import WorkloadSpec\n"
-        "spec = WorkloadSpec.symmetric(2, 3, 0.5, rate=0.5)\n"
-        "run(SimConfig(complete_topology(3), [1.0, 1.0], [0, 1], PolicySpec('nna'), spec, 100))\n"
+        "spec = WorkloadSpec.symmetric(2, 3, 0.5)\n"
+        "run(SimConfig(complete_topology(3), [1.0, 1.0], [0, 1], PolicySpec('nna'), spec, 100, rate=0.5))\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
     env = dict(os.environ)

@@ -1,7 +1,8 @@
 """No input reaches exit 1: mutated bundled documents exit 0, 2 or 3.
 
-Hypothesis mutates the bundled run and sweep documents with type swaps,
-huge and negative ints, ``NaN`` and ``Infinity``, missing and extra keys,
+Hypothesis mutates the bundled run and sweep documents, and the
+topology file ``fig3.json`` of the walkthrough run, with type swaps, huge
+and negative ints, ``NaN`` and ``Infinity``, missing and extra keys,
 wrong nesting and bytes that are not UTF-8, and runs ``cli.main`` on each.
 Some overflows happen only once a simulation runs, so a document that
 resolves is run too, with ``num_steps`` and ``replications`` clamped to
@@ -78,9 +79,13 @@ def _bounded():
 
 
 def _paths(node, path=()):
-    """Every path into ``node``, entering only the first entry of a list, so long lists do not crowd out keys."""
+    """Every path into ``node``, entering only the first and last entries of a list, so long lists do not crowd out keys."""
     yield path
-    items = node.items() if isinstance(node, dict) else enumerate(node[:1]) if isinstance(node, list) else ()
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        ends = sorted({0, len(node) - 1}) if isinstance(node, list) and node else []
+        items = [(i, node[i]) for i in ends]
     for key, child in items:
         yield from _paths(child, path + (key,))
 
@@ -123,10 +128,13 @@ def _resolve(command, config) -> None:
 
 @pytest.fixture(scope="module")
 def bundled(tmp_path_factory):
-    """The bundled documents' directory and each document's command and contents."""
+    """The bundled documents' directory and each document's name, command and contents.
+
+    ``fig3.json`` comes under the command ``run``, as the topology file of the walkthrough run.
+    """
     root = tmp_path_factory.mktemp("bundled")
-    docs = [json.loads(path.read_text()) for path in write_fixtures(root) if path.name != "fig3.json"]
-    return root, [("sweep" if "sweep" in doc else "run", doc) for doc in docs]
+    docs = [(path.name, json.loads(path.read_text())) for path in write_fixtures(root)]
+    return root, [(name, "sweep" if "sweep" in doc else "run", doc) for name, doc in docs]
 
 
 @settings(max_examples=500)
@@ -134,13 +142,17 @@ def bundled(tmp_path_factory):
 def test_mutated_documents_never_exit_1(bundled, data):
     root, documents = bundled
     command = data.draw(st.sampled_from(["run", "sweep"]))
-    doc = data.draw(st.sampled_from([doc for of, doc in documents if of == command]))
+    name, doc = data.draw(st.sampled_from([(name, doc) for name, of, doc in documents if of == command]))
     doc = copy.deepcopy(doc)
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(data.draw, doc)
     raw = json.dumps(doc).encode()  # NaN and Infinity come out as the bare words
     at = data.draw(st.integers(0, len(raw)))
     raw = raw[:at] + data.draw(NOT_UTF8) + raw[at:]
+    if name == "fig3.json":  # the walkthrough run, on the mutated topology file
+        (root / "mutated_fig3.json").write_bytes(raw)
+        walkthrough = next(doc for name, _, doc in documents if name == "walkthrough.json")
+        raw = json.dumps({**walkthrough, "topology": "mutated_fig3.json"}).encode()
     config = root / "mutated.json"
     config.write_bytes(raw)
     err = io.StringIO()
@@ -171,6 +183,7 @@ NAMED = {
     "sweep-cells": ("residency_vs_t_xs028.json", ["sweep", "replications"], 10**12, 2, "config.sweep"),
     "fna-window": ("walkthrough.json", ["policy"], {"name": "fna", "window": 10**30}, 2, "window"),
     "fna-history": ("walkthrough.json", ["policy"], {"name": "fna", "history": 10**30}, 2, "history"),
+    "weight-beyond-a-float": ("walkthrough.json", ["topology"], {"n": 2, "links": [[0, 1, 10**400]]}, 3, "topology.links[0][2]"),
 }
 
 

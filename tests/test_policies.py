@@ -283,7 +283,9 @@ class TestThresholdBlock:
             sizes=[0.5, 2.5, 4.0],
             initial_owners=[0, 1, 2],
             policy=PolicySpec("threshold", t=1),
-            workload=WorkloadSpec.symmetric(3, 4, 0.4, hot=1, rate=0.7, seed=5),
+            workload=WorkloadSpec.symmetric(3, 4, 0.4, hot=1),
+            rate=0.7,
+            seed=5,
             num_steps=3000,
             per_hop_latency=0.7,
         )

@@ -71,13 +71,9 @@ def configs(draw):
         if not all(any(row[s] for s in (active or range(n))) for row in (w, swapped)):
             w = [1] * n  # both phases need mass on the active sites
         rows.append(np.array(w, dtype=float) / sum(w))
-    workload = WorkloadSpec(
-        np.array(rows),
-        rate=draw(st.sampled_from([1.0, 0.5, 0.137])),
-        active=None if active is None else tuple(active),
-        seed=draw(st.integers(0, 2**32 - 1)),
-        oscillation=oscillation,
-    )
+    rate = draw(st.sampled_from([1.0, 0.5, 0.137]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    workload = WorkloadSpec(np.array(rows), active=None if active is None else tuple(active), oscillation=oscillation)
     return SimConfig(
         topology=topology,
         sizes=draw(st.lists(st.sampled_from([0.5, 1.0, 2.5, 4.0]), min_size=k, max_size=k)),
@@ -85,6 +81,8 @@ def configs(draw):
         policy=policy,
         workload=workload,
         num_steps=draw(st.integers(1, 300)),
+        rate=rate,
+        seed=seed,
         designated=draw(st.integers(0, n - 1)),
         per_hop_latency=draw(st.sampled_from([1.0, 0.5, 3.0])),
         migration_blocking=draw(st.booleans()),

@@ -19,10 +19,10 @@ from fragsim.workload import (
 )
 
 
-def draw_events(spec, num_steps, fragment=0):
+def draw_events(spec, num_steps, fragment=0, rate=1.0, seed=0):
     """Requesters of the events one fragment emits over ``num_steps`` steps."""
     out = []
-    for block in EventStream(spec).blocks(num_steps):
+    for block in EventStream(spec, rate, seed).blocks(num_steps):
         out += block.requesters[block.fragments == fragment].tolist()
     return out
 
@@ -67,10 +67,12 @@ class TestWorkloadSpecValidation:
             WorkloadSpec(np.array([[1.5, -0.5]]))
 
     def test_rate_bounds(self):
+        # the rate is the stream's, not the distribution's
+        spec = WorkloadSpec(np.array([[1.0]]))
         with pytest.raises(ValueError, match=r"rate must lie in \(0, 1\], got 0.0"):
-            WorkloadSpec(np.array([[1.0]]), rate=0.0)
+            EventStream(spec, 0.0, 0)
         with pytest.raises(ValueError, match=r"rate must lie in \(0, 1\], got 1.5"):
-            WorkloadSpec(np.array([[1.0]]), rate=1.5)
+            EventStream(spec, 1.5, 0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -107,7 +109,7 @@ class TestWorkloadSpecValidation:
             Oscillation(0, 1, 2**63)
 
     def test_symmetric_constructor(self):
-        spec = WorkloadSpec.symmetric(3, 5, 0.28, seed=9)
+        spec = WorkloadSpec.symmetric(3, 5, 0.28)
         assert spec.num_fragments == 3
         assert spec.num_sites == 5
         assert np.allclose(spec.probs[2], symmetric_spec(5, 0.28))
@@ -149,45 +151,44 @@ class TestEventStream:
     def test_block_draws_replay_random(self):
         # getrandbits fills its integer with 32-bit outputs least significant
         # word first; the block draws rely on that order
-        stream = EventStream(WorkloadSpec(np.array([[1.0]]), seed=31))
+        stream = EventStream(WorkloadSpec(np.array([[1.0]])), 1.0, 31)
         reference = random.Random(31)
         for count in (1, 4096, 3):
             assert stream._draws(count).tolist() == [reference.random() for _ in range(count)]
         assert stream._rng.random() == reference.random(), "generator left in step"
 
     def test_deterministic_requester(self):
-        spec = WorkloadSpec(np.array([[0.0, 1.0, 0.0]]), seed=5)
-        events = draw_events(spec, 50)
+        spec = WorkloadSpec(np.array([[0.0, 1.0, 0.0]]))
+        events = draw_events(spec, 50, seed=5)
         assert len(events) == 50
         assert all(r == 1 for r in events)
 
     def test_same_seed_same_stream(self):
-        spec = WorkloadSpec.symmetric(1, 5, 0.28, seed=77)
-        a = draw_events(spec, 2000)
-        b = draw_events(spec, 2000)
+        spec = WorkloadSpec.symmetric(1, 5, 0.28)
+        a = draw_events(spec, 2000, seed=77)
+        b = draw_events(spec, 2000, seed=77)
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = draw_events(WorkloadSpec.symmetric(1, 5, 0.5, seed=1), 200)
-        b = draw_events(WorkloadSpec.symmetric(1, 5, 0.5, seed=2), 200)
+        spec = WorkloadSpec.symmetric(1, 5, 0.5)
+        a = draw_events(spec, 200, seed=1)
+        b = draw_events(spec, 200, seed=2)
         assert a != b
 
     def test_rate_thins_the_stream(self):
-        spec = WorkloadSpec(np.array([[1.0]]), rate=0.3, seed=11)
-        events = draw_events(spec, 10_000)
+        events = draw_events(WorkloadSpec(np.array([[1.0]])), 10_000, rate=0.3, seed=11)
         sigma = math.sqrt(10_000 * 0.3 * 0.7)
         assert abs(len(events) - 3000) <= 4 * sigma
 
     def test_empirical_frequencies_match_probabilities(self):
-        spec = WorkloadSpec.symmetric(1, 5, 0.28, seed=123)
-        events = draw_events(spec, 20_000)
+        events = draw_events(WorkloadSpec.symmetric(1, 5, 0.28), 20_000, seed=123)
         hot = sum(1 for r in events if r == 0)
         sigma = math.sqrt(20_000 * 0.28 * 0.72)
         assert abs(hot - 20_000 * 0.28) <= 4 * sigma
 
     def test_active_set_restricts_and_renormalizes(self):
-        spec = WorkloadSpec(np.array([[0.1, 0.2, 0.3, 0.4]]), active=(1, 3), seed=21)
-        events = draw_events(spec, 20_000)
+        spec = WorkloadSpec(np.array([[0.1, 0.2, 0.3, 0.4]]), active=(1, 3))
+        events = draw_events(spec, 20_000, seed=21)
         assert set(events) == {1, 3}
         # ratios 0.2 : 0.4 renormalise to 1/3 : 2/3
         freq1 = sum(1 for r in events if r == 1) / len(events)
@@ -197,33 +198,22 @@ class TestEventStream:
     def test_zero_mass_on_active_sites(self):
         with pytest.raises(ValueError, match="fragment 0 has zero probability mass on the active sites"):
             spec = WorkloadSpec(np.array([[1.0, 0.0]]), active=(1,))
-            EventStream(spec)
+            EventStream(spec, 1.0, 0)
 
     def test_oscillation_swaps_in_exact_blocks(self):
-        spec = WorkloadSpec(
-            np.array([[1.0, 0.0]]),
-            oscillation=Oscillation(0, 1, period=5),
-            seed=4,
-        )
+        spec = WorkloadSpec(np.array([[1.0, 0.0]]), oscillation=Oscillation(0, 1, period=5))
         expected = ([0] * 5 + [1] * 5) * 3
-        assert draw_events(spec, 30) == expected
+        assert draw_events(spec, 30, seed=4) == expected
 
     def test_oscillation_period_counts_emitted_events_not_steps(self):
         # with rate 0.5 the phase boundary still falls after 5 events
-        spec = WorkloadSpec(
-            np.array([[1.0, 0.0]]),
-            rate=0.5,
-            oscillation=Oscillation(0, 1, period=5),
-            seed=4,
-        )
-        requesters = draw_events(spec, 200)[:20]
+        spec = WorkloadSpec(np.array([[1.0, 0.0]]), oscillation=Oscillation(0, 1, period=5))
+        requesters = draw_events(spec, 200, rate=0.5, seed=4)[:20]
         assert requesters == [0] * 5 + [1] * 5 + [0] * 5 + [1] * 5
 
     def test_oscillation_preserves_total_mass(self):
-        spec = WorkloadSpec.symmetric(
-            1, 9, 0.8, hot=6, seed=8, oscillation=Oscillation(6, 7, 50)
-        )
-        events = draw_events(spec, 5000)
+        spec = WorkloadSpec.symmetric(1, 9, 0.8, hot=6, oscillation=Oscillation(6, 7, 50))
+        events = draw_events(spec, 5000, seed=8)
         # sites 6 and 7 together hold 0.8 + 0.025 of the mass in every phase
         both = sum(1 for r in events if r in (6, 7))
         p = 0.8 + (1 - 0.8) / 8
@@ -235,21 +225,21 @@ class TestEventStream:
         # At rate 0.95 most blocks of one or two trials draw no miss and skip
         # the search for trial starts; the blocks that miss carry draws over
         # into them. Three fragments put a block's first trial on each.
-        spec = WorkloadSpec.symmetric(3, 5, 0.4, rate=0.95, seed=7, oscillation=Oscillation(0, 2, 3))
+        spec = WorkloadSpec.symmetric(3, 5, 0.4, oscillation=Oscillation(0, 2, 3))
         monkeypatch.setattr(workload, "BLOCK_TRIALS", block)
-        blocks = list(EventStream(spec).blocks(400))
+        blocks = list(EventStream(spec, 0.95, 7).blocks(400))
         every_trial_emits = sum(b.fragments.size == block for b in blocks)
         assert every_trial_emits > 0.8 * len(blocks) and every_trial_emits < len(blocks)
         events = []
         for b in blocks:
             events += zip(b.steps.tolist(), b.fragments.tolist(), b.requesters.tolist())
-        assert events == list(reference_engine.events(spec, 400))
+        assert events == list(reference_engine.events(spec, 0.95, 7, 400))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25)
     def test_streams_are_reproducible_for_any_seed(self, seed):
-        spec = WorkloadSpec.symmetric(1, 4, 0.4, rate=0.7, seed=seed)
-        assert draw_events(spec, 300) == draw_events(spec, 300)
+        spec = WorkloadSpec.symmetric(1, 4, 0.4)
+        assert draw_events(spec, 300, rate=0.7, seed=seed) == draw_events(spec, 300, rate=0.7, seed=seed)
 
 
 class TestBlockIndex:
