@@ -12,7 +12,8 @@ CSV output is deterministic byte for byte: floats are written with
 ``repr``, which round-trips exactly, and rows follow the iteration order
 of the config document. That holds too where ``sweep`` and ``compare``
 run the cells that differ only in policy on one shared event stream, and
-spread their cells over forked worker processes.
+run such groups of cells in forked children, up to two per usable CPU,
+which hand their metrics back through a pipe while this process waits.
 """
 
 from __future__ import annotations
@@ -20,10 +21,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import os
+import pickle
+import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 from .config import ConfigError, load_config, parse_policy_token, resolve_run, resolve_sweep
 from .engine import run_group
@@ -115,14 +120,16 @@ def _simulate_task(setups, log_paths) -> tuple:
     return done, None
 
 
-def _split(groups: list, target: int) -> list:
-    """Split each group into contiguous chunks of near-equal size, the largest that give ``target`` in all.
+def _split(groups: list, cpus: int) -> list:
+    """Split the groups into contiguous chunks, but only while there are fewer chunks than ``cpus``.
 
-    Where the groups have fewer cells than ``target``, every cell is its
-    own chunk. The chunks come back ordered by their first cell.
+    Each group is cut into near-equal chunks of the largest size that
+    gives ``cpus`` chunks in all, or one chunk per cell where the groups
+    have fewer cells than that. A group left whole draws its stream once.
+    The chunks come back ordered by their first cell.
     """
     size = max(map(len, groups))
-    while size > 1 and sum(-(-len(group) // size) for group in groups) < target:
+    while size > 1 and sum(-(-len(group) // size) for group in groups) < cpus:
         size -= 1
     chunks = []
     for group in groups:
@@ -137,12 +144,11 @@ def _simulate_all(setups, log_paths) -> list:
     Equal cells (equal configs and log path, as a repeated ``compare``
     token gives) run once. Cells whose configs differ only in policy share
     one event stream: they are grouped by
-    :meth:`~fragsim.engine.SimConfig.stream_key`, and each group is split
-    into contiguous chunks in config order, one task each, so that there
-    are two tasks per usable CPU where the cells allow. Where the host can
-    fork and has more than one usable CPU the tasks run in a pool of
-    forked workers, one per task, so every task starts at once and the
-    CPUs share them; otherwise one after another. Either way a failure
+    :meth:`~fragsim.engine.SimConfig.stream_key`, and a group is split into
+    contiguous chunks, one task each, only while there are fewer tasks
+    than usable CPUs. With more than one usable CPU and more than one task
+    the tasks run in forked children (:func:`_run_forked`), up to two per
+    CPU; otherwise one after another in this process. Either way a failure
     leaves what the serial loop leaves: the first failing cell in config
     order raises, and only the complete decision logs of the cells before
     it remain.
@@ -156,35 +162,24 @@ def _simulate_all(setups, log_paths) -> list:
     for (key, _, _), i in cells.items():
         groups.setdefault(key, []).append(i)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    target = 2 * cpus if cpus > 1 else 1
-    tasks = _split(list(groups.values()), target)
+    tasks = _split(list(groups.values()), cpus)
 
+    def run(task):
+        return _simulate_task([setups[i] for i in task], [log_paths[i] for i in task])
+
+    if cpus < 2 or len(tasks) < 2 or not hasattr(os, "fork"):
+        outcomes = map(run, tasks)  # each runs when it is read
+    else:
+        outcomes = iter(_run_forked(tasks, run, min(len(tasks), 2 * cpus)))
     metrics = {}  # config index of a cell -> its metrics
     failed, error = len(setups), None  # the first failing cell known so far and its exception
-
-    def cells_of(task):
-        return [setups[i] for i in task], [log_paths[i] for i in task]
-
-    workers = min(len(tasks), target)  # one worker per task: a long task never waits for a short one to end
-    with contextlib.ExitStack() as stack:
-        if workers < 2 or not hasattr(os, "fork"):
-            outcomes = (_simulate_task(*cells_of(task)) for task in tasks)  # each runs when it is read
-        else:
-            import concurrent.futures
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")  # workers start without re-importing; no thread runs here yet
-            sys.stdout.flush()  # a forked worker flushes the buffers it inherits when it exits
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(workers, mp_context=ctx))
-            stack.callback(pool.shutdown, cancel_futures=True)  # tasks not started by then never start
-            outcomes = map(_outcome, [pool.submit(_simulate_task, *cells_of(task)) for task in tasks])
-        for task in tasks:  # ordered by first cell: once one starts after a known failure, all later ones do
-            if task[0] > failed:
-                break
-            done, exc = next(outcomes)
-            metrics.update(zip(task, done))
-            if exc is not None and task[len(done)] < failed:
-                failed, error = task[len(done)], exc
+    for task in tasks:  # ordered by first cell: once one starts after a known failure, all later ones do
+        if task[0] > failed:
+            break
+        done, exc = next(outcomes)
+        metrics.update(zip(task, done))
+        if exc is not None and task[len(done)] < failed:
+            failed, error = task[len(done)], exc
     if error is not None:
         # Every task has ended, so no cell is still writing a log removed here.
         for i in cells.values():
@@ -194,12 +189,75 @@ def _simulate_all(setups, log_paths) -> list:
     return [metrics[i] for i in of]
 
 
-def _outcome(future) -> tuple:
-    """A pooled task's ``(metrics, error)``; a worker killed outright takes its task down with it."""
+def _run_forked(tasks: list, run, workers: int) -> list:
+    """``run(task)`` of each task, ordered by first cell, from ``workers`` forked children.
+
+    Child ``w`` runs ``tasks[w::workers]`` in order, skips those that start
+    after its own first failure (their entries stay ``None``), writes its
+    pickled list of outcomes to its own pipe and exits. This process only
+    waits: it reads the pipes to the end in child order, which cannot
+    deadlock as each child writes only to its own, and reaps each child.
+    A child that dies, or whose outcomes cannot be pickled, leaves its pipe
+    empty, and its first task fails at its first cell with a
+    ``RuntimeError``; its later tasks start after that cell. On any
+    exception here every child still running is killed and reaped.
+    """
+    outcomes = [None] * len(tasks)
+    children = {}  # pid -> the read end of its pipe, for each child not yet reaped
     try:
-        return future.result()
-    except Exception as exc:
-        return [], exc
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                # the parent must be every pipe's only reader, so that once it is gone a write fails instead of blocking
+                for fd in (read_end, *children.values()):
+                    os.close(fd)
+                _run_child(tasks[w::workers], run, write_end)
+            os.close(write_end)
+            children[pid] = read_end
+        for w, pid in enumerate(list(children)):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(children.pop(pid))
+            try:
+                results = pickle.loads(data)
+            except Exception:
+                code = os.waitstatus_to_exitcode(status)
+                results = [([], RuntimeError(f"a forked simulation process ended (exit code {code}) without its outcome"))]
+            for k, outcome in enumerate(results):
+                outcomes[w + k * workers] = outcome
+    finally:  # children are left only if this process failed
+        for pid, read_end in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+    return outcomes
+
+
+def _run_child(tasks: list, run, write_end: int) -> NoReturn:
+    """A forked child's part of :func:`_run_forked`: run ``tasks``, write the pickled outcomes to ``write_end``, exit."""
+    status = 1
+    try:
+        outcomes, failed = [], math.inf
+        for task in tasks:
+            if task[0] > failed:
+                break
+            done, exc = run(task)
+            outcomes.append((done, exc))
+            if exc is not None:
+                failed = min(failed, task[len(done)])
+        data = pickle.dumps(outcomes)
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)  # no exit handler, no flush of inherited buffers, no unwinding into the caller
 
 
 def _effective_seed_override(args) -> int | None:

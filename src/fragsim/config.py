@@ -56,7 +56,9 @@ The workload block's ``rate`` goes, with the seed, to the
 :class:`~fragsim.engine.SimConfig`, and the rest is its distribution, a
 :class:`~fragsim.workload.WorkloadSpec`. A sweep's cells share one
 topology and resolve each distinct distribution once: once per value on
-the ``x_s`` and ``active_count`` axes, once in all on the others.
+the ``x_s`` and ``active_count`` axes, once in all on the others. The
+``active_count`` values share one read of the probability rows, and
+differ only in their active sites and sampling tables.
 
 There is exactly one seed knob. Precedence, strongest first:
 ``--seed-override``, the ``FRAGSIM_SEED`` environment variable, the
@@ -127,8 +129,10 @@ def resolve_run(
 ) -> RunSetup:
     """Resolve a run document.
 
-    ``topology`` and ``workload``, if given, stand for the already resolved ``doc["topology"]``
-    and distribution of ``doc["workload"]``, which may differ from theirs in ``rate``.
+    ``topology``, if given, stands for the already resolved ``doc["topology"]``. ``workload``,
+    if given, is a distribution resolved already from a ``doc["workload"]`` that may have
+    differed from this one in ``rate`` and ``active`` only: it is used as it is where the
+    active sites are the same, and otherwise lends its probability rows to a new one.
     """
     ctx = "config"
     _object(
@@ -205,13 +209,13 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
             f"hold {entries} probability entries, more than {MAX_SWEEP_ENTRIES}"
         )
 
-    # Replications differ in seed only, and off the x_s and active_count axes the
-    # values share one distribution.
+    # Replications differ in seed only. Off the x_s axis the values share the first one's
+    # probability rows, read once, and off active_count its whole distribution.
     groups, shared = [], None
     for value in values:
         varied = _apply_axis(base, axis, value, topology)
         first = resolve_run(varied, base_dir, base_seed, topology=topology, workload=shared)
-        if axis not in ("x_s", "active_count"):
+        if axis != "x_s":
             shared = first.sim.workload
         groups.append((value, [replace(first, sim=replace(first.sim, seed=base_seed + r)) for r in range(replications)]))
     # resolve_run has checked the output block by now
@@ -297,7 +301,7 @@ def _resolve_policy(block, ctx: str = "config.policy") -> PolicySpec:
 
 
 def _resolve_workload(block, count: int, n: int, spec: Optional[WorkloadSpec] = None):
-    """``(spec, rate, x_s, hot)`` of a workload block; ``spec``, if given, is its distribution, resolved already."""
+    """``(spec, rate, x_s, hot)`` of a workload block; ``spec``, if given, is as :func:`resolve_run`'s ``workload``."""
     ctx = "config.workload"
     _object(block, ctx, (), ("x_s", "hot", "probs", "rate", "active", "oscillation"))
     if ("x_s" in block) == ("probs" in block):
@@ -342,6 +346,8 @@ def _resolve_workload(block, count: int, n: int, spec: Optional[WorkloadSpec] = 
                 spec = WorkloadSpec(probs, active=active, oscillation=oscillation)
             else:
                 spec = WorkloadSpec.symmetric(count, n, x_s, hot, active=active, oscillation=oscillation)
+        elif spec.active != (None if active is None else tuple(sorted(set(active)))):
+            spec = WorkloadSpec(spec.probs, active=active, oscillation=spec.oscillation)
         check_rate(rate)
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from None

@@ -1,6 +1,5 @@
 """End-to-end CLI tests: exit codes, CSV schemas, determinism, seed plumbing."""
 
-import concurrent.futures
 import csv
 import importlib
 import json
@@ -448,6 +447,45 @@ class TestSweepCommand:
             del sweep, keys
         assert held[10] < 2 * held[1], held
 
+    @pytest.mark.parametrize("form", ["probs", "x_s"])
+    def test_active_count_values_share_the_probability_rows(self, tmp_path, monkeypatch, form):
+        read = []
+        real_entry = fragsim.config._entry
+
+        def counted_entry(value, where, kind):
+            if where == "config.workload.probs":
+                read.append(value)
+            return real_entry(value, where, kind)
+
+        monkeypatch.setattr(fragsim.config, "_entry", counted_entry)
+        workload = {"probs": [[0.1, 0.2, 0.3, 0.2, 0.2]] * 4} if form == "probs" else {"x_s": 0.3}
+        doc = base_run_doc(num_steps=10, fragments={"count": 4}, workload=workload)
+        doc["sweep"] = {"axis": "active_count", "values": [2, 3, 5], "replications": 2}
+        workloads = [group[0].sim.workload for _, group in resolve_sweep(doc, tmp_path).groups]
+        assert len(read) == (20 if form == "probs" else 0)  # each entry is read once for the whole sweep
+        assert [list(w.sites) for w in workloads] == [[0, 1], [0, 1, 2], [0, 1, 2, 3, 4]]
+        assert all(w.probs is workloads[0].probs for w in workloads)
+
+    def test_an_active_count_sweep_holds_its_rows_once(self, tmp_path):
+        # 10 values over a 200 x 100 probs matrix hold less than twice what 1 value holds
+        probs = []
+        for f in range(200):
+            weights = [(f * s) % 7 + 1 for s in range(100)]
+            probs.append([w / sum(weights) for w in weights])
+        ring = {"n": 100, "links": [[s, (s + 1) % 100] for s in range(100)]}
+        held = {}
+        for values in ([5], list(range(1, 11))):
+            doc = base_run_doc(num_steps=10, topology=ring, fragments={"count": 200}, workload={"probs": probs})
+            doc["sweep"] = {"axis": "active_count", "values": values}
+            tracemalloc.start()
+            try:
+                sweep = resolve_sweep(doc, tmp_path)
+                held[len(values)] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del sweep
+        assert held[10] < 2 * held[1], held
+
     def test_t_axis_on_threshold_policy(self, tmp_path):
         doc = base_run_doc(num_steps=1000)
         doc["sweep"] = {"axis": "t", "values": [0, 5]}
@@ -620,43 +658,45 @@ class TestCellPool:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
-    def run_both_commands(self, tmp_path, out):
+    def run_both_commands(self, tmp_path, out, monkeypatch):
+        """Both commands' outputs, and the number of children each forked."""
         sweep = TestSweepCommand().sweep_doc()
         compare = TestCompareCommand().osc_doc()
         compare["num_steps"] = 2000
+        children = []
+        real_fork = os.fork
+
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                children[-1] += 1
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        children.append(0)
         assert main(["sweep", "--config", write_json(tmp_path / "sweep.json", sweep), "--out", str(out)]) == 0
+        children.append(0)
         assert main([
             "compare", "--config", write_json(tmp_path / "cmp.json", compare),
             "--policies", "optimal,nna,fna", "--out", str(out), "--log-decisions",
         ]) == 0
-        return {path.name: path.read_bytes() for path in out.iterdir()}
+        return {path.name: path.read_bytes() for path in out.iterdir()}, children
 
     def test_serial_and_pooled_outputs_are_byte_identical(self, tmp_path, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was built for one usable CPU")
-
         self.cpus(monkeypatch, 1)
-        with monkeypatch.context() as patch:
-            patch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-            serial = self.run_both_commands(tmp_path, tmp_path / "serial")
-
-        pools = []
-
-        class CountedPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        serial, children = self.run_both_commands(tmp_path, tmp_path / "serial", monkeypatch)
+        assert children == [0, 0], "nothing forks on one usable CPU"
 
         self.cpus(monkeypatch, 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-        pooled = self.run_both_commands(tmp_path, tmp_path / "pooled")
-        assert pools == [4, 3]  # one worker per task: the sweep's 4 tasks, compare's 3 cells
+        pooled, children = self.run_both_commands(tmp_path, tmp_path / "pooled", monkeypatch)
+        assert children == [4, 2]  # one child per task: the sweep's 4 streams, compare's 2 chunks of its 3 cells
         assert sorted(serial) == ["compare.csv", "decisions_fna.csv", "decisions_nna.csv", "decisions_optimal.csv", "sweep.csv"]
         assert pooled == serial
 
     def test_compare_starts_every_cell_at_once_on_two_cpus(self, tmp_path, monkeypatch):
-        # Each cell waits until all three have started before it simulates:
-        # with fewer workers than cells the waits would time out.
+        # Each task, [optimal] and [nna, fna], waits until both have started
+        # before it simulates: with fewer children than tasks the waits
+        # would time out.
         doc = TestCompareCommand().osc_doc()
         doc["num_steps"] = 2000
         cfg = write_json(tmp_path / "cmp.json", doc)
@@ -671,7 +711,7 @@ class TestCellPool:
             with open(starts, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
             deadline = time.monotonic() + 5
-            while len(started := starts.read_text().splitlines()) < 3 and time.monotonic() < deadline:
+            while len(started := starts.read_text().splitlines()) < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
             with open(seen, "a") as fh:
                 fh.write(f"{len(started)}\n")
@@ -681,8 +721,8 @@ class TestCellPool:
         monkeypatch.setattr(fragsim.cli, "run_group", gathered_run_group)
         assert main(command + [str(tmp_path / "pooled")]) == 0
         pids = starts.read_text().splitlines()
-        assert len(set(pids)) == 3 and str(os.getpid()) not in pids
-        assert seen.read_text().splitlines() == ["3"] * 3, "every cell saw all three started before it ran"
+        assert len(set(pids)) == 2 and str(os.getpid()) not in pids
+        assert seen.read_text().splitlines() == ["2"] * 2, "every task saw both started before it ran"
         serial = {path.name: path.read_bytes() for path in (tmp_path / "serial").iterdir()}
         assert {path.name: path.read_bytes() for path in (tmp_path / "pooled").iterdir()} == serial
         assert len(serial) == 4
@@ -693,7 +733,11 @@ class TestCellPool:
             ("optimal,nna,fna", False, None),
             ("optimal,nna,fna,threshold:3,threshold:5", True, None),
             ("optimal,nna,optimal", True, None),  # the repeated cell runs once
-            ("optimal,nna,fna," + ",".join(f"threshold:{t}" for t in range(9)), False, "optimal,nna,fna"),
+            (
+                "optimal,nna,fna," + ",".join(f"threshold:{t}" for t in range(9)),
+                False,
+                "optimal,nna,fna,threshold,threshold,threshold",
+            ),
         ],
         ids=[
             "later-cell-done",
@@ -767,23 +811,25 @@ class TestCellPool:
         return lambda: len(tally.read_text().splitlines())
 
     def test_sweep_draws_one_stream_per_task(self, tmp_path, monkeypatch):
-        # 10 t values x 3 seeds: one group of 10 cells per seed, split in
-        # two on 2 CPUs (two tasks per CPU at least) and whole on one
+        # 10 t values x 3 seeds: one group of 10 cells per seed, whole on 2
+        # CPUs as on one, since 3 groups are already as many tasks as CPUs
         doc = base_run_doc(num_steps=500)
         doc["sweep"] = {"axis": "t", "values": list(range(10)), "replications": 3}
         cfg = write_json(tmp_path / "sweep.json", doc)
         outputs = {}
-        for cpus, streams in ((1, 3), (2, 6)):
+        for cpus in (1, 2):
             self.cpus(monkeypatch, cpus)
             count = self.count_streams(monkeypatch, tmp_path / f"streams{cpus}")
             assert main(["sweep", "--config", cfg, "--out", str(tmp_path / str(cpus))]) == 0
-            assert count() == streams
+            assert count() == 3
             outputs[cpus] = (tmp_path / str(cpus) / "sweep.csv").read_bytes()
         assert outputs[2] == outputs[1]
         assert len(outputs[1].splitlines()) == 31
 
-    @pytest.mark.parametrize("policies, streams", [("optimal,nna,fna", 3), ("optimal,nna,optimal", 2)])
-    def test_compare_draws_one_stream_per_distinct_cell_on_two_cpus(self, tmp_path, monkeypatch, policies, streams):
+    @pytest.mark.parametrize("policies", ["optimal,nna,fna", "optimal,nna,optimal"])
+    def test_compare_draws_one_stream_per_distinct_cell_on_two_cpus(self, tmp_path, monkeypatch, policies):
+        # one group split into 2 tasks, one per CPU: [optimal] and [nna, fna],
+        # or [optimal] and [nna] where the repeated optimal runs once
         doc = TestCompareCommand().osc_doc()
         doc["num_steps"] = 2000
         cfg = write_json(tmp_path / "cmp.json", doc)
@@ -791,7 +837,7 @@ class TestCellPool:
         count = self.count_streams(monkeypatch, tmp_path / "streams")
         out = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--policies", policies, "--out", str(out), "--log-decisions"]) == 0
-        assert count() == streams
+        assert count() == 2
         rows = read_rows(out / "compare.csv")
         assert [row["policy"] for row in rows] == policies.split(",")
         if policies.endswith(",optimal"):
@@ -882,6 +928,133 @@ class TestCellPool:
         assert proc.returncode == 1
         assert proc.stderr.startswith("internal error:")
         assert sorted(path.name for path in out.iterdir()) == ["decisions_optimal.csv"]
+
+    def test_a_sweep_keeps_at_most_two_children_per_cpu(self, tmp_path, monkeypatch):
+        # 12 rate values at one seed: 12 streams, so 12 one-cell tasks, run
+        # by 4 children of 3 tasks each on 2 CPUs
+        doc = base_run_doc(num_steps=300)
+        doc["sweep"] = {"axis": "rate", "values": [0.4 + 0.05 * k for k in range(12)], "replications": 1}
+        cfg = write_json(tmp_path / "sweep.json", doc)
+        self.cpus(monkeypatch, 1)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+        alive, most = set(), []
+        real_fork, real_waitpid, real_run_group = os.fork, os.waitpid, fragsim.cli.run_group
+        tasks = tmp_path / "tasks"
+
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                alive.add(pid)
+                most.append(len(alive))
+            return pid
+
+        def counted_waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            alive.discard(reaped[0])
+            return reaped
+
+        def spy(sims, writes):
+            with open(tasks, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_run_group(sims, writes)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "waitpid", counted_waitpid)
+        monkeypatch.setattr(fragsim.cli, "run_group", spy)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "pooled")]) == 0
+        assert max(most) == 4 and not alive
+        pids = tasks.read_text().splitlines()
+        assert len(pids) == 12 and sorted(pids.count(pid) for pid in set(pids)) == [3] * 4
+        assert (tmp_path / "pooled" / "sweep.csv").read_bytes() == (tmp_path / "serial" / "sweep.csv").read_bytes()
+
+    def test_a_child_skips_its_tasks_after_its_own_failure(self, tmp_path, monkeypatch, capsys):
+        # 12 one-cell tasks, 3 to each of 4 children; the first cell fails, so
+        # its child skips its other 2 tasks, which start after it
+        doc = base_run_doc(num_steps=300)
+        doc["sweep"] = {"axis": "rate", "values": [0.4 + 0.05 * k for k in range(12)], "replications": 1}
+        cfg = write_json(tmp_path / "sweep.json", doc)
+        real_run_group = fragsim.cli.run_group
+        tasks = tmp_path / "tasks"
+        tasks.touch()
+
+        def flaky_run_group(sims, writes):
+            with open(tasks, "a") as fh:
+                fh.write(f"{sims[0].rate}\n")
+            if sims[0].rate == 0.4:
+                raise RuntimeError("first cell failed")
+            return real_run_group(sims, writes)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(fragsim.cli, "run_group", flaky_run_group)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "internal error: first cell failed\n"
+        assert len(tasks.read_text().splitlines()) == 10
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
+    def test_no_child_outlives_the_command(self, tmp_path, monkeypatch, capsys, fails):
+        doc = TestCompareCommand().osc_doc()
+        doc["num_steps"] = 2000
+        cfg = write_json(tmp_path / "cmp.json", doc)
+        real_run_group = fragsim.cli.run_group
+
+        def flaky_run_group(sims, writes):
+            if fails and any(sim.policy.name == "nna" for sim in sims):
+                raise RuntimeError("nna cell failed")
+            return real_run_group(sims, writes)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(fragsim.cli, "run_group", flaky_run_group)
+        code = main(["compare", "--config", cfg, "--policies", "optimal,nna,fna", "--out", str(tmp_path / "out")])
+        assert code == (1 if fails else 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child is left, running or unreaped
+
+    @pytest.mark.parametrize("failing, left", [("optimal", []), ("nna", ["decisions_optimal.csv"])])
+    def test_an_error_that_cannot_be_pickled_fails_as_the_serial_loop_does(self, tmp_path, monkeypatch, capsys, failing, left):
+        # On 2 CPUs the tasks are [optimal] and [nna, fna], one per child.
+        class LocalError(RuntimeError):  # a class defined in a function cannot be pickled
+            pass
+
+        doc = TestCompareCommand().osc_doc()
+        doc["num_steps"] = 2000
+        cfg = write_json(tmp_path / "cmp.json", doc)
+        real_run_group = fragsim.cli.run_group
+
+        def flaky_run_group(sims, writes):
+            if any(sim.policy.name == failing for sim in sims):
+                raise LocalError(f"{failing} cell failed")
+            return real_run_group(sims, writes)
+
+        monkeypatch.setattr(fragsim.cli, "run_group", flaky_run_group)
+        outputs = {}
+        for cpus in (1, 2):
+            self.cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            command = ["compare", "--config", cfg, "--policies", "optimal,nna,fna", "--out", str(out), "--log-decisions"]
+            assert main(command) == 1
+            assert capsys.readouterr().err.startswith("internal error:")
+            outputs[cpus] = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else {}
+        assert sorted(outputs[1]) == left
+        assert outputs[2] == outputs[1]
+
+    def test_the_runner_imports_no_executor(self, tmp_path):
+        cfg = write_json(tmp_path / "sweep.json", TestSweepCommand().sweep_doc(num_steps=300))
+        script = (
+            "import os, sys\n"
+            "import fragsim.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "os.cpu_count = lambda: 2\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(fragsim.cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "sweep", "--config", cfg, "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_only_the_exit_code_errors_are_defined():

@@ -100,7 +100,10 @@ def _mutate(draw, doc) -> None:
         return
     if kind == "extreme":  # aim at the numbers, where the overflows are
         paths = [p for p in paths if type(_at(doc, p)) in (int, float)] or paths
-    path = draw(st.sampled_from([p for p in paths if p]))
+    paths = [p for p in paths if p]
+    if not paths:  # a document mutated down to {} has no key left to change
+        return
+    path = draw(st.sampled_from(paths))
     parent, key = _at(doc, path[:-1]), path[-1]
     value = parent[key]
     if kind == "extreme":
