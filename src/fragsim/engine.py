@@ -29,8 +29,8 @@ fragment's value after the block. It fills each event's owner and the
 ``owners`` carried into the next block, and under blocking the transfer
 windows' ends, carried from block to block in ``in_flight_until``. The
 ends are floats, exact below 2**53 steps, so no window wraps an int64.
-Apart from writing the decision log, the engine has no per-access
-Python loop: ``np.bincount`` of the owners adds to the residency counts,
+Apart from ``fna``'s inhibitions in the decision log, the engine has no
+per-access Python loop: ``np.bincount`` of the owners adds to the residency counts,
 and the response and migration costs are computed as arrays. An
 access's response cost is read from a table of ``(2.0 * distance) *
 latency`` by requester and owner, made once per run. Each array of
@@ -71,8 +71,8 @@ commas gives the bytes ``csv.writer`` would; ``_row_writer`` writes them.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -227,7 +227,7 @@ class _PolicyRun:
         moved_sizes = self.sizes[fragments[at]]
         hops = cfg.topology.distance_matrix[owner_at[at], dests]
         self.migrations += at.size
-        migration_costs = (moved_sizes * hops * latency)[np.argsort(at)]  # in access order, the order they add up in
+        migration_costs = (moved_sizes * hops * latency)[np.argsort(at, kind="stable")]  # in access order, the order they add up in
         self.migration_hop_cost = _running_sum(self.migration_hop_cost, migration_costs)
         if cfg.migration_blocking:
             windows = steps[at] + np.ceil(moved_sizes * hops)
@@ -257,7 +257,7 @@ def _running_sum(total: float, terms: np.ndarray) -> float:
     if not terms.size:
         return total
     terms[0] += total
-    return float(np.cumsum(terms)[-1])
+    return float(np.cumsum(terms, out=terms)[-1])
 
 
 def _forward_fill(block, moves, values, carried):
@@ -286,11 +286,13 @@ def _row_writer(write, n, reasons):
     This is the one place a row is formatted. ``log`` scatters the moves,
     in any order, and the policy's codes and inhibitions into access
     order, and codes every local access ``local``, appended to the
-    policy's ``reasons``. Each line is the step's text joined to a cached
+    policy's ``reasons``. A line is its step's text joined to a cached
     ``"fragment,requester,owner,decision,dest,reason,"`` text that ends in
-    a newline, and the inhibition, if any, goes before that newline. The
-    texts are indexed by the int ``(((fragment * n + requester) * n +
-    owner) * (n + 1) + dest + 1) * len(reasons) + code``, ``dest`` -1 for a stay.
+    a newline, each made once per distinct value in the block and joined
+    over object arrays; only an evaluated row gets its inhibition spliced
+    in before that newline. Each line is one ``write`` call. The texts
+    are indexed by the int ``(((fragment * n + requester) * n + owner) *
+    (n + 1) + dest + 1) * len(reasons) + code``, ``dest`` -1 for a stay.
     """
     reasons += ("local",)
     local = len(reasons) - 1
@@ -304,25 +306,16 @@ def _row_writer(write, n, reasons):
         dest_at = np.full(steps.size, -1, dtype=np.intp)
         dest_at[moves] = dests
         keys = ((block.fragments * n + requesters) * n + owner_at) * (n + 1) + dest_at + 1
-        keys = (keys * len(reasons) + code_at).tolist()
-        if inhibitions is None:
-            inhibitions = repeat(None)
-        else:
-            inhibition_at = np.empty(steps.size, dtype=object)
-            inhibition_at[order] = np.where(np.isnan(inhibitions), None, inhibitions)
-            inhibitions = inhibition_at.tolist()
-        step = -1
-        for s, key, inh in zip(steps.tolist(), keys, inhibitions):
-            if s != step:
-                step, head = s, f"{s},"
-            try:
-                text = texts[key]
-            except KeyError:
-                text = texts[key] = _row_text(key, n, reasons)
-            if inh is None:
-                write(head + text)
-            else:
-                write(f"{head}{text[:-1]}{inh}\n")
+        keys, key_at = np.unique(keys * len(reasons) + code_at, return_inverse=True)
+        texts.update((key, _row_text(key, n, reasons)) for key in set(keys.tolist()).difference(texts))
+        heads, step_at = np.unique(steps, return_inverse=True)
+        heads = np.array([f"{s}," for s in heads.tolist()], dtype=object)
+        lines = heads[step_at] + np.array([texts[key] for key in keys.tolist()], dtype=object)[key_at]
+        if inhibitions is not None:
+            evaluated = np.flatnonzero(~np.isnan(inhibitions))
+            at = order[evaluated]
+            lines[at] = [f"{line[:-1]}{inh}\n" for line, inh in zip(lines[at].tolist(), inhibitions[evaluated].tolist())]
+        deque(map(write, lines.tolist()), 0)
 
     return log
 

@@ -42,13 +42,13 @@ trials at a time, without a Python call per trial:
   on carry over.
 * Draws beyond the block's last trial carry over to the next block, even
   when they outnumber all that the (shorter) final block needs.
-* The block's events are grouped by fragment with one stable sort, and
-  each fragment's requesters come from ``np.searchsorted(cum, u *
-  cum[-1], side="right")`` over its slice of the grouping, the same
-  float product and ``bisect_right`` as a per-trial draw. An event's
-  oscillation phase comes from the fragment's emitted count plus the
-  event's rank in that slice, and each phase's table searches only the
-  events in that phase.
+* The block's events are grouped by fragment with one stable sort. An
+  event's oscillation phase, from the fragment's emitted count plus the
+  event's rank in its slice of the grouping, picks the fragment's row of
+  the spec's ``table`` in that phase. One halving search over all the
+  block's events finds ``bisect_right(row, u * row[-1])``, the same float
+  product and comparisons as a per-trial draw, at a cost per event that
+  does not depend on the fragment count.
 
 Each block comes as a :class:`Block`, which keeps an index of its events
 that depends on no policy: the events grouped by fragment, which the
@@ -88,6 +88,10 @@ def check_two_level(n: int, x_s: float) -> None:
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least two sites, got n={n}")
+    try:
+        float(n)  # the chain's x_d divides by n - 1 as a float
+    except OverflowError:
+        raise ValueError("n is too large to convert to a float") from None
     if not (0.0 <= x_s <= 1.0):
         raise ValueError(f"x_s must lie in [0, 1], got {x_s}")
 
@@ -149,9 +153,9 @@ class WorkloadSpec:
     oscillation phase.
 
     Validation leaves two attributes that are not fields: ``sites``, the
-    active sites in order, and ``tables``, one array per oscillation
-    phase whose row ``f`` is fragment ``f``'s cumulative mass over
-    ``sites``, the sampling table of :class:`EventStream`.
+    active sites in order, and ``table``, of shape (oscillation phases,
+    fragments, len(sites)), whose row ``[p, f]`` is fragment ``f``'s cumulative
+    mass over ``sites`` in phase ``p``, the sampling table of :class:`EventStream`.
     """
 
     probs: np.ndarray
@@ -189,13 +193,12 @@ class WorkloadSpec:
             phases.append(probs[:, swap])
         sites = np.array(self.active if self.active is not None else range(n))
         # cumsum adds left to right, so each row is the running sum a per-site += gives
-        tables = [np.cumsum(table[:, sites], axis=1) for table in phases]
-        for table in tables:
-            empty = np.flatnonzero(table[:, -1] <= 0.0)
-            if empty.size:
-                raise ValueError(f"fragment {empty[0]} has zero probability mass on the active sites")
+        table = np.cumsum(np.stack(phases)[:, :, sites], axis=2)
+        empty = np.flatnonzero(table[:, :, -1] <= 0.0)
+        if empty.size:
+            raise ValueError(f"fragment {empty[0] % len(probs)} has zero probability mass on the active sites")
         object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "table", table)
 
     @property
     def num_fragments(self) -> int:
@@ -222,11 +225,11 @@ class WorkloadSpec:
 class EventStream:
     """Access events for one run of ``spec`` at ``rate`` from ``seed``, drawn a block of trials at a time.
 
-    The sampling tables are the spec's ``tables``, cumulative masses
-    over the active sites, one per oscillation phase. :meth:`blocks` turns one
+    The sampling table is the spec's ``table``, cumulative masses over the
+    active sites by oscillation phase and fragment. :meth:`blocks` turns one
     ``getrandbits`` call per block into the doubles ``random()`` would
     have returned, lays them out into trials with array operations, and
-    picks every requester with one ``searchsorted`` per table; see the
+    picks every requester with one halving search over that table; see the
     module docstring for why that replays the per-trial draws exactly.
     """
 
@@ -274,31 +277,34 @@ class EventStream:
                 u = draws[1 : 2 * trials : 2]
             steps, fragments = np.divmod(emitted, num_fragments)
             by_fragment = _group(fragments, num_fragments)
-            yield Block(steps, fragments, self._requesters(by_fragment, u), num_fragments, by_fragment)
+            yield Block(steps, fragments, self._requesters(fragments, by_fragment, u), num_fragments, by_fragment)
 
-    def _requesters(self, by_fragment: tuple[np.ndarray, np.ndarray], draws: np.ndarray) -> np.ndarray:
+    def _requesters(self, fragments: np.ndarray, by_fragment: tuple[np.ndarray, np.ndarray], draws: np.ndarray) -> np.ndarray:
         """Requester of each event, from its second draw, by inverse CDF.
 
-        Each fragment's events are a slice of the grouping ``by_fragment``,
-        and an event's oscillation phase comes from its rank in that slice.
+        An event's row of the flattened ``table`` is its fragment, plus
+        ``num_fragments`` in the swapped phase. A probe past a row's end
+        reads its last entry, which exceeds every target: it acts as +inf.
         """
         order, bounds = by_fragment
-        counts = np.diff(bounds)
-        phases = [(order, bounds.tolist())]  # each phase's events, in grouped order, and their bounds by fragment
+        rows = fragments
         osc = self.spec.oscillation
         if osc is not None:
-            rank = np.arange(order.size) - np.repeat(bounds[:-1], counts)
-            swapped = (np.repeat(self._emitted, counts) + rank) // osc.period % 2 == 1
-            phases = [(order[p], np.searchsorted(p, bounds).tolist()) for p in map(np.flatnonzero, (~swapped, swapped))]
-        self._emitted += counts
-        requesters = np.empty(order.size, dtype=np.intp)
-        for phase, (events, spans) in enumerate(phases):
-            u = draws[events]
-            picked = np.empty(u.size, dtype=np.intp)
-            for cum, start, end in zip(self.spec.tables[phase], spans, spans[1:]):
-                picked[start:end] = np.searchsorted(cum, u[start:end] * cum[-1], side="right")
-            requesters[events] = self.spec.sites[picked]
-        return requesters
+            position = np.empty(order.size, dtype=np.int64)  # each event's position in the grouping
+            position[order] = np.arange(order.size)
+            swapped = (self._emitted[fragments] + position - bounds[fragments]) // osc.period % 2
+            rows = fragments + self.spec.num_fragments * swapped
+        self._emitted += np.diff(bounds)
+        width = self.spec.table.shape[2]
+        cum = self.spec.table.reshape(-1)
+        at = first = rows * width
+        last = first + (width - 1)
+        target = draws * cum[last]
+        step = 1 << (width - 1).bit_length()  # the smallest power of two >= width
+        while step > 1:
+            step //= 2
+            at = at + step * (cum[np.minimum(at + (step - 1), last)] <= target)
+        return self.spec.sites[at - first]
 
 
 def _group(fragments: np.ndarray, num_fragments: int) -> tuple[np.ndarray, np.ndarray]:

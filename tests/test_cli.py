@@ -543,6 +543,12 @@ class TestOracleCommand:
         assert main(["oracle", "--n", "1", "--x-s", "0.2", "--t", "0", "--out", str(tmp_path)]) == 2
         assert "--n 1 --x-s 0.2 --t 0" in capsys.readouterr().err
 
+    def test_site_count_beyond_a_float(self, tmp_path, capsys):
+        n = "1" + "0" * 400
+        assert main(["oracle", "--n", n, "--x-s", "0.5", "--t", "1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: --n {n} --x-s 0.5 --t 1: n is too large to convert to a float\n"
+        assert not (tmp_path / "oracle.csv").exists()
+
     def test_oversized_threshold(self, tmp_path, capsys):
         # the dense lumped chain would need hundreds of GiB at this t
         assert main(["oracle", "--n", "3", "--x-s", "0.2", "--t", "100000", "--out", str(tmp_path)]) == 2

@@ -140,9 +140,8 @@ class TestSamplingTables:
             assert any(not table[:, sites].any(axis=1).all() for table in phases)
             return
         assert spec.sites.tolist() == sites
-        assert len(spec.tables) == len(phases)
-        for table, phase in zip(spec.tables, phases):
-            assert table.shape == (len(rows), len(sites))
+        assert spec.table.shape == (len(phases), len(rows), len(sites))
+        for table, phase in zip(spec.table, phases):
             for f in range(len(rows)):
                 assert table[f].tolist() == list(accumulate(float(phase[f, s]) for s in sites))
 
@@ -234,6 +233,24 @@ class TestEventStream:
         for b in blocks:
             events += zip(b.steps.tolist(), b.fragments.tolist(), b.requesters.tolist())
         assert events == list(reference_engine.events(spec, 0.95, 7, 400))
+
+    def test_many_unequal_fragments_match_the_reference(self):
+        # 240 fragments fill a block of trials every 17 steps or so; a period
+        # of 3 emitted events flips phases within blocks and across them, and
+        # with 5 active sites the halving search probes past a row's end.
+        r = random.Random(11)
+        rows = [[r.random() if r.random() < 0.7 else 0.0 for _ in range(9)] for _ in range(240)]
+        for row in rows:
+            row[0] += 0.01  # every row keeps mass on the active sites in both phases
+        probs = np.array(rows)
+        probs /= probs.sum(axis=1, keepdims=True)
+        spec = WorkloadSpec(probs, active=(0, 2, 3, 5, 8), oscillation=Oscillation(2, 7, 3))
+        blocks = list(EventStream(spec, 0.7, 5).blocks(120))
+        assert len(blocks) >= 3
+        events = []
+        for b in blocks:
+            events += zip(b.steps.tolist(), b.fragments.tolist(), b.requesters.tolist())
+        assert events == list(reference_engine.events(spec, 0.7, 5, 120))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25)
