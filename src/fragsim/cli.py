@@ -30,7 +30,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import NoReturn
 
-from .config import ConfigError, load_config, parse_policy_token, resolve_run, resolve_sweep
+from .config import ConfigError, checked_seed, load_config, parse_policy_token, resolve_run, resolve_sweep
 from .engine import run_group
 from .fixtures import write_fixtures
 from .oracle import ChainParams, threshold_stationary
@@ -262,14 +262,9 @@ def _run_child(tasks: list, run, write_end: int) -> NoReturn:
 
 def _effective_seed_override(args) -> int | None:
     if args.seed_override is not None:
-        return args.seed_override
+        return checked_seed(args.seed_override, "--seed-override")
     env = os.environ.get("FRAGSIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"FRAGSIM_SEED: must be an integer, got {env!r}") from None
-    return None
+    return None if env is None else checked_seed(env, "FRAGSIM_SEED")
 
 
 def _cmd_run(args) -> int:

@@ -16,7 +16,7 @@ a :class:`ConfigError` prefixed with the block's name:
   oscillation phase: :class:`~fragsim.workload.WorkloadSpec`, with
   :func:`~fragsim.workload.symmetric_spec` for ``x_s`` and ``hot`` and
   :class:`~fragsim.workload.Oscillation` for its sites and period;
-* the rate: :func:`~fragsim.workload.check_rate`, as the stream does;
+* the rate and seed: ``check_rate`` and ``check_seed`` in :mod:`~fragsim.workload`;
 * policy parameters: :class:`~fragsim.policies.PolicySpec` and
   :class:`~fragsim.policies.FnaParams`, whose JSON types come from
   :data:`~fragsim.policies.POLICY_KEYS`;
@@ -62,7 +62,7 @@ differ only in their active sites and sampling tables.
 
 There is exactly one seed knob. Precedence, strongest first:
 ``--seed-override``, the ``FRAGSIM_SEED`` environment variable, the
-config's top-level ``seed``, default 0.
+config's top-level ``seed``, default 0. Each must be an integer >= 0.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from typing import Optional
 from .engine import SimConfig
 from .policies import POLICY_KEYS, FnaParams, PolicySpec
 from .topology import Topology, load_topology, read_json_object, topology_from_dict
-from .workload import Oscillation, WorkloadSpec, check_rate
+from .workload import Oscillation, WorkloadSpec, check_rate, check_seed
 
 import numpy as np
 
@@ -152,7 +152,7 @@ def resolve_run(
 
     topo = topology if topology is not None else _resolve_topology(doc["topology"], base_dir)
     sizes = _resolve_sizes(doc.get("fragments", {"count": 1, "size": 1.0}))
-    seed = seed_override if seed_override is not None else _key(doc, ctx, "seed", int, 0)
+    seed = seed_override if seed_override is not None else checked_seed(_key(doc, ctx, "seed", int, 0), "config.seed")
     workload, rate, x_s_label, hot = _resolve_workload(doc["workload"], len(sizes), topo.n, workload)
     sim = SimConfig(
         topology=topo,
@@ -173,6 +173,16 @@ def resolve_run(
         raise ConfigError(f"config.{exc}") from None
 
     return RunSetup(sim, x_s_label, metrics_name, decisions_name)
+
+
+def checked_seed(value, source: str) -> int:
+    """``value``, an int or the text of one, if it is a seed :func:`~fragsim.workload.check_seed` passes; else a :class:`ConfigError` naming ``source``."""
+    try:
+        seed = int(value) if isinstance(value, str) else value
+        check_seed(seed)
+    except ValueError:
+        raise ConfigError(f"{source}: must be an integer >= 0, got {value!r}") from None
+    return seed
 
 
 def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> SweepSetup:
@@ -196,7 +206,7 @@ def resolve_sweep(doc: dict, base_dir, seed_override: Optional[int] = None) -> S
         raise ConfigError(f"config.sweep.values: {repeated[0]!r} appears more than once, values must be distinct")
 
     base = {k: v for k, v in doc.items() if k != "sweep"}
-    base_seed = seed_override if seed_override is not None else _key(base, "config", "seed", int, 0)
+    base_seed = seed_override if seed_override is not None else checked_seed(_key(base, "config", "seed", int, 0), "config.seed")
 
     # No axis varies the topology or the fragment count: resolve the one and read the
     # other once, and bound the sweep by both before any cell resolves.

@@ -61,11 +61,13 @@ off. That makes blocking runs directly comparable against non-blocking
 ones at equal trajectories.
 
 Decision log: given a ``write`` callable, :func:`run` writes
-``DECISIONS_HEADER`` and then one CSV line per access as the run goes, so
-no log is held in memory. A row holds only ints, fixed reason tags (their
-only punctuation is ``:``), ``repr`` floats and ``""`` for no
-inhibition; no field ever needs quoting, so joining the fields with
-commas gives the bytes ``csv.writer`` would; ``_row_writer`` writes them.
+``DECISIONS_HEADER`` and then one CSV line per access as the run goes.
+``_row_writer`` joins each block's lines from per-field tables of texts
+made once per run and keeps nothing else, so a logged run's memory does
+not grow with its length. A row holds only ints, fixed reason tags (their
+only punctuation is ``:``), ``repr`` floats and ``""`` for no inhibition;
+no field needs quoting, so joining the fields with commas gives the bytes
+``csv.writer`` would.
 """
 
 from __future__ import annotations
@@ -199,10 +201,7 @@ class _PolicyRun:
         self.sizes = np.array(cfg.sizes, dtype=float)
         self.owners = list(cfg.initial_owners)
         self.in_flight_until = np.zeros(len(cfg.sizes))  # each fragment's transfer window end
-        self.log = None
-        if write is not None:
-            write(DECISIONS_HEADER)
-            self.log = _row_writer(write, topo.n, self.policy.reasons)
+        self.log = None if write is None else _row_writer(write, topo.n, len(cfg.sizes), self.policy.reasons)
         self.migrations = 0
         self.residency = np.zeros(topo.n, dtype=np.int64)
         self.response_cost = 0.0
@@ -280,37 +279,34 @@ def _forward_fill(block, moves, values, carried):
     return filled, held[np.append(cut[1:], moves.size) + np.arange(len(carried))]
 
 
-def _row_writer(write, n, reasons):
-    """Return ``log``, which writes a block's decision-log lines to ``write``.
+def _row_writer(write, n, count, reasons):
+    """Write ``DECISIONS_HEADER`` and return ``log``, which writes a block's lines to ``write``, one call per line.
 
-    This is the one place a row is formatted. ``log`` scatters the moves,
-    in any order, and the policy's codes and inhibitions into access
-    order, and codes every local access ``local``, appended to the
-    policy's ``reasons``. A line is its step's text joined to a cached
-    ``"fragment,requester,owner,decision,dest,reason,"`` text that ends in
-    a newline, each made once per distinct value in the block and joined
-    over object arrays; only an evaluated row gets its inhibition spliced
-    in before that newline. Each line is one ``write`` call. The texts
-    are indexed by the int ``(((fragment * n + requester) * n + owner) *
-    (n + 1) + dest + 1) * len(reasons) + code``, ``dest`` -1 for a stay.
+    Between blocks it keeps only four tables of texts, by fragment, site, ``dest + 1`` and
+    reason code (``local`` appended). Per block, ``log`` packs each access's fields into one int
+    key, joins each distinct key's text from the tables and splices in ``fna``'s inhibitions.
     """
-    reasons += ("local",)
-    local = len(reasons) - 1
-    texts = {}  # key -> "f,requester,owner,move,dest,reason,\n" or "f,requester,owner,stay,,reason,\n"
+    write(DECISIONS_HEADER)
+    local = len(reasons)  # the code of a local access, after the policy's own
+    fragment_texts = np.array([f"{f}," for f in range(count)], dtype=object)
+    site_texts = np.array([f"{s}," for s in range(n)], dtype=object)
+    decision_texts = np.array(["stay,,", *(f"move,{d}," for d in range(n))], dtype=object)
+    reason_texts = np.array([f"{reason},\n" for reason in (*reasons, "local")], dtype=object)
 
     def log(block, owner_at, moves, dests, codes, inhibitions):
         steps, requesters, order = block.steps, block.requesters, block.by_fragment[0]
         code_at = np.empty_like(codes)
         code_at[order] = codes
         code_at[requesters == owner_at] = local
-        dest_at = np.full(steps.size, -1, dtype=np.intp)
-        dest_at[moves] = dests
-        keys = ((block.fragments * n + requesters) * n + owner_at) * (n + 1) + dest_at + 1
-        keys, key_at = np.unique(keys * len(reasons) + code_at, return_inverse=True)
-        texts.update((key, _row_text(key, n, reasons)) for key in set(keys.tolist()).difference(texts))
+        dest_at = np.zeros(steps.size, dtype=np.intp)  # dest + 1, 0 for a stay
+        dest_at[moves] = dests + 1
+        keys = ((block.fragments * n + requesters) * n + owner_at) * (n + 1) + dest_at
+        keys, key_at = np.unique(keys * len(reason_texts) + code_at, return_inverse=True)
+        fragment, requester, owner, dest, code = np.unravel_index(keys, (count, n, n, n + 1, len(reason_texts)))
+        texts = fragment_texts[fragment] + site_texts[requester] + site_texts[owner] + decision_texts[dest] + reason_texts[code]
         heads, step_at = np.unique(steps, return_inverse=True)
         heads = np.array([f"{s}," for s in heads.tolist()], dtype=object)
-        lines = heads[step_at] + np.array([texts[key] for key in keys.tolist()], dtype=object)[key_at]
+        lines = heads[step_at] + texts[key_at]
         if inhibitions is not None:
             evaluated = np.flatnonzero(~np.isnan(inhibitions))
             at = order[evaluated]
@@ -318,14 +314,3 @@ def _row_writer(write, n, reasons):
         deque(map(write, lines.tolist()), 0)
 
     return log
-
-
-def _row_text(key, n, reasons) -> str:
-    """The cached text of a decision-log row between its step and its inhibition, newline included."""
-    rest, code = divmod(key, len(reasons))
-    rest, dest = divmod(rest, n + 1)
-    rest, owner = divmod(rest, n)
-    f, requester = divmod(rest, n)
-    decision = f"move,{dest - 1}" if dest else "stay,"
-    return f"{f},{requester},{owner},{decision},{reasons[code]},\n"
-

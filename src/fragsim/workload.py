@@ -102,6 +102,12 @@ def check_rate(rate: float) -> None:
         raise ValueError(f"rate must lie in (0, 1], got {rate}")
 
 
+def check_seed(seed: int) -> None:
+    """The one check of a stream's ``seed``: ``random.Random`` seeds with ``abs(seed)``, so -s would replay s."""
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def symmetric_spec(n: int, x_s: float, hot: SiteId = 0) -> np.ndarray:
     """Access vector with mass ``x_s`` at ``hot`` and the rest spread evenly.
 
@@ -235,6 +241,7 @@ class EventStream:
 
     def __init__(self, spec: WorkloadSpec, rate: float, seed: int):
         check_rate(rate)
+        check_seed(seed)
         self.spec = spec
         self.rate = rate
         self._rng = random.Random(seed)

@@ -279,6 +279,37 @@ class TestSeedPrecedence:
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "FRAGSIM_SEED" in capsys.readouterr().err
 
+    # random.Random seeds with abs(seed), so a negative seed would replay its positive twin,
+    # and a sweep's replications base + r could repeat one another.
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "source, env, args, seed",
+        [
+            ("--seed-override", None, ("--seed-override", "-1"), 1),
+            ("FRAGSIM_SEED", "-1", (), 1),
+            ("config.seed", None, (), -1),
+        ],
+    )
+    def test_negative_seed_names_its_source(self, tmp_path, monkeypatch, capsys, command, source, env, args, seed):
+        if env is None:
+            monkeypatch.delenv("FRAGSIM_SEED", raising=False)
+        else:
+            monkeypatch.setenv("FRAGSIM_SEED", env)
+        doc = base_run_doc(seed=seed, num_steps=50)
+        if command == "sweep":
+            doc["sweep"] = {"axis": "x_s", "values": [0.2], "replications": 3}
+        cfg = write_json(tmp_path / "doc.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *args]) == 2
+        err = capsys.readouterr().err
+        assert f"{source}: must be an integer >= 0, got " in err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_zero_is_accepted_from_every_source(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FRAGSIM_SEED", raising=False)
+        assert self.run_and_read_seed(tmp_path, args=("--seed-override", "0"), out="a")["seed"] == "0"
+        monkeypatch.setenv("FRAGSIM_SEED", "0")
+        assert self.run_and_read_seed(tmp_path, out="b")["seed"] == "0"
+
 
 class TestSweepCommand:
     def sweep_doc(self, **overrides):

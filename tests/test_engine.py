@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -374,6 +375,31 @@ class TestDeterminismAndConservation:
         plain = run(self.osc_config(PolicySpec("nna")))
         assert len(lines) == logged.accesses_total + 1
         assert plain == logged
+
+    def test_logged_run_memory_does_not_grow_with_its_length(self):
+        # 200 fragments moving at every remote access on a 40-site ring: nearly every row
+        # is a distinct (fragment, requester, owner, dest, reason), so anything kept per
+        # distinct row, not per block, grows with the run
+        n, k = 40, 200
+        ring = build_topology(n, [(s, (s + 1) % n, 1.0) for s in range(n)])
+        peaks = {}
+        for num_steps in (50, 200):
+            cfg = SimConfig(
+                topology=ring,
+                sizes=[1.0] * k,
+                initial_owners=[0] * k,
+                policy=PolicySpec("threshold", t=0),
+                workload=WorkloadSpec(np.full((k, n), 1 / n)),
+                seed=1,
+                num_steps=num_steps,
+            )
+            tracemalloc.start()
+            try:
+                run(cfg, lambda line: None)
+                peaks[num_steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] < 1.1 * peaks[50], peaks
 
 
 class TestBlockBoundaries:

@@ -1,13 +1,14 @@
 """The engine against ``reference_engine``, field by field and line by line.
 
-Hypothesis draws small connected graphs, multi-fragment workloads (up
-to 12 fragments under ``optimal``, ``nna`` and ``fna``) at dense and thinned rates, optional
-active sets, oscillation and blocking with sizes other than 1, every
-policy, and block sizes from one trial up. Both engines must agree on
-every ``SimMetrics`` field, compared by ``repr`` so floats match bit for
-bit and ints stay Python ints, and on the whole decision log. The same
-holds for each of several policies run together on one shared stream,
-among them groups of ``threshold`` cells that share each block's index.
+Hypothesis draws connected graphs of up to 9 sites, or 40 under
+``optimal`` and ``nna``, workloads of up to 12 fragments at dense and
+thinned rates, optional active sets, oscillation and blocking with sizes
+other than 1, every policy, and block sizes from one trial up. Both
+engines must agree on every ``SimMetrics`` field, compared by ``repr`` so
+floats match bit for bit and ints stay Python ints, and on the whole
+decision log. The same holds for each of several policies run together
+on one shared stream, among them groups of ``threshold`` cells that share
+each block's index.
 """
 
 from dataclasses import fields, replace
@@ -47,7 +48,11 @@ POLICIES = st.one_of(
 
 @st.composite
 def configs(draw):
-    n = draw(st.integers(1, 9))
+    policy = draw(POLICIES)
+    sites = st.integers(1, 9)
+    if policy.name in ("optimal", "nna"):
+        sites |= st.integers(10, 40)  # their counters span every site
+    n = draw(sites)
     weight = st.sampled_from([0.5, 1.0, 2.5])
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree keeps it connected
     for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
@@ -55,8 +60,7 @@ def configs(draw):
             edges.add((min(a, b), max(a, b)))
     topology = build_topology(n, [(a, b, draw(weight)) for a, b in sorted(edges)])
 
-    policy = draw(POLICIES)
-    k = draw(st.integers(1, 4 if policy.name == "threshold" else 12))  # the others group their counters across fragments
+    k = draw(st.integers(1, 12))
     active = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     oscillation = None
     if n >= 2 and draw(st.booleans()):

@@ -74,6 +74,15 @@ class TestWorkloadSpecValidation:
         with pytest.raises(ValueError, match=r"rate must lie in \(0, 1\], got 1.5"):
             EventStream(spec, 1.5, 0)
 
+    def test_seed_bounds(self):
+        # random.Random seeds with abs(seed): -1 would draw the stream of 1
+        spec = WorkloadSpec(np.array([[1.0]]))
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got -1"):
+            EventStream(spec, 1.0, -1)
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got True"):
+            EventStream(spec, 1.0, True)
+        EventStream(spec, 1.0, 0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entries_rejected(self, bad):
         with pytest.raises(ValueError, match="probs row 0 sums to .*, expected 1"):
